@@ -34,7 +34,8 @@ lint:
 lint-baseline:
 	$(GO) run ./cmd/pdevet -write-baseline .pdevet-baseline ./...
 
-# Short fuzz smoke over the solver and netlist-parser targets; CI-sized.
+# Short fuzz smoke over the solver, parser and request-decode targets;
+# CI-sized, and the one list of fuzz targets (scripts/check.sh calls it).
 # Longer local runs: go test -fuzz FuzzBandLU -fuzztime 60s ./internal/la/
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzSolveTridiagonal -fuzztime 3s ./internal/la/
@@ -43,9 +44,10 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseNetlist -fuzztime 3s ./internal/analog/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 3s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 3s ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 3s ./internal/serve/
 
 # Full verification gate: build + vet + pdevet + formatting + race-enabled
-# tests + fuzz smoke.
+# tests + fuzz smoke + the bench/ module's vet and tests.
 check:
 	./scripts/check.sh
 

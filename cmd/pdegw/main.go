@@ -4,9 +4,8 @@
 // Usage:
 //
 //	pdegw -backends http://127.0.0.1:18081,http://127.0.0.1:18082 \
-//	      [-addr :8090] [-vnodes 64] [-max-grid N] [-max-steps N]
-//	      [-probe-interval D]
-//	      [-probe-timeout D] [-evict-after N] [-backoff-max N]
+//	      [-addr :8090] [-max-grid N] [-max-steps N]
+//	      [-probe-interval D] [-evict-after N]
 //	      [-batch-window D] [-max-batch N] [-drain-timeout D]
 //	      [-breaker-threshold N] [-breaker-open-probes N]
 //	      [-retry-budget F] [-retry-budget-max F]
@@ -52,13 +51,10 @@ func main() {
 	var (
 		addr          = flag.String("addr", ":8090", "gateway listen address")
 		backends      = flag.String("backends", "", "comma-separated pdeserved base URLs (required)")
-		vnodes        = flag.Int("vnodes", 0, "virtual nodes per backend on the ring (0 = default 64)")
 		maxGrid       = flag.Int("max-grid", 12, "largest 2-D grid size a request may ask for (mirror the backends)")
 		maxSteps      = flag.Int("max-steps", 0, "cap on a stream's step count, mirroring the backends (0 = default 256)")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "health probe period")
-		probeTimeout  = flag.Duration("probe-timeout", time.Second, "per-probe round-trip bound")
 		evictAfter    = flag.Int("evict-after", 1, "consecutive failures that evict a backend")
-		backoffMax    = flag.Int("backoff-max", 16, "re-add probe backoff cap, in probe intervals")
 		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "same-shape coalescing window (negative disables batching)")
 		maxBatch      = flag.Int("max-batch", 8, "largest same-shape batch; a full window flushes early")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
@@ -79,16 +75,13 @@ func main() {
 	}
 
 	g, err := cluster.New(cluster.Config{
-		Backends:         urls,
-		VNodes:           *vnodes,
-		MaxGridN:         *maxGrid,
-		MaxSteps:         *maxSteps,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		EvictAfter:       *evictAfter,
-		BackoffMaxProbes: *backoffMax,
-		BatchWindow:      *batchWindow,
-		MaxBatch:         *maxBatch,
+		Backends:      urls,
+		MaxGridN:      *maxGrid,
+		MaxSteps:      *maxSteps,
+		ProbeInterval: *probeInterval,
+		EvictAfter:    *evictAfter,
+		BatchWindow:   *batchWindow,
+		MaxBatch:      *maxBatch,
 
 		BreakerThreshold:  *breakerThreshold,
 		BreakerOpenProbes: *breakerOpenProbes,

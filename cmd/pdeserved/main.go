@@ -8,7 +8,7 @@
 //	          [-queue N] [-max-grid N] [-timeout D] [-max-timeout D]
 //	          [-seed N] [-drain-timeout D] [-chaos] [-chaos-spec SPEC]
 //	          [-retries N] [-seed-gate F] [-cache-size N] [-cache-off]
-//	          [-warm-radius F] [-max-steps N] [-stream-buffer N]
+//	          [-warm-radius F] [-max-steps N]
 //
 // The API listener serves POST /v1/solve, POST /v1/stream (NDJSON transient
 // trajectories, one frame line per time step), GET /v1/problems,
@@ -73,7 +73,6 @@ func main() {
 		cacheOff       = flag.Bool("cache-off", false, "disable the content-addressed solve cache")
 		warmRadius     = flag.Float64("warm-radius", 0, "parameter distance within which a cached neighbour warm-starts a solve (0 = default 0.25, negative disables)")
 		maxSteps       = flag.Int("max-steps", 0, "cap on a POST /v1/stream trajectory's step count (0 = default 256)")
-		streamBuffer   = flag.Int("stream-buffer", 0, "frames buffered between a stream's solver and its network writer (0 = default 8)")
 	)
 	flag.Parse()
 
@@ -112,7 +111,6 @@ func main() {
 		CacheEntries:   cacheEntries,
 		WarmRadius:     *warmRadius,
 		MaxSteps:       *maxSteps,
-		StreamBuffer:   *streamBuffer,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

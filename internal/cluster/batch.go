@@ -32,8 +32,7 @@ type dispatchResult struct {
 	status     int
 	body       []byte
 	retryAfter string // Retry-After header passthrough on 429
-	backend    string // which backend served it (empty on total failure)
-	err        error  // set when no backend could be reached at all
+	err        error  // set when no backend produced an answer to relay
 }
 
 // pendingEntry is one request waiting in a window. The entry carries no
@@ -187,13 +186,14 @@ func (b *batcher) flush(ctx context.Context, shape cache.Key, entries []*pending
 	}
 }
 
-// resultStatus maps a dispatchResult the batcher produced locally (ctx
-// expiry while waiting) onto a client-facing status.
+// resultStatus is a dispatchResult's client-facing status: the one it
+// carries (a backend's, or the gateway's own 429), else 504 for a spent
+// deadline and 502 for any other failure to get an answer.
 func resultStatus(r dispatchResult) int {
-	if r.err == nil {
+	switch {
+	case r.status != 0:
 		return r.status
-	}
-	if errors.Is(r.err, context.DeadlineExceeded) {
+	case errors.Is(r.err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusBadGateway

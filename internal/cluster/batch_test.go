@@ -24,7 +24,7 @@ func testKey(tag int64) cache.Key {
 func countingDispatch(calls *atomic.Int64) dispatchFunc {
 	return func(ctx context.Context, shape cache.Key, body []byte) dispatchResult {
 		calls.Add(1)
-		return dispatchResult{status: http.StatusOK, body: body, backend: "test"}
+		return dispatchResult{status: http.StatusOK, body: body}
 	}
 }
 

@@ -171,6 +171,18 @@ func (bs *breakerSet) record(url string, ok bool) {
 	}
 }
 
+// release hands back a half-open trial slot without a verdict: the attempt
+// that took it ended for reasons that say nothing about the backend (the
+// client's deadline or disconnect), so the state stays half-open and the
+// next request may run the trial.
+func (bs *breakerSet) release(url string) {
+	bs.mu.Lock()
+	defer bs.mu.Unlock()
+	if b, ok := bs.breakers[url]; ok && b.state == breakerHalfOpen {
+		b.trial = false
+	}
+}
+
 // tick advances every open breaker's countdown by one prober sweep; those
 // reaching zero go half-open. The gateway calls it from probeSweep, so the
 // breaker and the membership backoff share one discrete clock.

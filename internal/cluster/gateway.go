@@ -1,15 +1,10 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"hybridpde/internal/cache"
@@ -22,9 +17,6 @@ type Config struct {
 	// Backends is the fixed fleet of pdeserved base URLs the ring is
 	// built over (e.g. http://127.0.0.1:18080). Required, non-empty.
 	Backends []string
-	// VNodes is the virtual-node count per backend. Default
-	// DefaultVNodes (64).
-	VNodes int
 	// MaxGridN mirrors the backends' grid cap so the gateway normalizes
 	// requests over the same identity the backends cache under.
 	// Default 12.
@@ -33,37 +25,25 @@ type Config struct {
 	// gateway rejects over-long trajectories before routing them.
 	// Default 256.
 	MaxSteps int
-	// MaxBodyBytes bounds the request body. Default 1 MiB.
-	MaxBodyBytes int64
 	// ProbeInterval is the health-probe period. Default 500ms.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round trip. Default 1s.
-	ProbeTimeout time.Duration
 	// EvictAfter is how many consecutive failures (probe or dispatch)
 	// evict a healthy backend. Default 1: the first failure does —
 	// failover retries make eviction cheap and re-adds are probed.
 	EvictAfter int
-	// BackoffMaxProbes caps the eviction re-probe backoff, measured in
-	// probe intervals (the backoff doubles 1, 2, 4, ... per failed
-	// re-add). Default 16.
-	BackoffMaxProbes int
 	// BatchWindow is how long the first request of a shape holds its
 	// batch window open. Default 2ms; negative disables batching.
 	BatchWindow time.Duration
 	// MaxBatch bounds a window's size; a full window flushes
 	// immediately. Default 8.
 	MaxBatch int
-	// FailoverAttempts bounds how many distinct backends one request may
-	// try. Default: every ring member.
-	FailoverAttempts int
 	// BreakerThreshold is how many consecutive failures (dispatch or
 	// probe) open a backend's circuit breaker. Default 3.
 	BreakerThreshold int
 	// BreakerOpenProbes is the initial open window of a tripped breaker,
 	// measured in prober sweeps before the half-open trial; it doubles per
-	// failed trial up to BreakerMaxProbes. Defaults 2 and 16.
+	// failed trial up to 16 sweeps. Default 2.
 	BreakerOpenProbes int
-	BreakerMaxProbes  int
 	// RetryBudgetRatio is how many retry tokens each primary dispatch
 	// deposits (the Envoy-style budget: failovers stay a bounded fraction
 	// of primary traffic). 0 uses the default 0.1; negative disables
@@ -84,27 +64,24 @@ type Config struct {
 	Client *http.Client
 }
 
+const (
+	// maxUpstreamBytes bounds how much of a buffered backend reply is read.
+	maxUpstreamBytes = 1 << 20
+	// probeTimeout bounds one health-probe round trip.
+	probeTimeout = time.Second
+	// backoffMaxProbes caps an evicted member's re-probe backoff and
+	// breakerMaxProbes an open breaker's window, in prober sweeps (each
+	// doubles 1, 2, 4, ... per failed attempt).
+	backoffMaxProbes = 16
+	breakerMaxProbes = 16
+)
+
 func (c *Config) defaults() {
-	if c.VNodes <= 0 {
-		c.VNodes = DefaultVNodes
-	}
-	if c.MaxGridN <= 0 {
-		c.MaxGridN = 12
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = time.Second
-	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 1
-	}
-	if c.BackoffMaxProbes <= 0 {
-		c.BackoffMaxProbes = 16
 	}
 	if c.BatchWindow == 0 {
 		c.BatchWindow = 2 * time.Millisecond
@@ -112,17 +89,11 @@ func (c *Config) defaults() {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 8
 	}
-	if c.FailoverAttempts <= 0 {
-		c.FailoverAttempts = len(c.Backends)
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
 	}
 	if c.BreakerOpenProbes <= 0 {
 		c.BreakerOpenProbes = 2
-	}
-	if c.BreakerMaxProbes <= 0 {
-		c.BreakerMaxProbes = 16
 	}
 	if c.RetryBudgetRatio == 0 { //pdevet:allow floateq zero is the config-absent sentinel (never computed)
 		c.RetryBudgetRatio = 0.1
@@ -147,20 +118,17 @@ func (c *Config) defaults() {
 // Gateway fronts a fleet of pdeserved backends: shape-affine consistent-
 // hash routing, health-checked membership, same-shape batching, and its
 // own metrics plane. Create with New, expose via Handler, stop with
-// Close (or BeginDrain + Drain + Close for graceful shutdown).
+// Close (or, for graceful shutdown, the embedded gate's BeginDrain + Drain,
+// then Close).
 type Gateway struct {
+	serve.DrainGate
 	cfg      Config
 	ring     *Ring
 	ms       *membership
 	m        *gwMetrics
-	client   *http.Client
 	b        *batcher
 	breakers *breakerSet
 	budget   *retryBudget
-
-	drainMu  sync.Mutex
-	draining bool
-	inflight sync.WaitGroup
 
 	stopProbe context.CancelFunc
 	probeDone chan struct{}
@@ -170,28 +138,22 @@ type Gateway struct {
 // until Close.
 func New(cfg Config) (*Gateway, error) {
 	cfg.defaults()
-	ring, err := NewRing(cfg.Backends, cfg.VNodes)
+	ring, err := NewRing(cfg.Backends, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
 	g := &Gateway{
 		cfg:       cfg,
 		ring:      ring,
-		ms:        newMembership(ring.Members(), cfg.EvictAfter, cfg.BackoffMaxProbes),
+		ms:        newMembership(ring.Members(), cfg.EvictAfter, backoffMaxProbes),
 		m:         newGwMetrics(),
-		client:    cfg.Client,
 		probeDone: make(chan struct{}),
 	}
 	g.b = newBatcher(cfg.BatchWindow, cfg.MaxBatch, g.m)
 	g.breakers = newBreakerSet(ring.Members(), cfg.BreakerThreshold,
-		cfg.BreakerOpenProbes, cfg.BreakerMaxProbes, g.m)
-	ratio := cfg.RetryBudgetRatio
-	if ratio < 0 {
-		ratio = 0
-	}
-	g.budget = newRetryBudget(ratio, cfg.RetryBudgetMax)
+		cfg.BreakerOpenProbes, breakerMaxProbes, g.m)
+	g.budget = newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetMax)
 	g.m.ringMembers.Set(int64(ring.Len()))
-	g.m.healthyBackends.Set(int64(ring.Len()))
 	ctx, cancel := context.WithCancel(context.Background())
 	g.stopProbe = cancel
 	go g.probeLoop(ctx)
@@ -210,65 +172,14 @@ func (g *Gateway) Close() {
 // (membership snapshot).
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", g.handleSolve)
-	mux.HandleFunc("POST /v1/stream", g.handleStream)
+	mux.HandleFunc("POST "+string(serve.EndpointSolve), g.handleSolve)
+	mux.HandleFunc("POST "+string(serve.EndpointStream), g.handleStream)
 	mux.HandleFunc("GET /v1/problems", g.handleProblems)
 	mux.HandleFunc("GET /healthz", g.handleHealthz)
-	mux.HandleFunc("GET /livez", g.handleLivez)
+	mux.HandleFunc("GET /livez", serve.Livez)
 	mux.HandleFunc("GET /metrics", g.handleMetrics)
 	mux.HandleFunc("GET /cluster", g.handleCluster)
 	return mux
-}
-
-// BeginDrain closes the admission gate: new requests get 503 while
-// requests already inside keep their upstream calls. Safe to call
-// repeatedly.
-func (g *Gateway) BeginDrain() {
-	g.drainMu.Lock()
-	defer g.drainMu.Unlock()
-	if !g.draining {
-		g.draining = true
-		g.m.draining.Set(1)
-	}
-}
-
-// Drain blocks until every admitted request has completed or ctx expires.
-func (g *Gateway) Drain(ctx context.Context) error {
-	g.BeginDrain()
-	done := make(chan struct{})
-	go func() {
-		g.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-func (g *Gateway) isDraining() bool {
-	g.drainMu.Lock()
-	defer g.drainMu.Unlock()
-	return g.draining
-}
-
-// admit mirrors serve.Server.admit's Add-before-flag ordering so Drain's
-// Wait cannot miss an admitted request.
-func (g *Gateway) admit() (release func(), ok bool) {
-	g.drainMu.Lock()
-	if g.draining {
-		g.drainMu.Unlock()
-		return nil, false
-	}
-	g.inflight.Add(1)
-	g.drainMu.Unlock()
-	g.m.inflight.Inc()
-	return func() {
-		g.m.inflight.Dec()
-		g.inflight.Done()
-	}, true
 }
 
 // probeLoop drives the membership state machine: an immediate sweep so
@@ -289,253 +200,104 @@ func (g *Gateway) probeLoop(ctx context.Context) {
 	}
 }
 
-// probeSweep probes every due member once and refreshes the health gauge.
-// Each sweep is also one tick of the breaker clock, and every probe
-// outcome feeds the breaker state machine — so a recovered backend closes
-// its breaker from the prober's evidence alone, without live traffic
-// having to gamble on it first.
+// probeSweep probes every due member once. Each sweep is also one tick of
+// the breaker clock, and every probe outcome is observed like a dispatch
+// outcome — so a recovered backend closes its breaker from the prober's
+// evidence alone, without live traffic having to gamble on it first.
 func (g *Gateway) probeSweep(ctx context.Context) {
 	g.breakers.tick()
 	for _, url := range g.ring.Members() {
 		if !g.ms.dueForProbe(url) {
 			continue
 		}
-		pctx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
-		ready := probeBackend(pctx, g.client, url)
-		g.breakers.record(url, ready)
-		if ready {
-			if g.ms.markSuccess(url) {
-				g.m.readds.Inc()
-			}
-			if st, ok := scrapeBackend(pctx, g.client, url); ok {
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
+		if probeBackend(pctx, g.cfg.Client, url) {
+			g.observe(url, backendAnswered)
+			if st, ok := scrapeBackend(pctx, g.cfg.Client, url); ok {
 				g.ms.setStats(url, st)
 				g.m.backendDegraded.With(url).Set(int64(st.DegradedTotal))
 				g.m.backendCacheHits.With(url).Set(int64(st.CacheHits))
 				g.m.backendCacheWarm.With(url).Set(int64(st.CacheWarmHits))
 				g.m.backendCacheMiss.With(url).Set(int64(st.CacheMisses))
 			}
-		} else if g.ms.markFailure(url) {
-			g.m.evictions.Inc()
+		} else {
+			g.observe(url, backendFailed)
 		}
 		cancel()
 	}
-	g.m.healthyBackends.Set(int64(g.ms.healthyCount()))
 }
 
-// handleSolve is POST /v1/solve: decode → normalize (same rules as the
-// backends) → shape-route through the batcher → failover-dispatch →
-// relay the backend's response verbatim.
-func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if g.isDraining() {
+// routed is one request past the route prelude: validated, keyed, inside
+// the drain gate and under its deadline. The caller owes it one release.
+type routed struct {
+	body            []byte    // the raw request, forwarded verbatim
+	shape, identity cache.Key // ring-routing key; in-flight dedup key
+	release         func()
+}
+
+// route is the prelude POST /v1/solve and POST /v1/stream share: drain
+// check → read, decode and normalize by the backends' own rules for the
+// endpoint → shape and identity keys → drain gate → deadline context (same
+// resolution as the backends; open forwards what remains of it per attempt).
+// ok=false means the request has been answered (rejected and counted) here.
+func (g *Gateway) route(w http.ResponseWriter, r *http.Request, ep serve.Endpoint) (ctx context.Context, rt routed, ok bool) {
+	if g.Draining() {
 		g.rejectJSON(w, http.StatusServiceUnavailable, "gateway is draining")
-		return
+		return nil, rt, false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
+	req, body, err := serve.DecodeRequest(w, r, ep, g.cfg.MaxGridN, g.cfg.MaxSteps)
 	if err != nil {
-		g.rejectJSON(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	var req serve.Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		g.rejectJSON(w, http.StatusBadRequest, "invalid request body: "+err.Error())
-		return
-	}
-	if err := serve.Normalize(&req, g.cfg.MaxGridN); err != nil {
 		g.rejectJSON(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, rt, false
 	}
-
 	var kb cache.KeyBuilder
-	shape := serve.ShapeKey(&req, &kb)
-	identity := shape
+	rt.body = body
+	rt.shape = serve.ShapeKey(&req, &kb)
+	rt.identity = rt.shape
 	if serve.CacheableKind(req.Problem) {
-		identity = serve.SolveKey(&req, &kb)
+		rt.identity = serve.SolveKey(&req, &kb)
 	}
-
-	release, ok := g.admit()
-	if !ok {
+	if !g.Enter() {
 		g.rejectJSON(w, http.StatusServiceUnavailable, "gateway is draining")
+		return nil, rt, false
+	}
+	g.m.inflight.Inc()
+	ctx, cancel := context.WithTimeout(r.Context(), req.Timeout(g.cfg.DefaultTimeout, g.cfg.MaxTimeout))
+	rt.release = func() {
+		cancel()
+		g.m.inflight.Dec()
+		g.Leave()
+	}
+	return ctx, rt, true
+}
+
+// handleSolve is POST /v1/solve, the buffered tail behind the route
+// prelude: the same-shape batcher (an optional pre-stage) in front of the
+// failover walk, then one relayed reply.
+func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
+	ctx, rt, ok := g.route(w, r, serve.EndpointSolve)
+	if !ok {
 		return
 	}
-	defer release()
+	defer rt.release()
+	g.reply(w, g.b.submit(ctx, rt.shape, rt.identity, rt.body, g.dispatch))
+}
 
-	// The gateway resolves the request deadline with the same rules the
-	// backends use; forward propagates whatever remains of it per attempt,
-	// so backends never start work the gateway has already abandoned.
-	ctx, cancel := context.WithTimeout(r.Context(), g.timeout(&req))
-	defer cancel()
-	res := g.b.submit(ctx, shape, identity, body, g.dispatch)
+// reply counts and writes a buffered outcome: a backend's reply relayed
+// verbatim (Retry-After included), or a gateway-originated error body.
+func (g *Gateway) reply(w http.ResponseWriter, res dispatchResult) {
 	code := resultStatus(res)
 	g.m.requests.With(strconv.Itoa(code)).Inc()
-	if res.err != nil {
-		g.writeJSONBody(w, code, errorBody("upstream dispatch failed: "+res.err.Error()))
-		return
-	}
 	if res.retryAfter != "" {
 		w.Header().Set("Retry-After", res.retryAfter)
+	}
+	if res.err != nil {
+		serve.WriteJSON(w, code, errorBody{"upstream dispatch failed: " + res.err.Error()})
+		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	w.Write(res.body)
-}
-
-// dispatch ships one request to the shape's pinned backend, walking the
-// ring's successor order when backends are evicted or fail mid-request.
-// Healthy candidates are tried first in ring order; if every healthy
-// candidate fails (or none exists), the remaining members are tried
-// anyway — probe state is advisory, the request is the ground truth. Two
-// guards bound the walk beyond FailoverAttempts: backends with an open
-// circuit breaker are skipped outright (no attempt, no token), and every
-// attempt after the first must withdraw a retry-budget token — an empty
-// bucket turns the failover into an explicit 429 backpressure answer
-// instead of amplified load on a browning-out fleet.
-func (g *Gateway) dispatch(ctx context.Context, shape cache.Key, body []byte) dispatchResult {
-	candidates := g.failoverOrder(shape)
-
-	g.budget.deposit()
-	attempts := 0
-	var last dispatchResult
-	last.err = errors.New("no backend available")
-	for _, url := range candidates {
-		if !g.breakers.allow(url) {
-			continue
-		}
-		if attempts > 0 {
-			if !g.budget.withdraw() {
-				g.m.retryBudgetDenied.Inc()
-				return dispatchResult{
-					status:     http.StatusTooManyRequests,
-					body:       mustJSON(errorBody("retry budget exhausted: backend failed and failover retries are capped")),
-					retryAfter: "1",
-				}
-			}
-			g.m.retryBudgetSpent.Inc()
-			g.m.failovers.Inc()
-		}
-		attempts++
-		res, transient := g.forward(ctx, url, body)
-		g.breakers.record(url, !transient)
-		if !transient {
-			if g.ms.markSuccess(url) {
-				g.m.readds.Inc()
-			}
-			return res
-		}
-		// Transport error or failover-class status: mark the backend and
-		// walk on, unless the request itself is out of time.
-		if g.ms.markFailure(url) {
-			g.m.evictions.Inc()
-			g.m.healthyBackends.Set(int64(g.ms.healthyCount()))
-		}
-		last = res
-		if ctx.Err() != nil {
-			return dispatchResult{err: ctx.Err()}
-		}
-	}
-	return last
-}
-
-// failoverOrder lists the backends a request pinned to shape may try, in
-// ring-successor order with healthy members first, capped at
-// FailoverAttempts. Probe state is advisory — unhealthy members are still
-// candidates of last resort, because the request is the ground truth.
-func (g *Gateway) failoverOrder(shape cache.Key) []string {
-	order := g.ring.Successors(shape)
-	candidates := make([]string, 0, len(order))
-	for _, url := range order {
-		if g.ms.healthy(url) {
-			candidates = append(candidates, url)
-		}
-	}
-	for _, url := range order {
-		if !g.ms.healthy(url) {
-			candidates = append(candidates, url)
-		}
-	}
-	if len(candidates) > g.cfg.FailoverAttempts {
-		candidates = candidates[:g.cfg.FailoverAttempts]
-	}
-	return candidates
-}
-
-// timeout resolves the effective deadline of a gateway request, with the
-// same rules serve.Server.timeout applies on the backends.
-func (g *Gateway) timeout(req *serve.Request) time.Duration {
-	if req.DeadlineMillis <= 0 {
-		return g.cfg.DefaultTimeout
-	}
-	d := time.Duration(req.DeadlineMillis) * time.Millisecond
-	if d > g.cfg.MaxTimeout {
-		return g.cfg.MaxTimeout
-	}
-	return d
-}
-
-// mustJSON marshals a gateway-originated body; errorBody cannot fail.
-func mustJSON(v errorBody) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return []byte(`{"error":"gateway encoding failure"}`)
-	}
-	return b
-}
-
-// forward performs one upstream solve call. transient=true means the
-// failure class is worth a failover (transport error, 500/502/503);
-// anything else — including 429 backpressure and 504 deadline expiry —
-// is relayed to the client as-is.
-func (g *Gateway) forward(ctx context.Context, url string, body []byte) (res dispatchResult, transient bool) {
-	g.m.backendRouted.With(url).Inc()
-	g.m.backendInflight.With(url).Inc()
-	defer g.m.backendInflight.With(url).Dec()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/solve", bytes.NewReader(body))
-	if err != nil {
-		return dispatchResult{err: err}, true
-	}
-	req.Header.Set("Content-Type", "application/json")
-	// Deadline-budget propagation: tell the backend how much of the
-	// request's deadline this attempt actually has left (failover attempts
-	// see progressively smaller budgets), so it can refuse doomed work at
-	// admission instead of burning Newton iterations on it.
-	if d, ok := ctx.Deadline(); ok {
-		ms := untilDeadline(d).Milliseconds()
-		if ms <= 0 {
-			return dispatchResult{err: context.DeadlineExceeded}, false
-		}
-		req.Header.Set(serve.DeadlineBudgetHeader, strconv.FormatInt(ms, 10))
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		g.m.backendFailures.With(url).Inc()
-		if ctx.Err() != nil {
-			// The client's deadline, not the backend's failure.
-			return dispatchResult{err: ctx.Err()}, false
-		}
-		return dispatchResult{err: err}, true
-	}
-	defer resp.Body.Close()
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		g.m.backendFailures.With(url).Inc()
-		return dispatchResult{err: err}, true
-	}
-	g.m.backendRequests.With(url, strconv.Itoa(resp.StatusCode)).Inc()
-	res = dispatchResult{
-		status:     resp.StatusCode,
-		body:       payload,
-		retryAfter: resp.Header.Get("Retry-After"),
-		backend:    url,
-	}
-	switch resp.StatusCode {
-	case http.StatusInternalServerError, http.StatusBadGateway, http.StatusServiceUnavailable:
-		g.m.backendFailures.With(url).Inc()
-		return res, true
-	}
-	return res, false
 }
 
 // handleProblems proxies GET /v1/problems to the first healthy backend in
@@ -549,11 +311,11 @@ func (g *Gateway) handleProblems(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		resp, err := g.client.Do(req)
+		resp, err := g.cfg.Client.Do(req)
 		if err != nil {
 			continue
 		}
-		payload, err := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes))
+		payload, err := io.ReadAll(io.LimitReader(resp.Body, maxUpstreamBytes))
 		resp.Body.Close()
 		if err != nil || resp.StatusCode != http.StatusOK {
 			continue
@@ -569,26 +331,23 @@ func (g *Gateway) handleProblems(w http.ResponseWriter, r *http.Request) {
 // draining and at least one backend is healthy.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	switch {
-	case g.isDraining():
-		g.writeJSONBody(w, http.StatusServiceUnavailable, serve.Health{Ready: false, Reason: "draining"})
+	case g.Draining():
+		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Health{Ready: false, Reason: "draining"})
 	case g.ms.healthyCount() == 0:
-		g.writeJSONBody(w, http.StatusServiceUnavailable, serve.Health{Ready: false, Reason: "no healthy backend"})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Health{Ready: false, Reason: "no healthy backend"})
 	default:
-		g.writeJSONBody(w, http.StatusOK, serve.Health{Ready: true})
+		serve.WriteJSON(w, http.StatusOK, serve.Health{Ready: true})
 	}
 }
 
-// handleLivez is the gateway's liveness probe.
-func (g *Gateway) handleLivez(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
 // handleMetrics is GET /metrics: the gateway's own Prometheus page. The
-// health gauge is recomputed at scrape time so it never lags the
-// membership state machine between probe sweeps.
+// health and draining gauges are computed at scrape time, so they never lag
+// the state they report.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	g.m.healthyBackends.Set(int64(g.ms.healthyCount()))
+	if g.Draining() {
+		g.m.draining.Set(1)
+	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	g.m.writeProm(w)
 }
@@ -617,9 +376,9 @@ type ClusterSnapshot struct {
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	snap := ClusterSnapshot{
 		RingMembers: g.ring.Len(),
-		VNodes:      g.cfg.VNodes,
+		VNodes:      DefaultVNodes,
 		Healthy:     g.ms.healthyCount(),
-		Draining:    g.isDraining(),
+		Draining:    g.Draining(),
 	}
 	for _, url := range g.ring.Members() {
 		m, ok := g.ms.snapshot(url)
@@ -634,31 +393,17 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 			Stats:     m.stats,
 		})
 	}
-	g.writeJSONBody(w, http.StatusOK, snap)
+	serve.WriteJSON(w, http.StatusOK, snap)
 }
 
-// errorBody renders the error-only JSON body the gateway originates
-// itself (backend bodies are relayed verbatim).
-type errorBody string
-
-// MarshalJSON renders {"error": "..."} so gateway-originated failures
-// look like backend rejections to clients.
-func (e errorBody) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Error string `json:"error"`
-	}{Error: string(e)})
+// errorBody is the error-only JSON body the gateway originates itself
+// (backend bodies are relayed verbatim); it reads like a backend rejection.
+type errorBody struct {
+	Error string `json:"error"`
 }
 
 // rejectJSON counts and encodes a gateway-originated rejection.
 func (g *Gateway) rejectJSON(w http.ResponseWriter, code int, msg string) {
 	g.m.requests.With(strconv.Itoa(code)).Inc()
-	g.writeJSONBody(w, code, errorBody(msg))
-}
-
-func (g *Gateway) writeJSONBody(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	// The status line is committed before encoding; a failure here only
-	// means the client hung up.
-	json.NewEncoder(w).Encode(v)
+	serve.WriteJSON(w, code, errorBody{msg})
 }

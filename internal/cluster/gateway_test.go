@@ -74,16 +74,37 @@ func newTestFleet(t *testing.T, n int, cfg Config) *testFleet {
 		t.Fatal(err)
 	}
 	t.Cleanup(gw.Close)
+	// New's prober sweeps once immediately, on its own goroutine; wait it
+	// out so a test that breaks a backend next never races that sweep.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		scraped := 0
+		for _, u := range urls {
+			if m, _ := gw.ms.snapshot(u); m.stats.Scraped {
+				scraped++
+			}
+		}
+		if scraped == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the gateway's first probe sweep never finished")
+		}
+	}
 	f.gw = gw
 	f.gwServer = httptest.NewServer(gw.Handler())
 	t.Cleanup(f.gwServer.Close)
 	return f
 }
 
-// ownerIndex returns which backend the ring pins req's shape to.
+// ownerIndex returns which backend the ring pins req's shape to (a request
+// with steps set normalizes under the stream rules).
 func (f *testFleet) ownerIndex(t *testing.T, req serve.Request) int {
 	t.Helper()
-	if err := serve.Normalize(&req, 0); err != nil {
+	err := serve.Normalize(&req, 0)
+	if req.Steps != 0 {
+		err = serve.NormalizeStream(&req, 0, 0)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	var kb cache.KeyBuilder

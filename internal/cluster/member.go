@@ -15,7 +15,7 @@ import (
 //	healthy --(probe failure / dispatch failure / readiness 503)--> evicted
 //	evicted --(successful probe after the current backoff)--------> healthy
 //
-// Eviction doubles the member's re-probe backoff up to BackoffMaxProbes;
+// Eviction doubles the member's re-probe backoff up to backoffMaxProbes;
 // a successful re-add resets it. The consistent-hash ring itself never
 // changes — an evicted member keeps its ring positions and is skipped by
 // the failover walk, so its shapes come straight back to their warm caches

@@ -3,21 +3,20 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
 
-	"hybridpde/internal/cache"
 	"hybridpde/internal/serve"
 )
 
-// handleStream is POST /v1/stream: the gateway's flush-through NDJSON
-// proxy. The request is validated with the backends' own stream rules and
-// routed by shape affinity exactly like a solve, but the batching and
-// dedup planes are bypassed — a trajectory is stateful and long-lived, so
-// coalescing identical streams would entangle client lifetimes for no
-// cache benefit.
+// handleStream is POST /v1/stream, the flush-through NDJSON tail behind the
+// route prelude. The request is validated with the backends' own stream
+// rules and walks the ring exactly like a solve, but the batching and dedup
+// planes are bypassed — a trajectory is stateful and long-lived, so
+// coalescing identical streams would entangle client lifetimes for no cache
+// benefit.
 //
 // Failover stops at the first byte: transport errors and failover-class
 // statuses walk the ring only while nothing has been written to the
@@ -26,149 +25,44 @@ import (
 // line with "done":true), never as a silent restart that would replay
 // frames the client already processed.
 func (g *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
-	if g.isDraining() {
-		g.rejectJSON(w, http.StatusServiceUnavailable, "gateway is draining")
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
-		g.rejectJSON(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	var req serve.Request
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		g.rejectJSON(w, http.StatusBadRequest, "invalid request body: "+err.Error())
-		return
-	}
-	if err := serve.NormalizeStream(&req, g.cfg.MaxGridN, g.cfg.MaxSteps); err != nil {
-		g.rejectJSON(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var kb cache.KeyBuilder
-	shape := serve.ShapeKey(&req, &kb)
-
-	release, ok := g.admit()
+	ctx, rt, ok := g.route(w, r, serve.EndpointStream)
 	if !ok {
-		g.rejectJSON(w, http.StatusServiceUnavailable, "gateway is draining")
 		return
 	}
-	defer release()
-
-	// Same deadline rules as solves; the remaining budget is forwarded per
-	// attempt so backends refuse streams the gateway has already abandoned.
-	ctx, cancel := context.WithTimeout(r.Context(), g.timeout(&req))
-	defer cancel()
-
-	g.budget.deposit()
-	attempts := 0
-	lastErr := "no backend available"
-	for _, url := range g.failoverOrder(shape) {
-		if !g.breakers.allow(url) {
-			continue
-		}
-		if attempts > 0 {
-			if !g.budget.withdraw() {
-				g.m.retryBudgetDenied.Inc()
-				w.Header().Set("Retry-After", "1")
-				g.rejectJSON(w, http.StatusTooManyRequests,
-					"retry budget exhausted: backend failed and failover retries are capped")
-				return
-			}
-			g.m.retryBudgetSpent.Inc()
-			g.m.failovers.Inc()
+	defer rt.release()
+	res, answered := g.failover(ctx, rt.shape, func(url string, attempt int) (dispatchResult, outcome, bool) {
+		if attempt > 0 {
 			g.m.streamFailovers.Inc()
 		}
-		attempts++
-		done, transient, errMsg := g.forwardStream(ctx, w, url, body)
-		g.breakers.record(url, !transient)
-		if !transient {
-			if g.ms.markSuccess(url) {
-				g.m.readds.Inc()
-			}
-		} else if g.ms.markFailure(url) {
-			g.m.evictions.Inc()
-			g.m.healthyBackends.Set(int64(g.ms.healthyCount()))
-		}
-		if done {
-			return
-		}
-		lastErr = errMsg
-		if ctx.Err() != nil {
-			lastErr = ctx.Err().Error()
-			break
-		}
+		return g.relayStream(ctx, w, url, rt.body)
+	})
+	if !answered {
+		g.reply(w, res)
 	}
-	g.m.requests.With(strconv.Itoa(http.StatusBadGateway)).Inc()
-	g.writeJSONBody(w, http.StatusBadGateway, errorBody("upstream dispatch failed: "+lastErr))
 }
 
-// forwardStream performs one upstream stream attempt. done=true means the
-// client has been answered (successfully, with a relayed error status, or
-// with a truncated committed stream) and the walk must stop; transient
-// mirrors forward's failure classification and only matters when
-// done=false — a failover-class outcome reached before the first byte.
-func (g *Gateway) forwardStream(ctx context.Context, w http.ResponseWriter, url string, body []byte) (done, transient bool, errMsg string) {
-	g.m.backendRouted.With(url).Inc()
-	g.m.backendInflight.With(url).Inc()
-	defer g.m.backendInflight.With(url).Dec()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/stream", bytes.NewReader(body))
-	if err != nil {
-		return false, true, err.Error()
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if d, ok := ctx.Deadline(); ok {
-		ms := untilDeadline(d).Milliseconds()
-		if ms <= 0 {
-			g.m.requests.With(strconv.Itoa(http.StatusGatewayTimeout)).Inc()
-			g.writeJSONBody(w, http.StatusGatewayTimeout, errorBody("deadline expired before dispatch"))
-			return true, false, ""
-		}
-		req.Header.Set(serve.DeadlineBudgetHeader, strconv.FormatInt(ms, 10))
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		g.m.backendFailures.With(url).Inc()
-		if ctx.Err() != nil {
-			// The client's deadline, not the backend's failure.
-			g.m.requests.With(strconv.Itoa(http.StatusGatewayTimeout)).Inc()
-			g.writeJSONBody(w, http.StatusGatewayTimeout, errorBody("deadline expired before dispatch"))
-			return true, false, ""
-		}
-		return false, true, err.Error()
+// relayStream is one stream attempt. Before the first byte it behaves like
+// a buffered attempt: a failover-class status is discarded (the walk moves
+// on) and any other non-200 — 400, 429, 504 — comes back collected, for the
+// caller to relay verbatim. A 200 commits the stream to this backend:
+// answered=true, and the relay's own ending decides the outcome.
+func (g *Gateway) relayStream(ctx context.Context, w http.ResponseWriter, url string, body []byte) (dispatchResult, outcome, bool) {
+	resp, o, err := g.open(ctx, url, serve.EndpointStream, body)
+	if resp == nil {
+		return dispatchResult{err: err}, o, false
 	}
 	defer resp.Body.Close()
-	g.m.backendRequests.With(url, strconv.Itoa(resp.StatusCode)).Inc()
-
-	switch resp.StatusCode {
-	case http.StatusInternalServerError, http.StatusBadGateway, http.StatusServiceUnavailable:
-		// Failover-class status: no byte has been written yet, walk on.
-		g.m.backendFailures.With(url).Inc()
-		io.Copy(io.Discard, io.LimitReader(resp.Body, g.cfg.MaxBodyBytes))
-		return false, true, "backend answered " + resp.Status
+	if o == backendFailed {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, maxUpstreamBytes))
+		return dispatchResult{err: errors.New("backend answered " + resp.Status)}, o, false
 	}
 	if resp.StatusCode != http.StatusOK {
-		// Non-stream rejection (400, 429, 504, ...): relay verbatim.
-		payload, rerr := io.ReadAll(io.LimitReader(resp.Body, g.cfg.MaxBodyBytes))
-		if rerr != nil {
-			g.m.backendFailures.With(url).Inc()
-			return false, true, rerr.Error()
-		}
-		g.m.requests.With(strconv.Itoa(resp.StatusCode)).Inc()
-		if ra := resp.Header.Get("Retry-After"); ra != "" {
-			w.Header().Set("Retry-After", ra)
-		}
-		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
-		w.WriteHeader(resp.StatusCode)
-		w.Write(payload)
-		return true, false, ""
+		res, o := g.collect(ctx, url, resp, o)
+		return res, o, false
 	}
 
-	// 200: the stream is committed to this backend. Relay flush-on-write —
-	// no whole-body buffering — counting frame lines as they pass.
+	// Relay flush-on-write — no whole-body buffering — counting frame lines
+	// as they pass.
 	g.m.requests.With(strconv.Itoa(http.StatusOK)).Inc()
 	g.m.streamsProxied.Inc()
 	w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
@@ -183,24 +77,24 @@ func (g *Gateway) forwardStream(ctx context.Context, w http.ResponseWriter, url 
 				// Client hung up; the backend sees the upstream request
 				// context die when this handler returns.
 				g.m.streamAborts.Inc()
-				return true, false, ""
+				return dispatchResult{}, backendAnswered, true
 			}
 			if canFlush {
 				flusher.Flush()
 			}
 		}
 		if rerr == io.EOF {
-			return true, false, ""
+			return dispatchResult{}, backendAnswered, true
 		}
 		if rerr != nil {
 			// Mid-trajectory upstream failure after commitment: the client
 			// keeps the frames it got; the missing summary line marks the
-			// truncation. Charged to the backend, but no failover — a
-			// restart would replay frames.
+			// truncation. Charged to the backend (unless it was the request
+			// context that died), but no failover — a restart would replay
+			// frames.
 			g.m.streamAborts.Inc()
-			g.m.backendFailures.With(url).Inc()
-			g.breakers.record(url, false)
-			return true, false, ""
+			o, _ := g.transportFailure(ctx, url, rerr)
+			return dispatchResult{}, o, true
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"hybridpde/internal/cache"
 	"hybridpde/internal/serve"
 )
 
@@ -61,24 +60,6 @@ func postGwStream(t *testing.T, url string, req serve.Request) gwStreamResult {
 	return res
 }
 
-// streamOwnerIndex returns which backend the ring pins a stream request's
-// shape to (streams normalize under the stream rules, not the solve ones).
-func (f *testFleet) streamOwnerIndex(t *testing.T, req serve.Request) int {
-	t.Helper()
-	if err := serve.NormalizeStream(&req, 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	var kb cache.KeyBuilder
-	owner := f.gw.ring.Assign(serve.ShapeKey(&req, &kb))
-	for i, ts := range f.backends {
-		if ts.URL == owner {
-			return i
-		}
-	}
-	t.Fatalf("owner %s is not a fleet backend", owner)
-	return -1
-}
-
 // TestGatewayStreamRelay: a stream through the gateway arrives frame by
 // frame with the backend's content type, ends in a done summary, and moves
 // the gateway's streaming metrics plane.
@@ -116,7 +97,7 @@ func TestGatewayStreamRelay(t *testing.T) {
 func TestGatewayStreamFailoverBeforeFirstByte(t *testing.T) {
 	f := newTestFleet(t, 2, Config{ProbeInterval: time.Hour})
 	req := serve.Request{Problem: serve.KindBurgers2D, N: 4, Seed: 8, Steps: 3}
-	owner := f.streamOwnerIndex(t, req)
+	owner := f.ownerIndex(t, req)
 	// swapHandler's atomic.Value needs a consistent concrete type, so the
 	// dead backend is a mux too.
 	dead := http.NewServeMux()

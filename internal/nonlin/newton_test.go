@@ -298,42 +298,3 @@ func TestNewtonPropertyRandomQuadratics(t *testing.T) {
 		}
 	}
 }
-
-func TestNonlinearGaussSeidelConverges(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	n := 16
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = rng.Float64()
-	}
-	sys := &sparseQuadratic{n: n, rhs: rhs}
-	for _, rb := range []bool{false, true} {
-		res, err := NonlinearGaussSeidel(sys, make([]float64, n), GaussSeidelOptions{Tol: 1e-9, RedBlack: rb})
-		if err != nil {
-			t.Fatalf("redblack=%v: %v", rb, err)
-		}
-		if !res.Converged {
-			t.Fatalf("redblack=%v: did not converge", rb)
-		}
-		// Must agree with the Newton solution of the same system.
-		nres, err := NewtonSparse(nil, sys, make([]float64, n), NewtonOptions{Tol: 1e-12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range res.U {
-			if math.Abs(res.U[i]-nres.U[i]) > 1e-6 {
-				t.Fatalf("redblack=%v: GS/Newton mismatch at %d: %g vs %g", rb, i, res.U[i], nres.U[i])
-			}
-		}
-		if res.Sweeps <= 0 {
-			t.Fatal("sweep count not recorded")
-		}
-	}
-}
-
-func TestNonlinearGaussSeidelDimensionMismatch(t *testing.T) {
-	sys := &sparseQuadratic{n: 4, rhs: make([]float64, 4)}
-	if _, err := NonlinearGaussSeidel(sys, make([]float64, 3), GaussSeidelOptions{}); err == nil {
-		t.Fatal("expected dimension error")
-	}
-}

@@ -31,12 +31,15 @@ func CacheableKind(kind string) bool {
 	return false
 }
 
-// solveCacheKey digests the full content identity of a normalized grid
-// request: every field that changes the solve's answer participates, with
-// the continuation parameters quantised.
+// SolveKey digests the full content identity of a normalized request —
+// the solve cache's exact-hit key, exported so the cluster gateway can
+// deduplicate identical concurrent requests before they ever reach a
+// backend connection. Every field that changes the solve's answer
+// participates, with the continuation parameters quantised; call Normalize
+// first — defaults participate in the digest.
 //
 //pdevet:noalloc
-func solveCacheKey(req *Request, kb *cache.KeyBuilder) cache.Key {
+func SolveKey(req *Request, kb *cache.KeyBuilder) cache.Key {
 	kb.Reset()
 	kb.Str(1, req.Problem)
 	kb.I64(2, int64(req.N))
@@ -93,17 +96,6 @@ func ShapeKey(req *Request, kb *cache.KeyBuilder) cache.Key {
 		kb.I64(35, int64(req.Order))
 	}
 	return kb.Sum()
-}
-
-// SolveKey digests the full content identity of a normalized request: the
-// exported form of the solve cache's exact-hit key, shared with the
-// cluster gateway so identical concurrent requests can be deduplicated
-// before they ever reach a backend connection. Call Normalize first —
-// defaults participate in the digest.
-//
-//pdevet:noalloc
-func SolveKey(req *Request, kb *cache.KeyBuilder) cache.Key {
-	return solveCacheKey(req, kb)
 }
 
 //pdevet:noalloc

@@ -271,7 +271,7 @@ func TestServerCacheHitPathZeroAlloc(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
 	wk := <-s.workers
 	req := Request{Problem: KindBurgersSteady, N: 5, Seed: 8}
-	if err := normalize(&req, &s.cfg); err != nil {
+	if err := Normalize(&req, s.cfg.MaxGridN); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
@@ -305,7 +305,7 @@ func TestServerCacheOffSteadyPathZeroAlloc(t *testing.T) {
 	s := NewServer(Config{Workers: 1, CacheEntries: -1})
 	wk := <-s.workers
 	req := Request{Problem: KindBurgersSteady, N: 5, Seed: 8}
-	if err := normalize(&req, &s.cfg); err != nil {
+	if err := Normalize(&req, s.cfg.MaxGridN); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response

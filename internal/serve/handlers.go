@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"hybridpde/internal/analog"
@@ -40,53 +41,112 @@ func deadlineBudget(r *http.Request) (budget time.Duration, ok bool) {
 	return time.Duration(ms) * time.Millisecond, true
 }
 
-// handleSolve is POST /v1/solve: decode → validate → admit (or shed) →
-// acquire a worker → execute under the request deadline → account → encode.
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
+// retryAfter is the Retry-After hint, in seconds, on 429 responses.
+const retryAfter = "1"
+
+// admitted is one request past the admission prelude. It holds what the
+// prelude took — a place inside the drain gate, a queue slot, a count on the
+// queue-depth gauge, the deadline context — plus the worker once acquire
+// wins one; release gives all of it back on every path out of a handler.
+type admitted struct {
+	s        *Server
+	req      Request
+	cancel   context.CancelFunc
+	enqueued time.Time
+	// dequeue takes the request off the queue-depth gauge, once: acquire
+	// calls it on winning a worker, release for a request that gave up queued.
+	dequeue func()
+	wk      *worker
+}
+
+// admitRequest is the admission prelude POST /v1/solve and POST /v1/stream
+// share: drain check → bounded decode + validation under the endpoint's
+// rules → deadline-budget header → queue slot (or shed) → deadline context.
+// ok=false means the request has been answered (rejected and counted) here;
+// otherwise the request runs under ctx and the caller owes a one release.
+func (s *Server) admitRequest(w http.ResponseWriter, r *http.Request, ep Endpoint) (ctx context.Context, a *admitted, ok bool) {
+	if s.Draining() {
 		s.reject(w, "", http.StatusServiceUnavailable, "server is draining")
-		return
+		return nil, nil, false
 	}
-	var req Request
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reject(w, req.Problem, http.StatusBadRequest, "invalid request body: "+err.Error())
-		return
-	}
-	if err := normalize(&req, &s.cfg); err != nil {
+	req, _, err := DecodeRequest(w, r, ep, s.cfg.MaxGridN, s.cfg.MaxSteps)
+	if err != nil {
 		s.reject(w, req.Problem, http.StatusBadRequest, err.Error())
-		return
+		return nil, nil, false
 	}
 	budget, budgetOK := deadlineBudget(r)
 	if !budgetOK {
 		s.m.budgetRejects.Inc()
 		s.reject(w, req.Problem, http.StatusGatewayTimeout, "deadline budget exhausted before admission")
-		return
+		return nil, nil, false
 	}
-
-	release, ok := s.admit()
-	if !ok {
-		if s.isDraining() {
+	if !s.admit() {
+		if s.Draining() {
 			s.reject(w, req.Problem, http.StatusServiceUnavailable, "server is draining")
-			return
+			return nil, nil, false
 		}
 		s.m.queueRejects.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
+		w.Header().Set("Retry-After", retryAfter)
 		s.reject(w, req.Problem, http.StatusTooManyRequests, "admission queue full")
-		return
+		return nil, nil, false
 	}
-	defer release()
 
-	enqueued := now()
-	to := s.timeout(&req)
+	a = &admitted{s: s, req: req, enqueued: now()}
+	s.m.queueDepth.Inc()
+	a.dequeue = sync.OnceFunc(s.m.queueDepth.Dec)
+	to := req.Timeout(s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
 	if budget > 0 && budget < to {
 		to = budget
 		s.m.budgetClamped.Inc()
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), to)
-	defer cancel()
+	ctx, a.cancel = context.WithTimeout(r.Context(), to)
+	return ctx, a, true
+}
+
+// acquire blocks until a worker is free; the request keeps its queue slot
+// while executing, so the queue gauge hands over to the in-flight gauge
+// here. If the context dies first the request is answered here (false).
+func (a *admitted) acquire(ctx context.Context, w http.ResponseWriter) bool {
+	select {
+	case a.wk = <-a.s.workers:
+		a.dequeue()
+		a.s.m.inflight.Inc()
+		return true
+	case <-ctx.Done():
+		a.s.reject(w, a.req.Problem, queueFailureCode(ctx), "timed out waiting for a worker")
+		return false
+	}
+}
+
+// releaseWorker returns the worker to the pool ahead of release, so a
+// buffered reply is encoded and written without holding solve capacity.
+func (a *admitted) releaseWorker() {
+	if a.wk != nil {
+		a.s.m.inflight.Dec()
+		a.s.workers <- a.wk
+		a.wk = nil
+	}
+}
+
+// release gives back everything the prelude and acquire took.
+func (a *admitted) release() {
+	a.releaseWorker()
+	a.dequeue()
+	a.cancel()
+	<-a.s.queueSlots
+	a.s.Leave()
+}
+
+// handleSolve is POST /v1/solve, the buffered tail behind the admission
+// prelude: singleflight → acquire a worker → execute under the request
+// deadline (with bounded retries) → account → encode one JSON reply.
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	ctx, a, ok := s.admitRequest(w, r, EndpointSolve)
+	if !ok {
+		return
+	}
+	defer a.release()
+	req := &a.req
 
 	// Singleflight: identical in-flight solves collapse to one. The leader
 	// solves and populates the cache; followers wait for its completion and
@@ -94,7 +154,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// its followers fall through to solving independently.
 	if s.cache != nil && CacheableKind(req.Problem) {
 		var kb cache.KeyBuilder
-		key := solveCacheKey(&req, &kb)
+		key := SolveKey(req, &kb)
 		f, leader := s.cache.Join(key)
 		switch {
 		case leader:
@@ -102,21 +162,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		case f != nil:
 			s.m.cacheFlightWaits.Inc()
 			if err := f.Wait(ctx); err != nil {
-				s.reject(w, req.Problem, queueFailureCode(ctx, err), "timed out waiting for an identical in-flight solve")
+				s.reject(w, req.Problem, queueFailureCode(ctx), "timed out waiting for an identical in-flight solve")
 				return
 			}
 		}
 	}
 
-	wk, err := s.acquireWorker(ctx)
-	if err != nil {
-		s.reject(w, req.Problem, queueFailureCode(ctx, err), "timed out waiting for a worker")
+	if !a.acquire(ctx, w) {
 		return
 	}
-	resp := Response{Problem: req.Problem, QueueSeconds: since(enqueued)}
+	wk := a.wk
+	resp := Response{Problem: req.Problem, QueueSeconds: since(a.enqueued)}
 
 	started := now()
-	solveErr := wk.run(ctx, &req, &resp)
+	solveErr := wk.run(ctx, req, &resp)
 	// Transient-fault rungs are worth a bounded number of retries while the
 	// worker is still held: a degraded solve under a transient fault spec
 	// (or a non-client solve failure) may succeed cleanly on the next run.
@@ -128,19 +187,19 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 		s.m.retries.Inc()
 		resp = Response{Problem: req.Problem, QueueSeconds: resp.QueueSeconds}
-		solveErr = wk.run(ctx, &req, &resp)
+		solveErr = wk.run(ctx, req, &resp)
 	}
 	resp.SolveSeconds = since(started)
 
 	// account consumes resp.fallback, which aliases worker-owned ladder
 	// storage — it must run before the worker can serve another request.
-	code := s.account(&req, &resp, solveErr)
-	s.releaseWorker(wk)
+	code := s.account(req, &resp, solveErr)
+	a.releaseWorker()
 	resp.fallback = nil
 	if solveErr != nil && code != http.StatusOK {
 		resp.Error = solveErr.Error()
 	}
-	s.writeJSON(w, code, &resp)
+	WriteJSON(w, code, &resp)
 }
 
 // account classifies the solve outcome into an HTTP status and feeds the
@@ -270,8 +329,8 @@ func isClientSolveError(err error) bool {
 
 // queueFailureCode distinguishes a queue-wait deadline (504) from a client
 // disconnect while queued.
-func queueFailureCode(ctx context.Context, err error) int {
-	if errors.Is(err, context.DeadlineExceeded) || errors.Is(ctx.Err(), context.DeadlineExceeded) {
+func queueFailureCode(ctx context.Context) int {
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		return http.StatusGatewayTimeout
 	}
 	return http.StatusBadRequest
@@ -279,7 +338,7 @@ func queueFailureCode(ctx context.Context, err error) int {
 
 // handleProblems is GET /v1/problems: the registry listing.
 func (s *Server) handleProblems(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, Kinds(s.cfg.MaxGridN, s.cfg.MaxSteps))
+	WriteJSON(w, http.StatusOK, Kinds(s.cfg.MaxGridN, s.cfg.MaxSteps))
 }
 
 // Health is the GET /healthz (readiness) body. Gateways parse it: Ready
@@ -296,18 +355,18 @@ type Health struct {
 // backend before its listener closes, instead of discovering the closure
 // as connection errors.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		s.writeJSON(w, http.StatusServiceUnavailable, Health{Ready: false, Reason: "draining"})
+	if s.Draining() {
+		WriteJSON(w, http.StatusServiceUnavailable, Health{Ready: false, Reason: "draining"})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, Health{Ready: true})
+	WriteJSON(w, http.StatusOK, Health{Ready: true})
 }
 
-// handleLivez is GET /livez: the *liveness* probe. It answers 200 for as
-// long as the process can serve HTTP at all — including while draining —
-// so orchestrators distinguish "shutting down cleanly, leave it alone"
-// from "wedged, restart it".
-func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
+// Livez is GET /livez on both tiers: the *liveness* probe. It answers 200
+// for as long as the process can serve HTTP at all — including while
+// draining — so orchestrators distinguish "shutting down cleanly, leave it
+// alone" from "wedged, restart it".
+func Livez(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
@@ -315,6 +374,9 @@ func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 // handleMetrics is GET /metrics: Prometheus text exposition.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if s.Draining() {
+		s.m.draining.Set(1)
+	}
 	if s.cache != nil {
 		s.m.cacheEntries.Set(int64(s.cache.Len()))
 	}
@@ -327,10 +389,12 @@ func (s *Server) reject(w http.ResponseWriter, problem string, code int, msg str
 		problem = "unknown"
 	}
 	s.m.requests.With(problem, strconv.Itoa(code)).Inc()
-	s.writeJSON(w, code, &Response{Problem: problem, Error: msg})
+	WriteJSON(w, code, &Response{Problem: problem, Error: msg})
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON commits the status and encodes v as the JSON body — the reply
+// form of both tiers.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	w.WriteHeader(code)
 	// The status line is committed before encoding, so a failure here can

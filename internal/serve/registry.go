@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"time"
 
 	"hybridpde/internal/core"
 )
@@ -166,39 +171,69 @@ const (
 	defaultMaxSteps = 256
 	// maxDt bounds the reporting-only frame time spacing.
 	maxDt = 1e6
+	// defaultMaxGridN is the 2-D grid cap when the configuration leaves it
+	// unset (2·12² = 288 unknowns per solve).
+	defaultMaxGridN = 12
 )
 
-// Normalize fills request defaults and validates ranges exactly the way a
-// backend configured with maxGridN would: the exported form the cluster
-// gateway uses so routing keys are computed over the same normalized
-// identity the backend will cache under. A request the gateway normalizes
-// successfully is one every identically-configured backend will accept.
-func Normalize(req *Request, maxGridN int) error {
-	cfg := Config{MaxGridN: maxGridN}
-	if cfg.MaxGridN <= 0 {
-		cfg.MaxGridN = 12
+// Endpoint names one of the two request planes by its URL path: it selects
+// a body's validation rules and, on the gateway, the upstream path.
+type Endpoint string
+
+const (
+	// EndpointSolve is the buffered plane: one JSON reply per request.
+	EndpointSolve Endpoint = "/v1/solve"
+	// EndpointStream is the NDJSON plane: one frame line per time step.
+	EndpointStream Endpoint = "/v1/stream"
+)
+
+// maxBodyBytes bounds a request body on both tiers.
+const maxBodyBytes = 1 << 20
+
+// DecodeRequest is the one place a request body becomes a Request, on the
+// backends and the gateway alike: read under the size bound, decoded
+// strictly (unknown fields are errors) and normalized under the endpoint's
+// rules — so a request the gateway accepts is one every identically
+// configured backend accepts, and routing keys are computed over the
+// identity the backend caches under. body is the raw bytes (what a gateway
+// forwards). Every error is client-facing (a 400); req keeps whatever
+// decoded, so a rejection is still counted under its problem kind.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, ep Endpoint, maxGridN, maxSteps int) (req Request, body []byte, err error) {
+	body, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err != nil {
+		return req, nil, fmt.Errorf("reading request body: %w", err)
 	}
-	return normalize(req, &cfg)
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return req, nil, fmt.Errorf("invalid request body: %w", err)
+	}
+	if ep == EndpointStream {
+		err = NormalizeStream(&req, maxGridN, maxSteps)
+	} else {
+		err = Normalize(&req, maxGridN)
+	}
+	return req, body, err
 }
 
-// NormalizeStream is Normalize for POST /v1/stream bodies: the gateway's
-// pre-routing validation with the same transient-kind, step-cap and dt
-// rules a backend configured with (maxGridN, maxSteps) applies.
-func NormalizeStream(req *Request, maxGridN, maxSteps int) error {
-	cfg := Config{MaxGridN: maxGridN, MaxSteps: maxSteps}
-	if cfg.MaxGridN <= 0 {
-		cfg.MaxGridN = 12
+// Timeout resolves the request's effective deadline on either tier: def
+// when the body carries no deadline_ms, otherwise the client's value
+// clamped to max.
+func (req *Request) Timeout(def, max time.Duration) time.Duration {
+	if req.DeadlineMillis <= 0 {
+		return def
 	}
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = defaultMaxSteps
+	if d := time.Duration(req.DeadlineMillis) * time.Millisecond; d < max {
+		return d
 	}
-	return normalizeStream(req, &cfg)
+	return max
 }
 
-// normalize validates a POST /v1/solve body. Stream-only fields are
+// Normalize fills request defaults and validates a POST /v1/solve body
+// against a grid cap of maxGridN (default 12). Stream-only fields are
 // rejected up front — a buffered solve endpoint silently accepting steps
 // would pin a worker for the whole trajectory with no frames to show.
-func normalize(req *Request, cfg *Config) error {
+func Normalize(req *Request, maxGridN int) error {
 	if req.Steps != 0 {
 		return fmt.Errorf("serve: steps is a streaming field; POST /v1/stream serves transient trajectories")
 	}
@@ -208,14 +243,14 @@ func normalize(req *Request, cfg *Config) error {
 	if req.IncludeSolution {
 		return fmt.Errorf("serve: include_solution is a streaming field; POST /v1/stream serves transient trajectories")
 	}
-	return normalizeBase(req, cfg)
+	return normalizeBase(req, maxGridN)
 }
 
-// normalizeStream validates a POST /v1/stream body: only the transient
-// grid kinds march in time, the step count is capped server-side
-// (-max-steps) so a hostile body cannot pin a worker for minutes, and dt
-// is a bounded positive label.
-func normalizeStream(req *Request, cfg *Config) error {
+// NormalizeStream is Normalize for POST /v1/stream bodies: only the
+// transient grid kinds march in time, the step count is capped at maxSteps
+// (default 256, the server's -max-steps) so a hostile body cannot pin a
+// worker for minutes, and dt is a bounded positive label.
+func NormalizeStream(req *Request, maxGridN, maxSteps int) error {
 	switch req.Problem {
 	case KindBurgers2D, KindBurgers1D:
 	case KindBurgersSteady, KindNetlist:
@@ -224,7 +259,6 @@ func normalizeStream(req *Request, cfg *Config) error {
 	if req.Steps == 0 {
 		req.Steps = defaultSteps
 	}
-	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = defaultMaxSteps
 	}
@@ -237,20 +271,22 @@ func normalizeStream(req *Request, cfg *Config) error {
 	if !(req.Dt > 0) || req.Dt > maxDt {
 		return fmt.Errorf("serve: dt=%g outside (0, %g]", req.Dt, maxDt)
 	}
-	return normalizeBase(req, cfg)
+	return normalizeBase(req, maxGridN)
 }
 
-// normalizeBase fills request defaults and validates ranges against the
-// server configuration. It returns a client-facing error for invalid
-// requests.
-func normalizeBase(req *Request, cfg *Config) error {
+// normalizeBase fills the defaults and validates the ranges both endpoints
+// share. It returns a client-facing error for invalid requests.
+func normalizeBase(req *Request, maxGridN int) error {
+	if maxGridN <= 0 {
+		maxGridN = defaultMaxGridN
+	}
 	switch req.Problem {
 	case KindBurgers2D, KindBurgersSteady:
 		if req.N == 0 {
 			req.N = defaultGridN
 		}
-		if req.N < 1 || req.N > cfg.MaxGridN {
-			return fmt.Errorf("serve: n=%d outside [1, %d] for %s", req.N, cfg.MaxGridN, req.Problem)
+		if req.N < 1 || req.N > maxGridN {
+			return fmt.Errorf("serve: n=%d outside [1, %d] for %s", req.N, maxGridN, req.Problem)
 		}
 		if req.Order == 0 {
 			req.Order = 2

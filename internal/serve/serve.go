@@ -13,7 +13,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 	"net/http/pprof"
 	"runtime"
@@ -56,11 +55,6 @@ type Config struct {
 	// uses Seed+i so hardware mismatch draws are independent per worker
 	// yet the whole fleet is reproducible. Default 1.
 	Seed int64
-	// MaxBodyBytes bounds the request body. Default 1 MiB.
-	MaxBodyBytes int64
-	// RetryAfterSeconds is the Retry-After hint on 429 responses.
-	// Default 1.
-	RetryAfterSeconds int
 	// Faults, when non-nil, injects the given fault specification into
 	// every worker accelerator (chaos mode). Injector seeds are salted per
 	// worker and capacity, so a fixed Seed reproduces the whole fleet's
@@ -104,11 +98,6 @@ type Config struct {
 	// MaxSteps caps the step count of a POST /v1/stream trajectory, so a
 	// hostile body cannot pin a worker for minutes. Default 256.
 	MaxSteps int
-	// StreamBuffer bounds the frames buffered between the solving worker
-	// and a stream's network writer: a slow client first consumes the
-	// buffer, then the worker blocks on it — bounded by the request
-	// deadline — instead of buffering the whole trajectory. Default 8.
-	StreamBuffer int
 }
 
 func (c *Config) defaults() {
@@ -134,7 +123,7 @@ func (c *Config) defaults() {
 		c.QueueDepth = 64
 	}
 	if c.MaxGridN <= 0 {
-		c.MaxGridN = 12
+		c.MaxGridN = defaultMaxGridN
 	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 5 * time.Second
@@ -144,12 +133,6 @@ func (c *Config) defaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 1 << 20
-	}
-	if c.RetryAfterSeconds <= 0 {
-		c.RetryAfterSeconds = 1
 	}
 	if c.SeedGate <= 0 {
 		c.SeedGate = 1
@@ -175,14 +158,13 @@ func (c *Config) defaults() {
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = defaultMaxSteps
 	}
-	if c.StreamBuffer <= 0 {
-		c.StreamBuffer = 8
-	}
 }
 
 // Server is the solve service. Create with NewServer, expose via Handler
-// (API) and DebugHandler (pprof), shut down with BeginDrain + Drain.
+// (API) and DebugHandler (pprof), shut down with BeginDrain + Drain (the
+// embedded DrainGate).
 type Server struct {
+	DrainGate
 	cfg Config
 	m   *metrics
 	// workers is the pool: checking a worker out grants the right to
@@ -207,12 +189,7 @@ type Server struct {
 	// Workers×SolveProcs stays within the GOMAXPROCS budget at every step.
 	solveProcs atomic.Int32
 	autoProcs  bool
-	// draining is set by BeginDrain; the admission gate then sheds
-	// everything new while in-flight requests finish.
-	drainMu  sync.Mutex
-	draining bool
-	inflight sync.WaitGroup
-	pool     *core.WorkspacePool
+	pool       *core.WorkspacePool
 	// cache is the content-addressed solve cache shared by every worker;
 	// nil when disabled (CacheEntries < 0 or chaos mode).
 	cache *cache.Store
@@ -259,11 +236,11 @@ func NewServer(cfg Config) *Server {
 // GET /livez (liveness), GET /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/solve", s.handleSolve)
-	mux.HandleFunc("POST /v1/stream", s.handleStream)
+	mux.HandleFunc("POST "+string(EndpointSolve), s.handleSolve)
+	mux.HandleFunc("POST "+string(EndpointStream), s.handleStream)
 	mux.HandleFunc("GET /v1/problems", s.handleProblems)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /livez", s.handleLivez)
+	mux.HandleFunc("GET /livez", Livez)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	return mux
 }
@@ -281,94 +258,21 @@ func (s *Server) DebugHandler() http.Handler {
 	return mux
 }
 
-// BeginDrain closes the admission gate: subsequent requests get 503 while
-// requests already admitted keep their workers. Safe to call repeatedly.
-func (s *Server) BeginDrain() {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	if !s.draining {
-		s.draining = true
-		s.m.draining.Set(1)
-	}
-}
-
-// Drain blocks until every admitted request has completed or ctx expires.
-// Callers typically pair it with http.Server.Shutdown:
-//
-//	srv.BeginDrain()
-//	httpSrv.Shutdown(ctx) // stops listeners, waits for handlers
-//	err := srv.Drain(ctx) // belt-and-braces on the solve side
-func (s *Server) Drain(ctx context.Context) error {
-	s.BeginDrain()
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// isDraining reports whether the admission gate is closed.
-func (s *Server) isDraining() bool {
-	s.drainMu.Lock()
-	defer s.drainMu.Unlock()
-	return s.draining
-}
-
-// admit tries to claim a queue slot without blocking; ok=false is the
-// backpressure signal (or, while draining, the shutdown signal — the caller
-// distinguishes via isDraining). The caller must call the returned release
-// exactly once after the request completes.
-//
-// The in-flight count is incremented under drainMu so it strictly precedes
-// BeginDrain's flag flip: every request Drain's Wait can miss is one the
-// admission gate has already refused, which keeps the WaitGroup's
-// Add-versus-Wait ordering sound.
-func (s *Server) admit() (release func(), ok bool) {
+// admit tries to claim a queue slot and a place inside the drain gate
+// without blocking; false is the backpressure signal (or, while draining,
+// the shutdown signal — the caller distinguishes via Draining). An admitted
+// request gives both back through admitted.release.
+func (s *Server) admit() bool {
 	select {
 	case s.queueSlots <- struct{}{}:
 	default:
-		return nil, false
+		return false
 	}
-	s.drainMu.Lock()
-	if s.draining {
-		s.drainMu.Unlock()
+	if !s.Enter() {
 		<-s.queueSlots
-		return nil, false
+		return false
 	}
-	s.inflight.Add(1)
-	s.drainMu.Unlock()
-	s.m.queueDepth.Inc()
-	return func() {
-		<-s.queueSlots
-		s.inflight.Done()
-	}, true
-}
-
-// acquireWorker blocks until a worker is free or ctx expires. The admitted
-// request keeps occupying its queue slot while executing, so the queue
-// gauge transitions to the in-flight gauge here.
-func (s *Server) acquireWorker(ctx context.Context) (*worker, error) {
-	select {
-	case wk := <-s.workers:
-		s.m.queueDepth.Dec()
-		s.m.inflight.Inc()
-		return wk, nil
-	case <-ctx.Done():
-		s.m.queueDepth.Dec()
-		return nil, ctx.Err()
-	}
-}
-
-// releaseWorker returns a worker to the pool.
-func (s *Server) releaseWorker(wk *worker) {
-	s.m.inflight.Dec()
-	s.workers <- wk
+	return true
 }
 
 // Workers returns the current worker-pool size.
@@ -462,16 +366,4 @@ func (s *Server) Observe() adapt.Signals {
 		LatencySum:   s.m.solveLatency.Sum(),
 		LatencyCount: s.m.solveLatency.Count(),
 	}
-}
-
-// timeout resolves the effective solve deadline of a request.
-func (s *Server) timeout(req *Request) time.Duration {
-	if req.DeadlineMillis <= 0 {
-		return s.cfg.DefaultTimeout
-	}
-	d := time.Duration(req.DeadlineMillis) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		return s.cfg.MaxTimeout
-	}
-	return d
 }

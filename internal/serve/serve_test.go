@@ -123,7 +123,6 @@ func TestSolveValidation(t *testing.T) {
 		{"oversize grid", `{"problem":"burgers2d","n":99}`, http.StatusBadRequest},
 		{"bad order", `{"problem":"burgers2d","order":3}`, http.StatusBadRequest},
 		{"negative re", `{"problem":"burgers1d","re":-2}`, http.StatusBadRequest},
-		{"unknown field", `{"problem":"burgers2d","frobnicate":1}`, http.StatusBadRequest},
 		{"empty netlist", `{"problem":"netlist"}`, http.StatusBadRequest},
 		{"analog_vars without analog", `{"problem":"burgers2d","analog_vars":8}`, http.StatusBadRequest},
 		{"bad backend", `{"problem":"burgers2d","backend":"tpu"}`, http.StatusBadRequest},
@@ -315,7 +314,7 @@ func TestServerSteadyPathZeroAlloc(t *testing.T) {
 	s := NewServer(Config{Workers: 1})
 	wk := <-s.workers
 	req := Request{Problem: KindBurgersSteady, N: 5}
-	if err := normalize(&req, &s.cfg); err != nil {
+	if err := Normalize(&req, s.cfg.MaxGridN); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response

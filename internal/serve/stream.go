@@ -90,69 +90,31 @@ type streamLine struct {
 	summary bool
 }
 
-// handleStream is POST /v1/stream: decode → validate (stream rules) →
-// admit (or shed) through the same gate as /v1/solve → acquire a worker →
-// run the transient time loop on a solver goroutine while this handler
-// writes and flushes each frame line as it arrives.
+// streamBuffer bounds the frames buffered between the solving worker and a
+// stream's network writer.
+const streamBuffer = 8
+
+// handleStream is POST /v1/stream, the NDJSON tail behind the same admission
+// prelude as /v1/solve: acquire a worker → run the transient time loop on a
+// solver goroutine while this handler writes and flushes each frame line as
+// it arrives.
 //
 // Backpressure is bounded-then-blocking: a slow client first consumes the
-// StreamBuffer-deep channel, then the solver blocks on it until the request
+// streamBuffer-deep channel, then the solver blocks on it until the request
 // deadline — the trajectory is never buffered whole. A write error (client
 // gone) cancels the solve between frames and drains the channel so the
 // solver goroutine always terminates; the worker is released only after the
 // channel closes, which is the proof the goroutine is done with it.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	if s.isDraining() {
-		s.reject(w, "", http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	var req Request
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.reject(w, req.Problem, http.StatusBadRequest, "invalid request body: "+err.Error())
-		return
-	}
-	if err := normalizeStream(&req, &s.cfg); err != nil {
-		s.reject(w, req.Problem, http.StatusBadRequest, err.Error())
-		return
-	}
-	budget, budgetOK := deadlineBudget(r)
-	if !budgetOK {
-		s.m.budgetRejects.Inc()
-		s.reject(w, req.Problem, http.StatusGatewayTimeout, "deadline budget exhausted before admission")
-		return
-	}
-
-	release, ok := s.admit()
+	ctx, a, ok := s.admitRequest(w, r, EndpointStream)
 	if !ok {
-		if s.isDraining() {
-			s.reject(w, req.Problem, http.StatusServiceUnavailable, "server is draining")
-			return
-		}
-		s.m.queueRejects.Inc()
-		w.Header().Set("Retry-After", strconv.Itoa(s.cfg.RetryAfterSeconds))
-		s.reject(w, req.Problem, http.StatusTooManyRequests, "admission queue full")
 		return
 	}
-	defer release()
-
-	enqueued := now()
-	to := s.timeout(&req)
-	if budget > 0 && budget < to {
-		to = budget
-		s.m.budgetClamped.Inc()
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), to)
-	defer cancel()
-
-	wk, err := s.acquireWorker(ctx)
-	if err != nil {
-		s.reject(w, req.Problem, queueFailureCode(ctx, err), "timed out waiting for a worker")
+	defer a.release()
+	if !a.acquire(ctx, w) {
 		return
 	}
-	defer s.releaseWorker(wk)
+	req := &a.req
 
 	// The stream is committed: the 200 is written before the first step
 	// solves, and every later outcome — including failure — is in-band on
@@ -164,9 +126,8 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, canFlush := w.(http.Flusher)
 
-	queueSeconds := since(enqueued)
-	lines := make(chan streamLine, s.cfg.StreamBuffer)
-	go s.solveStream(ctx, wk, &req, queueSeconds, lines)
+	lines := make(chan streamLine, streamBuffer)
+	go s.solveStream(ctx, a.wk, req, since(a.enqueued), lines)
 
 	var first, failed bool
 	for ln := range lines {
@@ -177,7 +138,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			// The client hung up mid-trajectory: abort the solve between
 			// frames and keep draining until the channel closes.
 			failed = true
-			cancel()
+			a.cancel()
 			continue
 		}
 		if canFlush {
@@ -187,7 +148,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			s.m.framesStreamed.Inc()
 			if !first {
 				first = true
-				s.m.firstFrameTime.Observe(since(enqueued))
+				s.m.firstFrameTime.Observe(since(a.enqueued))
 			}
 		}
 	}
@@ -276,7 +237,7 @@ func (s *Server) solveStream(ctx context.Context, wk *worker, req *Request, queu
 // per-request refill keeps trajectories bit-identical across workers,
 // repeats and pool resizes exactly like buffered solves.
 func (wk *worker) stream(ctx context.Context, req *Request, emit func(*core.Frame) error) (core.TransientReport, int, error) {
-	e, err := wk.entry(req)
+	e, opts, err := wk.prepare(req)
 	if err != nil {
 		return core.TransientReport{}, 0, err
 	}
@@ -284,27 +245,8 @@ func (wk *worker) stream(ctx context.Context, req *Request, emit func(*core.Fram
 	if !ok {
 		return core.TransientReport{}, 0, fmt.Errorf("serve: problem %q cannot march in time", req.Problem)
 	}
-	if err := wk.refill(req, e); err != nil {
-		return core.TransientReport{}, 0, err
-	}
 	wk.bind.rebind(false, cache.Key{}, cache.Key{}, 0, 0, 0)
-
-	var seeder core.Seeder
-	if req.Analog {
-		if seeder, err = wk.seederFor(req.AnalogVars); err != nil {
-			return core.TransientReport{}, 0, err
-		}
-	}
-	var opts core.Options
-	opts.Workspace = wk.ws
-	opts.Perf = backendFor(req.Backend)
-	opts.Procs = int(wk.procs.Load())
 	opts.Newton.Chord = true
-	if seeder != nil {
-		opts.Seeder = seeder
-	} else {
-		opts.SkipAnalog = true
-	}
 	tl := core.TimeLoopOptions{Steps: req.Steps, Dt: req.Dt, Ladder: wk.ladder, Lopts: wk.lopts}
 	rep, err := core.TimeLoop(ctx, ts, opts, tl, emit)
 	return rep, e.sys.Dim(), err

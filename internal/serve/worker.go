@@ -109,18 +109,39 @@ func (wk *worker) run(ctx context.Context, req *Request, resp *Response) error {
 	if req.Problem == KindNetlist {
 		return wk.runNetlist(req, resp)
 	}
-	e, err := wk.entry(req)
+	e, opts, err := wk.prepare(req)
 	if err != nil {
 		return err
 	}
-	var seeder core.Seeder
+	resp.Dim = e.sys.Dim()
+	return wk.solveGrid(ctx, req, e, opts, resp)
+}
+
+// prepare is the front half run and stream share: look up (or build) the
+// cached problem of the request's shape, refill its fields from the request
+// seed, and assemble the solve options every grid request starts from —
+// the worker's pooled Workspace, the priced backend, the current per-solve
+// parallelism and the analog seeder when the request asks for one.
+func (wk *worker) prepare(req *Request) (*gridEntry, core.Options, error) {
+	opts := core.Options{
+		Workspace:  wk.ws,
+		Perf:       backendFor(req.Backend),
+		Procs:      int(wk.procs.Load()),
+		SkipAnalog: !req.Analog,
+	}
+	e, err := wk.entry(req)
+	if err != nil {
+		return nil, opts, err
+	}
+	if err := wk.refill(req, e); err != nil {
+		return nil, opts, err
+	}
 	if req.Analog {
-		if seeder, err = wk.seederFor(req.AnalogVars); err != nil {
-			return err
+		if opts.Seeder, err = wk.seederFor(req.AnalogVars); err != nil {
+			return nil, opts, err
 		}
 	}
-	resp.Dim = e.sys.Dim()
-	return wk.solveGrid(ctx, req, e, seeder, resp)
+	return e, opts, nil
 }
 
 // entry returns the cached problem of the request's shape, building it on
@@ -234,33 +255,20 @@ func (wk *worker) drawInto(dst []float64, bound float64) {
 	}
 }
 
-// solveGrid is the hot request path: refill the cached problem, run the
-// hybrid pipeline with the worker's pooled Workspace, and fill the
+// solveGrid is the hot request path: run the hybrid pipeline over the
+// prepared problem with the worker's pooled Workspace, and fill the
 // response. With a warm per-shape cache this stays at 0 allocs/op — the
 // property that lets the service absorb sustained same-shaped traffic
 // without GC pressure (TestServerSteadyPathZeroAlloc pins it dynamically).
 //
 //pdevet:noalloc
-func (wk *worker) solveGrid(ctx context.Context, req *Request, e *gridEntry, seeder core.Seeder, resp *Response) error {
-	if err := wk.refill(req, e); err != nil {
-		return err
-	}
-
+func (wk *worker) solveGrid(ctx context.Context, req *Request, e *gridEntry, opts core.Options, resp *Response) error {
 	if on := wk.store != nil && CacheableKind(req.Problem); on {
-		wk.bind.rebind(true, solveCacheKey(req, &wk.kb), solveCacheBucket(req, &wk.kb), req.Re, req.Bound, wk.radius)
+		wk.bind.rebind(true, SolveKey(req, &wk.kb), solveCacheBucket(req, &wk.kb), req.Re, req.Bound, wk.radius)
 	} else {
 		wk.bind.rebind(false, cache.Key{}, cache.Key{}, 0, 0, 0)
 	}
 
-	var opts core.Options
-	opts.Workspace = wk.ws
-	opts.Perf = backendFor(req.Backend)
-	opts.Procs = int(wk.procs.Load())
-	if seeder != nil {
-		opts.Seeder = seeder
-	} else {
-		opts.SkipAnalog = true
-	}
 	if e.u0 != nil {
 		opts.InitialGuess = e.u0
 	}
