@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md §7 calls out: the
-// damping schedule, the analog seed, converter resolution, quasi-Newton
-// iteration and stencil order. Each reports the quantity the ablation is
-// about as a custom metric.
+// damping schedule, the analog seed, converter resolution and stencil
+// order. Each reports the quantity the ablation is about as a custom metric.
 package main
 
 import (
@@ -121,28 +120,6 @@ func BenchmarkAblationADCBits(b *testing.B) {
 			b.ReportMetric(rms, "RMS-%")
 		})
 	}
-}
-
-// BenchmarkAblationBroyden compares Broyden's quasi-Newton iteration count
-// and factorization count against full Newton on the coupled quadratic
-// system.
-func BenchmarkAblationBroyden(b *testing.B) {
-	sys := pde.Equation2(1.0, -1.0)
-	var newtonFactors, broydenFactors, broydenIters, newtonIters int
-	for i := 0; i < b.N; i++ {
-		if res, err := nonlin.Newton(nil, sys, []float64{0.5, 0.5}, nonlin.NewtonOptions{Tol: 1e-10}); err == nil {
-			newtonFactors = res.LinearSolves
-			newtonIters = res.Iterations
-		}
-		if res, err := nonlin.Broyden(sys, []float64{0.5, 0.5}, nonlin.NewtonOptions{Tol: 1e-10, MaxIter: 200}); err == nil {
-			broydenFactors = res.LinearSolves
-			broydenIters = res.Iterations
-		}
-	}
-	b.ReportMetric(float64(newtonIters), "newton-iters")
-	b.ReportMetric(float64(newtonFactors), "newton-factorizations")
-	b.ReportMetric(float64(broydenIters), "broyden-iters")
-	b.ReportMetric(float64(broydenFactors), "broyden-factorizations")
 }
 
 // BenchmarkAblationStencilOrder compares the order-2 and order-4 stencils:

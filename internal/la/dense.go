@@ -4,10 +4,11 @@
 //pdevet:allow floateq pivot/breakdown/structural zero tests are exact by construction
 
 // Package la provides the dense and sparse linear-algebra substrate used by
-// every other layer of the hybrid solver: dense factorizations for the small
-// Newton systems that fit on the analog accelerator model, and sparse storage
-// with direct and iterative solvers standing in for the GPU linear-algebra
-// kernels the paper offloads to (cuSolver QR, preconditioned CG, BiCGSTAB).
+// every other layer of the hybrid solver: dense LU for the small Newton
+// systems that fit on the analog accelerator model, and COO/CSR storage with
+// the banded direct solve of the Newton hot path (BandLU, standing in for
+// the paper's cuSolver sparse-QR offload) and the CG/PCG, BiCGSTAB and SOR
+// kernels of the Table-1 mini-apps.
 //
 // All code is self-contained and uses only the standard library.
 package la
@@ -145,17 +146,6 @@ func (m *Dense) Transpose() *Dense {
 	return t
 }
 
-// MaxAbs returns the largest absolute element value.
-func (m *Dense) MaxAbs() float64 {
-	max := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
-}
-
 // String renders the matrix for debugging.
 func (m *Dense) String() string {
 	var b strings.Builder
@@ -202,17 +192,6 @@ func Norm2(x []float64) float64 {
 		}
 	}
 	return scale * math.Sqrt(ssq)
-}
-
-// NormInf returns the max-abs norm of x.
-func NormInf(x []float64) float64 {
-	max := 0.0
-	for _, v := range x {
-		if a := math.Abs(v); a > max {
-			max = a
-		}
-	}
-	return max
 }
 
 // Axpy computes y += a·x in place.

@@ -62,8 +62,12 @@ func TestDenseBasicOps(t *testing.T) {
 		t.Fatal("Clone shares storage with original")
 	}
 	m.Zero()
-	if m.MaxAbs() != 0 {
-		t.Fatal("Zero did not clear the matrix")
+	for i := 0; i < m.Rows(); i++ {
+		for _, v := range m.Row(i) {
+			if v != 0 {
+				t.Fatal("Zero did not clear the matrix")
+			}
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ package la
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrNoConvergence is returned when an iterative solver exhausts its
@@ -367,31 +366,4 @@ func (p *ILU0) Apply(dst, r []float64) {
 		}
 		dst[i] = s / diag
 	}
-}
-
-// SpectralRadiusEstimate runs a few power iterations to estimate |λ|max of a,
-// used in tests and in the PDE character report (Table 2).
-func SpectralRadiusEstimate(a *CSR, iters int) float64 {
-	n := a.Rows()
-	if n == 0 {
-		return 0
-	}
-	v := make([]float64, n)
-	w := make([]float64, n)
-	for i := range v {
-		v[i] = 1 / math.Sqrt(float64(n))
-	}
-	lambda := 0.0
-	for it := 0; it < iters; it++ {
-		a.MulVec(w, v)
-		nw := Norm2(w)
-		if nw == 0 {
-			return 0
-		}
-		lambda = nw
-		for i := range v {
-			v[i] = w[i] / nw
-		}
-	}
-	return lambda
 }

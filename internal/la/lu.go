@@ -19,10 +19,9 @@ var ErrSingular = errors.New("la: matrix is singular to working precision")
 
 // LU is an LU factorization with partial pivoting: P·A = L·U.
 type LU struct {
-	n    int
-	lu   *Dense // packed L (unit lower, below diagonal) and U (upper)
-	piv  []int  // row permutation
-	sign int    // permutation sign, for Det
+	n   int
+	lu  *Dense // packed L (unit lower, below diagonal) and U (upper)
+	piv []int  // row permutation
 }
 
 // FactorLU computes the LU factorization of the square matrix a with partial
@@ -32,7 +31,7 @@ func FactorLU(a *Dense) (*LU, error) {
 		return nil, fmt.Errorf("la: LU of non-square %d×%d matrix", a.Rows(), a.Cols())
 	}
 	n := a.Rows()
-	f := &LU{n: n, lu: a.Clone(), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: a.Clone(), piv: make([]int, n)}
 	for i := range f.piv {
 		f.piv[i] = i
 	}
@@ -54,7 +53,6 @@ func FactorLU(a *Dense) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivot := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -109,61 +107,6 @@ func (f *LU) Solve(dst, b []float64) error {
 	return nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
-}
-
-// ConditionEstimate returns a cheap lower bound on the 1-norm condition
-// number, used by the damped Newton solver to detect near-singular Jacobians.
-func (f *LU) ConditionEstimate(a *Dense) float64 {
-	// ||A||_1 times an estimate of ||A^-1||_1 via one solve with the
-	// all-ones vector (a standard cheap heuristic; exact values are not
-	// needed, only an order of magnitude).
-	norm1 := 0.0
-	for j := 0; j < f.n; j++ {
-		s := 0.0
-		for i := 0; i < f.n; i++ {
-			s += math.Abs(a.At(i, j))
-		}
-		if s > norm1 {
-			norm1 = s
-		}
-	}
-	// Probe ‖A⁻¹‖₁ with a few structured sign vectors and keep the largest
-	// response; a single all-ones probe can lie in the null direction of a
-	// nearly singular matrix.
-	inv1 := 0.0
-	e := make([]float64, f.n)
-	for probe := 0; probe < 3; probe++ {
-		for i := range e {
-			switch probe {
-			case 0:
-				e[i] = 1
-			case 1:
-				e[i] = float64(1 - 2*(i&1)) // alternating ±1
-			default:
-				e[i] = float64(1 - 2*((i/2)&1)) // period-4 signs
-			}
-		}
-		if err := f.Solve(e, e); err != nil {
-			return math.Inf(1)
-		}
-		s := 0.0
-		for _, v := range e {
-			s += math.Abs(v)
-		}
-		if s > inv1 {
-			inv1 = s
-		}
-	}
-	return norm1 * inv1 / float64(f.n)
-}
-
 // SolveDense solves A·x = b directly, a convenience for one-shot solves.
 func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -175,29 +118,4 @@ func SolveDense(a *Dense, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return x, nil
-}
-
-// Invert returns the inverse of a, or ErrSingular.
-func Invert(a *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	n := a.Rows()
-	inv := NewDense(n, n)
-	col := make([]float64, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		if err := f.Solve(col, e); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
 }

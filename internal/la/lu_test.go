@@ -2,7 +2,6 @@ package la
 
 import (
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -50,20 +49,6 @@ func TestLUSingularDetected(t *testing.T) {
 	}
 }
 
-func TestLUDeterminant(t *testing.T) {
-	a := NewDenseFrom([][]float64{
-		{4, 3},
-		{6, 3},
-	})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), -6, 1e-12) {
-		t.Fatalf("Det = %g, want -6", f.Det())
-	}
-}
-
 func TestLUPivotingHandlesZeroLeadingEntry(t *testing.T) {
 	a := NewDenseFrom([][]float64{
 		{0, 1},
@@ -74,113 +59,4 @@ func TestLUPivotingHandlesZeroLeadingEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	vecAlmostEq(t, x, []float64{3, 2}, 1e-14)
-}
-
-func TestInvertRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randomWellConditioned(rng, 6)
-	inv, err := Invert(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := Mul(a, inv)
-	for i := 0; i < 6; i++ {
-		for j := 0; j < 6; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(prod.At(i, j)-want) > 1e-9 {
-				t.Fatalf("A·A⁻¹ differs from I at (%d,%d): %g", i, j, prod.At(i, j))
-			}
-		}
-	}
-}
-
-func TestConditionEstimateOrdersOfMagnitude(t *testing.T) {
-	id := Identity(4)
-	f, err := FactorLU(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := f.ConditionEstimate(id)
-	if c < 0.1 || c > 10 {
-		t.Fatalf("condition estimate for identity should be O(1), got %g", c)
-	}
-	// A nearly singular matrix should produce a huge estimate.
-	ns := NewDenseFrom([][]float64{
-		{1, 1},
-		{1, 1 + 1e-13},
-	})
-	f2, err := FactorLU(ns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2 := f2.ConditionEstimate(ns); c2 < 1e10 {
-		t.Fatalf("expected near-singular condition estimate > 1e10, got %g", c2)
-	}
-}
-
-func TestQRSolveSquare(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		n := 1 + rng.Intn(15)
-		a := randomWellConditioned(rng, n)
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.NormFloat64()
-		}
-		b := make([]float64, n)
-		a.MulVec(b, want)
-		f, err := FactorQR(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, n)
-		if err := f.Solve(x, b); err != nil {
-			t.Fatal(err)
-		}
-		vecAlmostEq(t, x, want, 1e-8)
-	}
-}
-
-func TestQRLeastSquares(t *testing.T) {
-	// Overdetermined: fit y = 2t + 1 through noisy-free points; exact fit.
-	a := NewDenseFrom([][]float64{
-		{0, 1},
-		{1, 1},
-		{2, 1},
-		{3, 1},
-	})
-	b := []float64{1, 3, 5, 7}
-	f, err := FactorQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, 2)
-	if err := f.Solve(x, b); err != nil {
-		t.Fatal(err)
-	}
-	vecAlmostEq(t, x, []float64{2, 1}, 1e-12)
-}
-
-func TestQRRankDetection(t *testing.T) {
-	a := NewDenseFrom([][]float64{
-		{1, 2},
-		{2, 4},
-		{3, 6},
-	})
-	f, err := FactorQR(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := f.Rank(1e-10); r != 1 {
-		t.Fatalf("rank = %d, want 1", r)
-	}
-}
-
-func TestQRRejectsUnderdetermined(t *testing.T) {
-	if _, err := FactorQR(NewDense(2, 3)); err == nil {
-		t.Fatal("expected error for m < n")
-	}
 }

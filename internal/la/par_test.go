@@ -136,158 +136,6 @@ func TestBandLUParallelBitIdentical(t *testing.T) {
 	}
 }
 
-func TestMulVecParMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, n := range []int{1, 17, 400, 3000} {
-		a := randBanded(rng, n, min(n-1, 3), min(n-1, 5))
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		want := make([]float64, n)
-		a.MulVec(want, x)
-		for _, procs := range []int{1, 2, 8} {
-			p := par.NewPool(procs)
-			got := make([]float64, n)
-			a.MulVecPar(p, got, x)
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d procs=%d: dst[%d] = %x, want %x", n, procs, i, got[i], want[i])
-				}
-			}
-			p.Close()
-		}
-		var nilPool *par.Pool
-		got := make([]float64, n)
-		a.MulVecPar(nilPool, got, x)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d nil pool: dst[%d] differs", n, i)
-			}
-		}
-	}
-}
-
-func TestResidualParMatchesResidual(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 513
-	a := randBanded(rng, n, 4, 4)
-	x := make([]float64, n)
-	b := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	a.Residual(want, b, x)
-	for _, procs := range []int{1, 3, 8} {
-		p := par.NewPool(procs)
-		got := make([]float64, n)
-		a.ResidualPar(p, got, b, x)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("procs=%d: res[%d] = %x, want %x", procs, i, got[i], want[i])
-			}
-		}
-		p.Close()
-	}
-}
-
-// TestParDotPoolSizeInvariant checks the fixed-block reduction's defining
-// property: identical bits at every pool size (the block layout depends only
-// on the vector length).
-func TestParDotPoolSizeInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, n := range []int{1, 100, la.ReduceBlock, la.ReduceBlock + 1, 5*la.ReduceBlock + 37} {
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-			y[i] = rng.NormFloat64()
-		}
-		partials := make([]float64, la.NumReduceBlocks(n))
-		var nilPool *par.Pool
-		want := la.ParDot(nilPool, x, y, partials)
-		wantN := la.ParNorm2(nilPool, x, partials)
-		for _, procs := range []int{1, 2, 5, 8} {
-			p := par.NewPool(procs)
-			if got := la.ParDot(p, x, y, partials); got != want {
-				t.Fatalf("n=%d procs=%d: ParDot %x, want %x", n, procs, got, want)
-			}
-			if got := la.ParNorm2(p, x, partials); got != wantN {
-				t.Fatalf("n=%d procs=%d: ParNorm2 %x, want %x", n, procs, got, wantN)
-			}
-			p.Close()
-		}
-		// Sanity against the linear reference within rounding.
-		ref := la.Dot(x, y)
-		if math.Abs(want-ref) > 1e-9*(1+math.Abs(ref)) {
-			t.Fatalf("n=%d: blocked dot %v too far from linear %v", n, want, ref)
-		}
-	}
-}
-
-func TestGMRESPoolDeterministicAcrossSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 300
-	a := randBanded(rng, n, 3, 3)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	var want []float64
-	for _, procs := range []int{1, 2, 8} {
-		p := par.NewPool(procs)
-		x := make([]float64, n)
-		st, err := la.GMRES(a, x, b, la.GMRESOptions{Tol: 1e-12, Pool: p})
-		if err != nil {
-			t.Fatalf("procs=%d: %v (residual %g)", procs, err, st.Residual)
-		}
-		p.Close()
-		if want == nil {
-			want = x
-			continue
-		}
-		for i := range x {
-			if x[i] != want[i] {
-				t.Fatalf("procs=%d: x[%d] = %x, want %x", procs, i, x[i], want[i])
-			}
-		}
-	}
-}
-
-func TestMultigridPoolMatchesSerial(t *testing.T) {
-	n := 31
-	rng := rand.New(rand.NewSource(14))
-	rhs := make([]float64, n*n)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	solve := func(p *par.Pool) []float64 {
-		mg, err := la.NewMultigrid(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mg.Pool = p
-		x := make([]float64, n*n)
-		if _, err := mg.Solve(x, rhs, 1e-10, 60); err != nil {
-			t.Fatal(err)
-		}
-		return x
-	}
-	want := solve(nil)
-	for _, procs := range []int{2, 8} {
-		p := par.NewPool(procs)
-		got := solve(p)
-		p.Close()
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("procs=%d: x[%d] = %x, want %x", procs, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestToCSRScratchReuseAndSortFastPath(t *testing.T) {
 	// Unsorted duplicate-heavy input must still dedup correctly through the
 	// fast-path check.

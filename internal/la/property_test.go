@@ -147,39 +147,6 @@ func TestPropertyTransposeAdjoint(t *testing.T) {
 	}
 }
 
-func TestPropertyCholeskyAgreesWithLU(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	f := func(rhs [6]float64) bool {
-		sanitize(rhs[:], 1e3)
-		bm := randomDense(rng, 6, 6)
-		a := Mul(bm.Transpose(), bm)
-		for i := 0; i < 6; i++ {
-			a.Add(i, i, 2)
-		}
-		ch, err := FactorCholesky(a)
-		if err != nil {
-			return false
-		}
-		xc := make([]float64, 6)
-		if err := ch.Solve(xc, rhs[:]); err != nil {
-			return false
-		}
-		xl, err := SolveDense(a, rhs[:])
-		if err != nil {
-			return false
-		}
-		for i := range xc {
-			if math.Abs(xc[i]-xl[i]) > 1e-7*(1+math.Abs(xl[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPropertySubmatrixConsistency(t *testing.T) {
 	// ExtractSubmatrix(idx) must equal the dense submatrix for any index
 	// subset.

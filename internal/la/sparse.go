@@ -257,25 +257,6 @@ func (m *CSR) Transpose() *CSR {
 	return b.ToCSR()
 }
 
-// AddDiagonal adds eps to every main-diagonal entry in place. The diagonal
-// must be part of the sparsity pattern (true for all stencil Jacobians);
-// missing entries are reported as an error.
-func (m *CSR) AddDiagonal(eps float64) error {
-	if m.rows != m.cols {
-		return fmt.Errorf("la: AddDiagonal on non-square %d×%d matrix", m.rows, m.cols)
-	}
-	for i := 0; i < m.rows; i++ {
-		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
-		idx := m.colIdx[lo:hi]
-		k := sort.SearchInts(idx, i)
-		if k >= len(idx) || idx[k] != i {
-			return fmt.Errorf("la: AddDiagonal: row %d has no diagonal entry", i)
-		}
-		m.vals[lo+k] += eps
-	}
-	return nil
-}
-
 // ScaleRow multiplies every stored entry of row i by s.
 func (m *CSR) ScaleRow(i int, s float64) {
 	for k := m.rowPtr[i]; k < m.rowPtr[i+1]; k++ {

@@ -291,14 +291,3 @@ func TestIterativeZeroRHS(t *testing.T) {
 		t.Fatalf("CG with zero RHS should drive x to 0, got ‖x‖ = %g", Norm2(x))
 	}
 }
-
-func TestSpectralRadiusOfLaplacian(t *testing.T) {
-	n := 50
-	a := laplacian1D(n)
-	// Eigenvalues are 2−2cos(kπ/(n+1)); max ≈ 4.
-	got := SpectralRadiusEstimate(a, 200)
-	want := 2 - 2*math.Cos(float64(n)*math.Pi/float64(n+1))
-	if math.Abs(got-want) > 0.05 {
-		t.Fatalf("spectral radius estimate %g, want ≈ %g", got, want)
-	}
-}

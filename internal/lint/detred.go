@@ -8,11 +8,12 @@ import (
 
 // DetRed pins the deterministic-reduction discipline of the parallel hot
 // path. The bit-identity contract (DESIGN.md §11, the cross-procs FNV
-// checksums in BENCH_core.json) holds because every cross-chunk floating-
-// point sum goes through a layout that depends only on the data size —
-// la.ParDot/ParNorm2 fold fixed ReduceBlock-sized partials in block order —
-// never through per-worker partials, whose count (and thus fold order and
-// intermediate rounding) would change with the pool size.
+// checksums in BENCH_core.json) requires that a cross-chunk floating-point
+// sum fold partials over blocks whose size does not depend on the pool
+// size, in block order — never per-worker partials, whose count (and thus
+// fold order and intermediate rounding) would change with the pool size.
+// The one cross-chunk fold left in the tree is la.BandLU's per-chunk
+// FactorOps partials, which are int64 and so add exactly in any order.
 //
 // Statically, the failure mode is a reduction loop whose trip count is
 // derived from the parallelism: pool.Procs(), runtime.GOMAXPROCS, or
@@ -20,12 +21,12 @@ import (
 // through assignments inside each function, then reports any for/range
 // loop that is bounded by (or iterates over a collection sized by) a
 // tainted value while accumulating floats in its body. Integer accounting
-// over per-chunk partials is exact and exempt (band-LU FactorOps sums
-// int64); deliberate procs-dependent float folds — none exist today — would
-// need `//pdevet:allow detred <why the result is still deterministic>`.
+// over per-chunk partials is exempt; deliberate procs-dependent float folds
+// — none exist today — would need
+// `//pdevet:allow detred <why the result is still deterministic>`.
 var DetRed = &Analyzer{
 	Name: "detred",
-	Doc:  "no float accumulation over procs-dependent ranges; use fixed-block reductions (la.ParDot/ParNorm2)",
+	Doc:  "no float accumulation over procs-dependent ranges; fold partials over blocks whose size does not depend on the pool size",
 	Run:  runDetRed,
 }
 
@@ -103,13 +104,13 @@ func checkDetRed(p *Pass, fn *ast.FuncDecl) {
 		case *ast.ForStmt:
 			if n.Cond != nil && exprTainted(n.Cond) {
 				if acc := floatAccumulation(p, n.Body); acc.IsValid() {
-					p.Reportf(acc, "float accumulation over a procs-dependent loop bound changes fold order with the pool size; reduce via fixed blocks (la.ParDot/ParNorm2)")
+					p.Reportf(acc, "float accumulation over a procs-dependent loop bound changes fold order with the pool size; fold partials over blocks whose size does not depend on it")
 				}
 			}
 		case *ast.RangeStmt:
 			if exprTainted(n.X) {
 				if acc := floatAccumulation(p, n.Body); acc.IsValid() {
-					p.Reportf(acc, "float accumulation over a procs-sized collection changes fold order with the pool size; reduce via fixed blocks (la.ParDot/ParNorm2)")
+					p.Reportf(acc, "float accumulation over a procs-sized collection changes fold order with the pool size; fold partials over blocks whose size does not depend on it")
 				}
 			}
 		}

@@ -32,7 +32,9 @@
 //	maprange    no map iteration feeds serialized output, key construction,
 //	            or float/string accumulation without sorting first
 //	detred      no float accumulation over procs-dependent ranges; cross-
-//	            chunk sums use the fixed-block reductions (la.ParDot et al)
+//	            chunk sums fold partials over blocks whose size does not
+//	            depend on the pool size (the one fold left, la.BandLU's
+//	            per-chunk FactorOps partials, is int64 and exact)
 //
 // Findings are suppressed with annotation comments (see annot.go):
 // `//pdevet:allow <rule> [reason]` on the offending line (or the line

@@ -228,24 +228,6 @@ func TestNewtonSparseMatchesDense(t *testing.T) {
 	}
 }
 
-func TestBroydenConverges(t *testing.T) {
-	sys := coupledQuadratic(1, -1)
-	res, err := Broyden(sys, []float64{0.5, 0.5}, NewtonOptions{Tol: 1e-10, MaxIter: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := make([]float64, 2)
-	if err := sys.Eval(res.U, f); err != nil {
-		t.Fatal(err)
-	}
-	if la.Norm2(f) > 1e-9 {
-		t.Fatalf("Broyden residual %g", la.Norm2(f))
-	}
-	if res.LinearSolves != 1 {
-		t.Fatalf("Broyden should factor exactly once, did %d", res.LinearSolves)
-	}
-}
-
 func TestNewtonPropertyRandomQuadratics(t *testing.T) {
 	// For diagonally dominant linear parts with a small quadratic
 	// perturbation, Newton from zero must converge and the returned point

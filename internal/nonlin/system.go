@@ -1,14 +1,18 @@
-// Package nonlin implements the digital and continuous algorithms for
-// nonlinear systems of algebraic equations that the paper contrasts:
+// Package nonlin implements the digital algorithms for nonlinear systems of
+// algebraic equations that the paper runs beside its analog accelerator:
 //
 //   - the classical and damped Newton methods (§2.1), including the
 //     halve-until-converged damping schedule of the paper's baseline solver
-//     (§6.1);
-//   - the continuous Newton method (§2.2), the ODE du/dt = −J⁻¹F(u) that the
-//     analog accelerator evolves natively;
+//     (§6.1), dense (Newton) and banded-sparse with chord reuse
+//     (NewtonSparse, SparseSolver);
 //   - homotopy continuation (§3.2), which drags the roots of a trivial
-//     system to the roots of the hard one;
-//   - Broyden's quasi-Newton method, an extension used for ablations.
+//     system to the roots of the hard one, and its Newton-homotopy form,
+//     the degradation ladder's last rung;
+//   - the Armijo line-search and dogleg trust-region globalisations, used
+//     only by the ablation experiment.
+//
+// The continuous Newton method (§2.2), the ODE du/dt = −J⁻¹F(u), is not
+// here: the fabric model in internal/analog integrates its own flow.
 package nonlin
 
 import (

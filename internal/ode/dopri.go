@@ -259,6 +259,7 @@ func IntegrateToSteadyState(f System, y0 []float64, opts SteadyStateOptions) (St
 	}
 	hold := 0
 	settleAt := math.NaN()
+	var obsErr error
 	deriv := make([]float64, len(y0))
 	inner := opts.Adaptive
 	userObs := inner.Observer
@@ -269,8 +270,8 @@ func IntegrateToSteadyState(f System, y0 []float64, opts SteadyStateOptions) (St
 		if t < opts.MinTime {
 			return true
 		}
-		if err := f(t, y, deriv); err != nil {
-			// Propagate as a stop; the outer call re-checks below.
+		if obsErr = f(t, y, deriv); obsErr != nil {
+			// Stop the integration; surfaced after DormandPrince returns.
 			return false
 		}
 		if norm(deriv) <= opts.DerivTol*(1+norm(y)) {
@@ -289,6 +290,9 @@ func IntegrateToSteadyState(f System, y0 []float64, opts SteadyStateOptions) (St
 	}
 	res, err := DormandPrince(f, y0, 0, opts.TMax, inner)
 	sr := SteadyResult{Result: res}
+	if err == nil {
+		err = obsErr
+	}
 	if err != nil {
 		return sr, err
 	}

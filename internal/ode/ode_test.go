@@ -155,6 +155,23 @@ func TestSystemErrorPropagates(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("expected propagated error from DP, got %v", err)
 	}
+	// The user observer runs just before IntegrateToSteadyState's own
+	// derivative evaluation, so arming here makes exactly that call fail.
+	armed := false
+	g := func(tm float64, y, dydt []float64) error {
+		if armed {
+			return boom
+		}
+		dydt[0] = -y[0]
+		return nil
+	}
+	sr, err := IntegrateToSteadyState(g, []float64{1}, SteadyStateOptions{
+		TMax:     10,
+		Adaptive: AdaptiveOptions{Observer: func(float64, []float64) bool { armed = true; return true }},
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("expected the observer's evaluation error, got settled=%v err=%v", sr.Settled, err)
+	}
 }
 
 func TestNonFiniteStateDetected(t *testing.T) {
