@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint lint-baseline fuzz check bench bench-core serve serve-smoke chaos-smoke cache-smoke cluster-smoke scale-smoke stream-smoke bench-serve bench-cluster bench-stream
+.PHONY: all build test race vet fmt lint lint-baseline fuzz check bench serve serve-smoke chaos-smoke cache-smoke cluster-smoke scale-smoke stream-smoke
 
 all: build
 
@@ -56,17 +56,6 @@ check:
 bench:
 	$(GO) test ./internal/core/ -run XXX -bench 'BenchmarkNewtonSparseSteadyStep$$|BenchmarkNewtonSparseSteadyStepParallel|BenchmarkHybridTimeLoop' -benchtime 100x
 
-# Regenerate the committed core benchmark baseline (BENCH_core.json):
-# warm Newton solves and time loops across grid sizes and worker counts,
-# with the cross-procs checksum gate, the parallel-speedup floor (skipped
-# with a visible notice on single-CPU machines, where a speedup is
-# unmeasurable) and the chord-mode factorization-reuse floor (machine-
-# independent: it compares two configurations on the same machine). Short
-# mode keeps it CI-sized; run `go run ./cmd/pdebench` directly for the
-# full size sweep.
-bench-core:
-	$(GO) run ./cmd/pdebench -short -min-speedup 1.1 -min-reuse-speedup 1.3 -out BENCH_core.json
-
 # Run the solve service locally (Ctrl-C drains in-flight solves).
 serve:
 	$(GO) run ./cmd/pdeserved
@@ -91,17 +80,10 @@ cluster-smoke:
 # Scale smoke: boot pdeserved with an autoscaler range, ramp open-loop load
 # through it, and assert the worker pool provably adapts — the workers
 # gauge rises off the floor and settles back, scale-ups are counted,
-# Workers×SolveProcs stays within GOMAXPROCS, responses stay bit-identical
-# to a fixed-size server, zero 5xx, and a clean SIGTERM drain.
+# responses stay bit-identical to a fixed-size server, zero 5xx, and a
+# clean SIGTERM drain.
 scale-smoke:
 	./scripts/scale_smoke.sh
-
-# Regenerate the committed fleet benchmark (BENCH_cluster.json): gateway
-# throughput with 1, 2 and 3 backends plus the routed/batch counters and
-# per-backend cache hit rates. The scaling assertion is skipped with a
-# NOTICE on single-CPU machines.
-bench-cluster:
-	./scripts/bench_cluster.sh
 
 # Streaming smoke: boot pdeserved behind pdegw, drive 256-step NDJSON
 # trajectories through the gateway with pdeload -stream, and assert the
@@ -118,33 +100,3 @@ stream-smoke:
 # bodies on exact repeats, and a clean drain.
 cache-smoke:
 	./scripts/cache_smoke.sh
-
-# Regenerate the committed service benchmark (BENCH_serve.json): 400 rps of
-# repeated parameter-sweep steady solves for 8 s against a freshly-booted
-# local server with the solve cache on. The report carries the cache's
-# cold-versus-repeat latency split and hit counters alongside the overall
-# percentiles.
-bench-serve:
-	$(GO) build -o /tmp/pdeserved ./cmd/pdeserved
-	$(GO) build -o /tmp/pdeload ./cmd/pdeload
-	/tmp/pdeserved -addr 127.0.0.1:18080 -debug-addr "" & \
-	SRV=$$!; sleep 1; \
-	/tmp/pdeload -url http://127.0.0.1:18080 -rate 400 -duration 8s \
-		-problem burgers-steady -n 5 -seed-spread 3 \
-		-re 1.0 -re-step 0.01 -re-count 4 -out BENCH_serve.json; \
-	RC=$$?; kill -TERM $$SRV; wait $$SRV; exit $$RC
-
-# Regenerate the committed streaming benchmark (BENCH_stream.json):
-# 256-step transient trajectories streamed as NDJSON from a freshly-booted
-# local server. The headline numbers are time-to-first-frame (p50/p99)
-# against the total-trajectory percentiles — the TTFF share is the
-# streaming win — plus frames/sec throughput.
-bench-stream:
-	$(GO) build -o /tmp/pdeserved ./cmd/pdeserved
-	$(GO) build -o /tmp/pdeload ./cmd/pdeload
-	/tmp/pdeserved -addr 127.0.0.1:18080 -debug-addr "" & \
-	SRV=$$!; sleep 1; \
-	/tmp/pdeload -url http://127.0.0.1:18080 -stream -steps 256 \
-		-problem burgers2d -n 10 -rate 4 -duration 8s -seed-spread 8 \
-		-out BENCH_stream.json; \
-	RC=$$?; kill -TERM $$SRV; wait $$SRV; exit $$RC

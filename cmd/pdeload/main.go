@@ -1,6 +1,7 @@
-// Command pdeload drives open-loop load against a pdeserved instance (or
-// a pdegw gateway, or a whole fleet) and reports throughput and latency
-// percentiles.
+// Command pdeload drives open-loop load against a pdeserved instance or a
+// pdegw gateway and reports the status breakdown and latency percentiles
+// the smoke scripts assert on. Performance evidence comes from the repo
+// benchmark (`go -C bench run .`), not from here.
 //
 // Usage:
 //
@@ -8,8 +9,7 @@
 //	        [-ramp START:END:STEPS] [-concurrency 64]
 //	        [-problem burgers-steady] [-n 5] [-analog]
 //	        [-seed-spread 16] [-re 1] [-re-step 0] [-re-count 1]
-//	        [-targets URL1,URL2,...] [-out BENCH_serve.json]
-//	        [-stream -steps K]
+//	        [-out report.json] [-stream -steps K]
 //
 // -stream switches to the NDJSON streaming scenario: POST /v1/stream
 // trajectories of -steps Crank–Nicolson steps against a transient
@@ -25,14 +25,6 @@
 // summary line on stderr — the shape an autoscaler smoke test reads its
 // evidence from.
 //
-// -targets replaces -url with a comma-separated list of base URLs:
-// launches round-robin across them and the report adds a per-target
-// request breakdown (sent/2xx/429/4xx/5xx/transport and per-target p50).
-// Point it at several pdeserved backends to compare them side by side, or
-// at a single pdegw to exercise the fleet path — when the first target's
-// /metrics page exposes the pdegw_* plane the report also records the
-// failover/batching counter deltas the run produced.
-//
 // Open-loop means request launch times come from a fixed-rate ticker, not
 // from completions: when the service is saturated the client keeps firing,
 // which is what exposes the 429 load-shedding path instead of politely
@@ -43,11 +35,9 @@
 // -re-step/-re-count turn the run into a repeated parameter sweep: request
 // i asks for re = -re + (i mod -re-count)·-re-step, so the same sweep
 // points recur and a cache-enabled server can serve repeats by replay and
-// near-neighbours by warm-started continuation. The report splits latency
-// between first-occurrence (cold) and repeated request identities, and —
-// when the server exposes /metrics — records the cache hit/warm-hit/miss
-// deltas the run produced. Pair sweeps with -seed-spread 1: warm starts
-// only continue solutions of the same random-field realisation.
+// near-neighbours by warm-started continuation. Pair sweeps with
+// -seed-spread 1: warm starts only continue solutions of the same
+// random-field realisation.
 //
 // The exit code is 1 when the run saw zero successful (2xx) responses, so
 // smoke scripts can assert liveness with the shell alone.
@@ -87,18 +77,6 @@ type RampStepReport struct {
 	LatencyP50Ms float64 `json:"latency_p50_ms,omitempty"`
 }
 
-// TargetReport is one target's share of a multi-target run.
-type TargetReport struct {
-	URL          string  `json:"url"`
-	Sent         int     `json:"sent"`
-	OK           int     `json:"ok_2xx"`
-	Shed         int     `json:"shed_429"`
-	ClientErr    int     `json:"client_4xx"`
-	ServerErr    int     `json:"server_5xx"`
-	TransportEr  int     `json:"transport_errors"`
-	LatencyP50Ms float64 `json:"latency_p50_ms,omitempty"`
-}
-
 // Report is the machine-readable result, written as JSON to -out.
 type Report struct {
 	URL         string  `json:"url"`
@@ -128,40 +106,8 @@ type Report struct {
 	LatencyP99Ms  float64 `json:"latency_p99_ms"`
 	LatencyMaxMs  float64 `json:"latency_max_ms"`
 
-	// Cold/repeat split: a request identity (problem, n, seed, re) is cold
-	// the first time this run sends it and a repeat afterwards. On a
-	// cache-enabled server repeats are replays, so the gap between the two
-	// p50s is the cache's measured latency win.
-	ColdCount    int     `json:"cold_count,omitempty"`
-	RepeatCount  int     `json:"repeat_count,omitempty"`
-	ColdP50Ms    float64 `json:"cold_p50_ms,omitempty"`
-	RepeatP50Ms  float64 `json:"repeat_p50_ms,omitempty"`
-	ColdMeanMs   float64 `json:"cold_mean_ms,omitempty"`
-	RepeatMeanMs float64 `json:"repeat_mean_ms,omitempty"`
-	// Iteration means stay explicit even at zero: a warm-start mean of 0
-	// ("the continuation start was already converged") is the headline
-	// number of a repeated-sweep run, not an absent one.
-	ColdMeanIters  float64 `json:"cold_mean_newton_iters"`
-	WarmMeanIters  float64 `json:"warm_mean_newton_iters"`
-	CacheHits      uint64  `json:"cache_hits,omitempty"`
-	CacheWarmHits  uint64  `json:"cache_warm_hits,omitempty"`
-	CacheMisses    uint64  `json:"cache_misses,omitempty"`
-	CacheHitRate   float64 `json:"cache_hit_rate,omitempty"`
-	MetricsScraped bool    `json:"metrics_scraped,omitempty"`
-
 	// Per-step breakdown of a -ramp run.
 	RampSteps []RampStepReport `json:"ramp_steps,omitempty"`
-
-	// Per-target breakdown of a -targets run.
-	Targets []TargetReport `json:"targets,omitempty"`
-
-	// Gateway counter deltas, recorded when the first target's /metrics
-	// page exposes the pdegw_* plane.
-	GatewayScraped   bool   `json:"gateway_scraped,omitempty"`
-	GatewayFailovers uint64 `json:"gateway_failovers,omitempty"`
-	GatewayBatches   uint64 `json:"gateway_batches,omitempty"`
-	GatewayCoalesced uint64 `json:"gateway_coalesced,omitempty"`
-	GatewayDeduped   uint64 `json:"gateway_deduped,omitempty"`
 
 	// Streaming scenario (-stream): NDJSON trajectories via POST
 	// /v1/stream. TTFF is time-to-first-frame — the latency a streaming
@@ -184,7 +130,7 @@ type Report struct {
 
 func main() {
 	var (
-		url        = flag.String("url", "http://127.0.0.1:8080", "pdeserved base URL")
+		url        = flag.String("url", "http://127.0.0.1:8080", "pdeserved or pdegw base URL")
 		rate       = flag.Float64("rate", 200, "offered load in requests per second")
 		duration   = flag.Duration("duration", 10*time.Second, "how long to offer load")
 		ramp       = flag.String("ramp", "", "open-loop ramp profile START:END:STEPS — split -duration into STEPS stages interpolating the rate from START to END rps (overrides -rate)")
@@ -196,7 +142,6 @@ func main() {
 		reBase     = flag.Float64("re", 1, "base Reynolds number of grid requests")
 		reStep     = flag.Float64("re-step", 0, "Reynolds increment between sweep points (0 = no sweep)")
 		reCount    = flag.Int("re-count", 1, "number of sweep points to cycle through")
-		targetList = flag.String("targets", "", "comma-separated base URLs to round-robin across (overrides -url)")
 		out        = flag.String("out", "", "write the JSON report to this file as well as stdout")
 		stream     = flag.Bool("stream", false, "drive POST /v1/stream NDJSON trajectories instead of buffered solves (use a transient -problem: burgers2d or burgers1d)")
 		steps      = flag.Int("steps", 64, "time steps per streamed trajectory (-stream only)")
@@ -205,20 +150,6 @@ func main() {
 	if *rate <= 0 || *duration <= 0 || *conc <= 0 {
 		fmt.Fprintln(os.Stderr, "pdeload: -rate, -duration and -concurrency must be positive")
 		os.Exit(2)
-	}
-	targets := []string{*url}
-	if *targetList != "" {
-		targets = targets[:0]
-		for _, t := range strings.Split(*targetList, ",") {
-			if t = strings.TrimRight(strings.TrimSpace(t), "/"); t != "" {
-				targets = append(targets, t)
-			}
-		}
-		if len(targets) == 0 {
-			fmt.Fprintln(os.Stderr, "pdeload: -targets has no usable URLs")
-			os.Exit(2)
-		}
-		*url = targets[0]
 	}
 	if *reCount < 1 || *reBase <= 0 {
 		fmt.Fprintln(os.Stderr, "pdeload: -re must be positive and -re-count at least 1")
@@ -253,10 +184,6 @@ func main() {
 		code     int
 		seconds  float64
 		degraded bool
-		first    bool
-		warm     bool
-		iters    int
-		target   int
 		step     int
 		err      error
 	}
@@ -269,17 +196,9 @@ func main() {
 		ReBase: *reBase, ReStep: *reStep, ReCount: *reCount,
 		Codes: map[string]int{},
 	}
-	before, scraped := scrapeCacheCounters(client, *url)
-	gwBefore, gwScraped := scrapeGatewayCounters(client, targets[0])
-
 	var wg sync.WaitGroup
 	begin := time.Now()
 
-	type identity struct {
-		seed int64
-		re   float64
-	}
-	seen := map[identity]bool{}                       // touched only by the launch loop
 	stepStats := make([]RampStepReport, len(profile)) // LocalDrops/Sent from the launch loop, the rest from the drain
 
 	i := int64(0)
@@ -309,58 +228,39 @@ func main() {
 			stepStats[stepIdx].Sent++
 			seed := 1 + i%*seedSpread
 			re := *reBase + float64(i%int64(*reCount))**reStep
-			id := identity{seed, re}
-			first := !seen[id]
-			seen[id] = true
-			target := int(i % int64(len(targets)))
 			wg.Add(1)
-			go func(seed int64, re float64, first bool, target, step int) {
+			go func(seed int64, re float64, step int) {
 				defer wg.Done()
 				defer func() { <-slots }()
 				start := time.Now()
-				hr, err := client.Post(targets[target]+"/v1/solve", "application/json",
+				hr, err := client.Post(*url+"/v1/solve", "application/json",
 					bytes.NewReader(body(seed, re)))
 				if err != nil {
-					results <- result{err: err, target: target, step: step}
+					results <- result{err: err, step: step}
 					return
 				}
-				degraded, warm, iters := false, false, 0
+				var sr struct {
+					Degraded bool `json:"degraded"`
+				}
 				if hr.StatusCode >= 200 && hr.StatusCode < 300 {
-					var sr struct {
-						Degraded bool   `json:"degraded"`
-						Rung     string `json:"rung"`
-						Iters    int    `json:"newton_iterations"`
-					}
 					json.NewDecoder(hr.Body).Decode(&sr)
-					degraded = sr.Degraded
-					warm = sr.Rung == "warm-start"
-					iters = sr.Iters
 				}
 				io.Copy(io.Discard, hr.Body)
 				hr.Body.Close()
 				results <- result{code: hr.StatusCode, seconds: time.Since(start).Seconds(),
-					degraded: degraded, first: first, warm: warm, iters: iters, target: target, step: step}
-			}(seed, re, first, target, stepIdx)
+					degraded: sr.Degraded, step: step}
+			}(seed, re, stepIdx)
 		}
 		ticker.Stop()
 	}
 	go func() { wg.Wait(); close(results) }()
 
-	var latencies, cold, repeat []float64
-	var coldIters, warmIters, coldN, warmN int
-	perTarget := make([]TargetReport, len(targets))
-	perTargetLat := make([][]float64, len(targets))
+	var latencies []float64
 	perStepLat := make([][]float64, len(profile))
-	for i, u := range targets {
-		perTarget[i].URL = u
-	}
 	for r := range results {
-		tr := &perTarget[r.target]
-		tr.Sent++
 		ss := &stepStats[r.step]
 		if r.err != nil {
 			rep.TransportEr++
-			tr.TransportEr++
 			ss.TransportEr++
 			continue
 		}
@@ -368,39 +268,19 @@ func main() {
 		switch {
 		case r.code >= 200 && r.code < 300:
 			rep.OK++
-			tr.OK++
 			ss.OK++
 			if r.degraded {
 				rep.Degraded++
 			}
 			latencies = append(latencies, r.seconds)
-			perTargetLat[r.target] = append(perTargetLat[r.target], r.seconds)
 			perStepLat[r.step] = append(perStepLat[r.step], r.seconds)
-			if r.first {
-				cold = append(cold, r.seconds)
-			} else {
-				repeat = append(repeat, r.seconds)
-			}
-			switch {
-			case r.warm:
-				warmIters += r.iters
-				warmN++
-			case r.first:
-				// First occurrences that were not warm-started are true cold
-				// solves; repeats are replays and ran no Newton of their own.
-				coldIters += r.iters
-				coldN++
-			}
 		case r.code == http.StatusTooManyRequests:
 			rep.Shed++
-			tr.Shed++
 			ss.Shed++
 		case r.code >= 400 && r.code < 500:
 			rep.ClientErr++
-			tr.ClientErr++
 		default:
 			rep.ServerErr++
-			tr.ServerErr++
 			ss.ServerErr++
 		}
 	}
@@ -414,21 +294,6 @@ func main() {
 		sort.Float64s(latencies)
 		rep.LatencyMaxMs = 1000 * latencies[len(latencies)-1]
 	}
-	rep.ColdCount, rep.RepeatCount = len(cold), len(repeat)
-	if len(cold) > 0 {
-		rep.ColdP50Ms = 1000 * stats.Percentile(cold, 50)
-		rep.ColdMeanMs = 1000 * mean(cold)
-	}
-	if len(repeat) > 0 {
-		rep.RepeatP50Ms = 1000 * stats.Percentile(repeat, 50)
-		rep.RepeatMeanMs = 1000 * mean(repeat)
-	}
-	if coldN > 0 {
-		rep.ColdMeanIters = float64(coldIters) / float64(coldN)
-	}
-	if warmN > 0 {
-		rep.WarmMeanIters = float64(warmIters) / float64(warmN)
-	}
 	if *ramp != "" {
 		for i := range stepStats {
 			if lat := perStepLat[i]; len(lat) > 0 {
@@ -437,30 +302,6 @@ func main() {
 		}
 		rep.RampSteps = stepStats
 	}
-	if len(targets) > 1 || *targetList != "" {
-		for i := range perTarget {
-			if lat := perTargetLat[i]; len(lat) > 0 {
-				perTarget[i].LatencyP50Ms = 1000 * stats.Percentile(lat, 50)
-			}
-		}
-		rep.Targets = perTarget
-	}
-	if gwAfter, ok := scrapeGatewayCounters(client, targets[0]); ok && gwScraped {
-		rep.GatewayScraped = true
-		rep.GatewayFailovers = gwAfter.failovers - gwBefore.failovers
-		rep.GatewayBatches = gwAfter.batches - gwBefore.batches
-		rep.GatewayCoalesced = gwAfter.coalesced - gwBefore.coalesced
-		rep.GatewayDeduped = gwAfter.deduped - gwBefore.deduped
-	}
-	if after, ok := scrapeCacheCounters(client, *url); ok && scraped {
-		rep.MetricsScraped = true
-		rep.CacheHits = after.hits - before.hits
-		rep.CacheWarmHits = after.warm - before.warm
-		rep.CacheMisses = after.misses - before.misses
-		if total := rep.CacheHits + rep.CacheWarmHits + rep.CacheMisses; total > 0 {
-			rep.CacheHitRate = float64(rep.CacheHits+rep.CacheWarmHits) / float64(total)
-		}
-	}
 
 	writeReport(&rep, *out)
 	fmt.Fprintf(os.Stderr, "pdeload: status breakdown: 2xx=%d (degraded=%d) 429=%d other-4xx=%d 5xx=%d transport=%d local-drops=%d\n",
@@ -468,19 +309,6 @@ func main() {
 	for _, ss := range rep.RampSteps {
 		fmt.Fprintf(os.Stderr, "pdeload: ramp step %d/%d: rate=%.1frps sent=%d 2xx=%d 429=%d 5xx=%d transport=%d local-drops=%d p50=%.2fms\n",
 			ss.Step, len(rep.RampSteps), ss.RateRPS, ss.Sent, ss.OK, ss.Shed, ss.ServerErr, ss.TransportEr, ss.LocalDrops, ss.LatencyP50Ms)
-	}
-	for _, tr := range rep.Targets {
-		fmt.Fprintf(os.Stderr, "pdeload: target %s: sent=%d 2xx=%d 429=%d 4xx=%d 5xx=%d transport=%d p50=%.2fms\n",
-			tr.URL, tr.Sent, tr.OK, tr.Shed, tr.ClientErr, tr.ServerErr, tr.TransportEr, tr.LatencyP50Ms)
-	}
-	if rep.GatewayScraped {
-		fmt.Fprintf(os.Stderr, "pdeload: gateway: failovers=%d batches=%d coalesced=%d deduped=%d\n",
-			rep.GatewayFailovers, rep.GatewayBatches, rep.GatewayCoalesced, rep.GatewayDeduped)
-	}
-	if rep.MetricsScraped {
-		fmt.Fprintf(os.Stderr, "pdeload: cache: hits=%d warm=%d misses=%d hit-rate=%.1f%%; latency p50 cold=%.2fms repeat=%.2fms\n",
-			rep.CacheHits, rep.CacheWarmHits, rep.CacheMisses, 100*rep.CacheHitRate,
-			rep.ColdP50Ms, rep.RepeatP50Ms)
 	}
 	if rep.OK == 0 {
 		fmt.Fprintln(os.Stderr, "pdeload: no successful responses")
@@ -730,101 +558,4 @@ func rampProfile(spec string, rate float64, total time.Duration) ([]rampStage, e
 		stages[k] = rampStage{rate: r, dur: dur}
 	}
 	return stages, nil
-}
-
-// cacheCounters is the subset of /metrics pdeload understands.
-type cacheCounters struct {
-	hits, warm, misses uint64
-}
-
-// scrapeCacheCounters reads the server's cache counters from /metrics;
-// ok=false when the endpoint is unreachable (pdeload then simply omits the
-// cache section of the report).
-func scrapeCacheCounters(client *http.Client, url string) (cacheCounters, bool) {
-	var c cacheCounters
-	hr, err := client.Get(url + "/metrics")
-	if err != nil || hr.StatusCode != http.StatusOK {
-		if hr != nil {
-			io.Copy(io.Discard, hr.Body)
-			hr.Body.Close()
-		}
-		return c, false
-	}
-	defer hr.Body.Close()
-	sc := bufio.NewScanner(hr.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		for _, f := range []struct {
-			prefix string
-			dst    *uint64
-		}{
-			{"pdeserve_cache_hits_total ", &c.hits},
-			{"pdeserve_cache_warm_hits_total ", &c.warm},
-			{"pdeserve_cache_misses_total ", &c.misses},
-		} {
-			if v, ok := strings.CutPrefix(line, f.prefix); ok {
-				n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-				if err == nil {
-					*f.dst = n
-				}
-			}
-		}
-	}
-	return c, sc.Err() == nil
-}
-
-// gatewayCounters is the subset of a pdegw /metrics page pdeload
-// understands.
-type gatewayCounters struct {
-	failovers, batches, coalesced, deduped uint64
-}
-
-// scrapeGatewayCounters reads the pdegw_* counters from a target's
-// /metrics page; ok=false when the endpoint is unreachable or the page
-// exposes no pdegw_ plane at all (a plain pdeserved backend).
-func scrapeGatewayCounters(client *http.Client, url string) (gatewayCounters, bool) {
-	var c gatewayCounters
-	hr, err := client.Get(url + "/metrics")
-	if err != nil || hr.StatusCode != http.StatusOK {
-		if hr != nil {
-			io.Copy(io.Discard, hr.Body)
-			hr.Body.Close()
-		}
-		return c, false
-	}
-	defer hr.Body.Close()
-	isGateway := false
-	sc := bufio.NewScanner(hr.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "pdegw_") {
-			isGateway = true
-		}
-		for _, f := range []struct {
-			prefix string
-			dst    *uint64
-		}{
-			{"pdegw_failovers_total ", &c.failovers},
-			{"pdegw_batches_total ", &c.batches},
-			{"pdegw_batch_coalesced_total ", &c.coalesced},
-			{"pdegw_batch_deduped_total ", &c.deduped},
-		} {
-			if v, ok := strings.CutPrefix(line, f.prefix); ok {
-				n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-				if err == nil {
-					*f.dst = n
-				}
-			}
-		}
-	}
-	return c, isGateway && sc.Err() == nil
-}
-
-// mean is the arithmetic mean of a non-empty sample.
-func mean(xs []float64) float64 {
-	var total float64
-	for _, x := range xs {
-		total += x
-	}
-	return total / float64(len(xs))
 }

@@ -27,8 +27,8 @@
 // -max-workers above -min-workers arms the autoscaler (internal/adapt): a
 // tick-driven controller samples queue depth, shed rate and solve latency
 // every -scale-interval and resizes the worker pool inside
-// [-min-workers, -max-workers], rebalancing per-solve parallelism so
-// Workers×SolveProcs stays within the GOMAXPROCS budget. Responses are
+// [-min-workers, -max-workers]. Each solve runs serial unless -solve-procs
+// says otherwise, so keep -max-workers within GOMAXPROCS. Responses are
 // bit-identical at every pool size.
 package main
 
@@ -68,7 +68,7 @@ func main() {
 		chaosSpec      = flag.String("chaos-spec", "", "fault spec text, or @file to load one (implies -chaos)")
 		retries        = flag.Int("retries", 0, "per-request retries of transient-fault solves (0 = default 2, negative disables)")
 		seedGate       = flag.Float64("seed-gate", 0, "seed-quality gate factor (0 = default 1: reject seeds worse than the start)")
-		solveProcs     = flag.Int("solve-procs", 0, "per-solve parallel workers (0 = GOMAXPROCS/workers, negative disables)")
+		solveProcs     = flag.Int("solve-procs", 0, "per-solve parallel workers (0 or negative = 1)")
 		cacheSize      = flag.Int("cache-size", 0, "solve-cache entry bound (0 = default 4096)")
 		cacheOff       = flag.Bool("cache-off", false, "disable the content-addressed solve cache")
 		warmRadius     = flag.Float64("warm-radius", 0, "parameter distance within which a cached neighbour warm-starts a solve (0 = default 0.25, negative disables)")

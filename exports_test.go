@@ -26,13 +26,9 @@ var keptAsOracle = map[string]string{
 	"Heun":  "ode: TestHeunSecondOrderAccuracy",
 	// Called through errors.Is/As, never by name.
 	"Unwrap": "nonlin: TestNewtonSingularJacobianReported reaches la.ErrSingular through it",
-	// Not oracles: core exports that at most core's own tests name. ROADMAP
-	// item 2c's single driver deletes or adopts them.
-	"NewLadder":        "core: constructor of the ladder, rungs and procs tests",
+	// Forces the red-black sweep onto a chosen accelerator count: one gives
+	// the serial reference the parallel sweep is compared against.
 	"DecomposedSeeder": "core: TestParallelDecompositionMatchesSerial",
-	"DirectSeeder":     "core: no caller; goes with ROADMAP item 2c",
-	"Start":            "core: RungState accessor no rung calls; goes with ROADMAP item 2c",
-	"Scratch":          "core: RungState accessor no rung calls; goes with ROADMAP item 2c",
 }
 
 // TestSolverExportsHaveCallers keeps the solver inventory at what runs: every

@@ -27,6 +27,11 @@ const TimeConstantSeconds = 1e-6
 // δ = 0 ⟺ JᵀF = 0.
 const QuotientLoopEpsilon = 1e-3
 
+// settleDerivTol declares steady state when ‖dw/dt‖ drops below it
+// (normalised units per τ). The analog board detects settling at the
+// resolution of its ADCs, so it is coarse.
+const settleDerivTol = 1e-4
+
 // SolveOptions configures one accelerator run.
 type SolveOptions struct {
 	// DynamicRange is the bound s on |u| used to scale the problem into
@@ -35,10 +40,6 @@ type SolveOptions struct {
 	// TMaxTau bounds the settle horizon in integrator time constants.
 	// Default 200.
 	TMaxTau float64
-	// SettleDerivTol declares steady state when ‖dw/dt‖ drops below this
-	// (normalised units per τ). The analog board detects settling at the
-	// resolution of its ADCs, so the default is coarse: 1e-4.
-	SettleDerivTol float64
 	// MaxSteps bounds the simulation cost: the number of accepted
 	// integrator steps spent emulating the circuit. A run that exhausts
 	// the budget is reported as not converged (the physical chip would
@@ -59,9 +60,6 @@ func (o *SolveOptions) defaults() {
 	}
 	if o.TMaxTau <= 0 {
 		o.TMaxTau = 200
-	}
-	if o.SettleDerivTol <= 0 {
-		o.SettleDerivTol = 1e-4
 	}
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 800
@@ -167,7 +165,7 @@ func (a *Accelerator) Solve(sys nonlin.System, u0 []float64, opts SolveOptions) 
 	flow := a.hardwareFlow(ss, cells, opts, nil)
 	sr, err := ode.IntegrateToSteadyState(flow, w0, ode.SteadyStateOptions{
 		TMax:     opts.TMaxTau,
-		DerivTol: opts.SettleDerivTol,
+		DerivTol: settleDerivTol,
 		Adaptive: ode.AdaptiveOptions{AbsTol: 1e-6, RelTol: 1e-5, MaxSteps: opts.MaxSteps, MaxEvals: 6 * opts.MaxSteps},
 	})
 	if errors.Is(err, ode.ErrTooManySteps) {
@@ -292,20 +290,19 @@ func (a *Accelerator) readout(sys nonlin.System, ss *scaledSystem, sr ode.Steady
 }
 
 // homotopyBlend evaluates G(w, λ(t)) = (1−λ)S(w) + λH(w) with λ ramping
-// from 0 to 1 over RampTau time constants — the chip's homotopy mode
+// from 0 to 1 over homotopyRampTau time constants — the chip's homotopy mode
 // (§3.2, Figure 3).
 type homotopyBlend struct {
 	simple, hard *scaledSystem
-	rampTau      float64
 	fs, fh       []float64
 	js, jh       *la.Dense
 }
 
 func (b *homotopyBlend) lambda(t float64) float64 {
-	if t >= b.rampTau {
+	if t >= homotopyRampTau {
 		return 1
 	}
-	return t / b.rampTau
+	return t / homotopyRampTau
 }
 
 func (b *homotopyBlend) eval(t float64, w, g []float64, jac *la.Dense) error {
@@ -337,9 +334,10 @@ func (b *homotopyBlend) eval(t float64, w, g []float64, jac *la.Dense) error {
 // HomotopyOptions configures SolveHomotopy.
 type HomotopyOptions struct {
 	Solve SolveOptions
-	// RampTau is the λ ramp duration in time constants. Default 50.
-	RampTau float64
 }
+
+// homotopyRampTau is the λ ramp duration in time constants.
+const homotopyRampTau = 50.0
 
 // SolveHomotopy runs the chip's homotopy-continuation mode: the state
 // starts at a root of the simple system and the fabric smoothly morphs the
@@ -356,9 +354,6 @@ func (a *Accelerator) SolveHomotopy(simple, hard nonlin.System, start []float64,
 		opts.Solve.MaxSteps = 6000
 	}
 	opts.Solve.defaults()
-	if opts.RampTau <= 0 {
-		opts.RampTau = 50
-	}
 	if simple.Dim() != hard.Dim() {
 		return Solution{}, fmt.Errorf("analog: homotopy dimension mismatch %d vs %d", simple.Dim(), hard.Dim())
 	}
@@ -385,7 +380,7 @@ func (a *Accelerator) SolveHomotopy(simple, hard nonlin.System, start []float64,
 	a.beginRun()
 
 	blend := &homotopyBlend{
-		simple: ssS, hard: ssH, rampTau: opts.RampTau,
+		simple: ssS, hard: ssH,
 		fs: make([]float64, n), fh: make([]float64, n),
 		js: la.NewDense(n, n), jh: la.NewDense(n, n),
 	}
@@ -393,17 +388,17 @@ func (a *Accelerator) SolveHomotopy(simple, hard nonlin.System, start []float64,
 	for i, v := range start {
 		w0[i] = quantize(clamp(a.dacIn(i, v/ssH.s), 1), a.Fabric.Config.DACBits)
 	}
-	if opts.Solve.TMaxTau <= opts.RampTau {
-		opts.Solve.TMaxTau = opts.RampTau * 4
+	if opts.Solve.TMaxTau <= homotopyRampTau {
+		opts.Solve.TMaxTau = homotopyRampTau * 4
 	}
 	flow := a.hardwareFlow(ssH, cells, opts.Solve, blend)
 	// The state is intentionally away from equilibrium during the ramp, so
 	// only check for settling after λ reaches 1.
 	sr, err := ode.IntegrateToSteadyState(flow, w0, ode.SteadyStateOptions{
 		TMax:     opts.Solve.TMaxTau,
-		DerivTol: opts.Solve.SettleDerivTol,
+		DerivTol: settleDerivTol,
 		MinHold:  5,
-		MinTime:  opts.RampTau,
+		MinTime:  homotopyRampTau,
 		Adaptive: ode.AdaptiveOptions{AbsTol: 1e-6, RelTol: 1e-5, MaxSteps: opts.Solve.MaxSteps, MaxEvals: 6 * opts.Solve.MaxSteps},
 	})
 	if errors.Is(err, ode.ErrTooManySteps) {
@@ -418,8 +413,8 @@ func (a *Accelerator) SolveHomotopy(simple, hard nonlin.System, start []float64,
 		return sol, err
 	}
 	// A settle during the ramp at λ<1 does not count as convergence.
-	if sol.SettleTau < opts.RampTau {
-		sol.SettleTau = opts.RampTau
+	if sol.SettleTau < homotopyRampTau {
+		sol.SettleTau = homotopyRampTau
 		sol.SettleSeconds = sol.SettleTau * TimeConstantSeconds
 	}
 	return sol, nil

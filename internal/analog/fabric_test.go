@@ -107,14 +107,14 @@ func TestScaledFabricCapacity(t *testing.T) {
 }
 
 func TestHomotopyBlendLambdaRamp(t *testing.T) {
-	b := &homotopyBlend{rampTau: 50}
+	b := &homotopyBlend{}
 	if b.lambda(0) != 0 {
 		t.Fatal("λ(0) must be 0")
 	}
-	if got := b.lambda(25); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("λ(25) = %g, want 0.5", got)
+	if got := b.lambda(homotopyRampTau / 2); math.Abs(got-0.5) > 1e-12 {
+		t.Fatalf("λ at half the ramp = %g, want 0.5", got)
 	}
-	if b.lambda(50) != 1 || b.lambda(500) != 1 {
+	if b.lambda(homotopyRampTau) != 1 || b.lambda(10*homotopyRampTau) != 1 {
 		t.Fatal("λ must clamp to 1 after the ramp")
 	}
 }

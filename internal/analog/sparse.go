@@ -179,7 +179,7 @@ func (a *Accelerator) SolveSparse(ctx context.Context, sys nonlin.SparseSystem, 
 
 	sr, err := ode.IntegrateToSteadyState(flow, w0, ode.SteadyStateOptions{
 		TMax:     opts.TMaxTau,
-		DerivTol: opts.SettleDerivTol,
+		DerivTol: settleDerivTol,
 		Adaptive: ode.AdaptiveOptions{AbsTol: 1e-6, RelTol: 1e-5, MaxSteps: opts.MaxSteps, MaxEvals: 6 * opts.MaxSteps},
 	})
 	if errors.Is(err, ode.ErrTooManySteps) {

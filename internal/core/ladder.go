@@ -75,17 +75,6 @@ type LadderOptions struct {
 	// ‖F(seed)‖ ≤ GateFactor·‖F(start)‖. Default 1 — accept any seed that
 	// does not make the start worse.
 	GateFactor float64
-	// HomotopyNewton configures the homotopy rung's corrector; the zero
-	// value uses the homotopy defaults. Kept separate from Options.Newton
-	// so a crippled polish configuration cannot drag the last-resort rung
-	// down with it.
-	HomotopyNewton nonlin.NewtonOptions
-	// HomotopySteps is the λ step count of the homotopy rung. Default 30.
-	HomotopySteps int
-	// MaxHomotopyDim bounds the homotopy rung: the corrector runs on a
-	// dense Jacobian, so the rung is skipped for problems larger than
-	// this. Default 512.
-	MaxHomotopyDim int
 	// DisableHomotopy removes the homotopy rung entirely.
 	DisableHomotopy bool
 }
@@ -93,12 +82,6 @@ type LadderOptions struct {
 func (o *LadderOptions) defaults() {
 	if o.GateFactor <= 0 {
 		o.GateFactor = 1
-	}
-	if o.HomotopySteps <= 0 {
-		o.HomotopySteps = 30
-	}
-	if o.MaxHomotopyDim <= 0 {
-		o.MaxHomotopyDim = 512
 	}
 }
 
@@ -122,11 +105,8 @@ type Ladder struct {
 	st       RungState
 }
 
-// NewLadder returns a ladder with the paper's four standard rungs; buffers
-// grow on first use.
-func NewLadder() *Ladder { return NewLadderRungs(DefaultRungs()...) }
-
-// NewLadderRungs returns a ladder that tries the given rungs in order. A
+// NewLadderRungs returns a ladder that tries the given rungs in order
+// (DefaultRungs gives the paper's four); buffers grow on first use. A
 // rung may record up to two attempt rows per solve (a rejected seed plus
 // its pristine-start polish), which bounds the attempt storage.
 func NewLadderRungs(rungs ...LadderRung) *Ladder {

@@ -105,7 +105,7 @@ func TestSeedGateDisabledKeepsBadSeed(t *testing.T) {
 
 func TestLadderHealthyFirstRung(t *testing.T) {
 	b := mustRandomBurgers(t, 2, 0.5, 61)
-	l := NewLadder()
+	l := NewLadderRungs(DefaultRungs()...)
 	rep, err := l.Solve(nil, b, Options{Seeder: AnalogSeeder(analog.NewPrototype(10))}, LadderOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestLadderHealthyFirstRung(t *testing.T) {
 func TestLadderDegradesToDigitalUnderFaults(t *testing.T) {
 	run := func() (Report, FallbackReport) {
 		b := mustRandomBurgers(t, 2, 0.5, 61)
-		l := NewLadder()
+		l := NewLadderRungs(DefaultRungs()...)
 		rep, err := l.Solve(nil, b,
 			Options{Seeder: AnalogSeeder(faultyPrototype(t, 10, "railed *\n"))}, LadderOptions{})
 		if err != nil {
@@ -176,7 +176,7 @@ func TestLadderDeadTileFallsThrough(t *testing.T) {
 	// problem's 8 unknowns, and the 2×2 grid cannot be re-tiled under that
 	// budget: both seeded rungs fail and the digital rung serves.
 	b := mustRandomBurgers(t, 2, 0.5, 61)
-	l := NewLadder()
+	l := NewLadderRungs(DefaultRungs()...)
 	rep, err := l.Solve(nil, b,
 		Options{Seeder: AnalogSeeder(faultyPrototype(t, 10, "dead-tile 0\n"))}, LadderOptions{})
 	if err != nil {
@@ -204,7 +204,7 @@ func TestLadderHomotopyLastResort(t *testing.T) {
 		Newton:          nonlin.NewtonOptions{MaxIter: 2, Damping: 1},
 		DisableAutoDamp: true,
 	}
-	l := NewLadder()
+	l := NewLadderRungs(DefaultRungs()...)
 	rep, err := l.Solve(nil, b, opts, LadderOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -231,7 +231,7 @@ func TestLadderExhausted(t *testing.T) {
 		Newton:          nonlin.NewtonOptions{MaxIter: 2, Damping: 1},
 		DisableAutoDamp: true,
 	}
-	l := NewLadder()
+	l := NewLadderRungs(DefaultRungs()...)
 	rep, err := l.Solve(nil, b, opts, LadderOptions{DisableHomotopy: true})
 	if err == nil {
 		t.Fatal("crippled Newton with no homotopy rung must fail")
@@ -252,7 +252,7 @@ func TestLadderCtxCancelAborts(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	b := mustRandomBurgers(t, 2, 0.5, 61)
-	l := NewLadder()
+	l := NewLadderRungs(DefaultRungs()...)
 	_, err := l.Solve(ctx, b, Options{Seeder: AnalogSeeder(analog.NewPrototype(10))}, LadderOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context must abort the ladder, got %v", err)
@@ -263,7 +263,7 @@ func TestLadderCtxCancelAborts(t *testing.T) {
 // many solves, and a healthy solve after a degraded one must not inherit
 // stale fallback state.
 func TestLadderReuseAcrossSolves(t *testing.T) {
-	l := NewLadder()
+	l := NewLadderRungs(DefaultRungs()...)
 	b := mustRandomBurgers(t, 2, 0.5, 61)
 	rep, err := l.Solve(nil, b,
 		Options{Seeder: AnalogSeeder(faultyPrototype(t, 10, "railed *\n"))}, LadderOptions{})

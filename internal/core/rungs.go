@@ -53,16 +53,6 @@ type RungState struct {
 	directAnalog bool
 }
 
-// Start returns the pristine-start snapshot every rung begins from. Rungs
-// must treat it as read-only.
-func (st *RungState) Start() []float64 { return st.l.start }
-
-// Scratch returns the ladder-owned per-solve scratch vectors available to
-// cache-fed rungs: a candidate-solution buffer and a residual buffer.
-func (st *RungState) Scratch() (candidate, residual []float64) {
-	return st.l.warm, st.l.f
-}
-
 // Push records one attempt row. The first pushed row fixes the planned
 // first rung that Degraded is judged against.
 //
@@ -226,8 +216,17 @@ func (digitalRung) Try(ctx context.Context, st *RungState) (Report, bool, error)
 	return rep, false, err
 }
 
+// The homotopy rung takes homotopySteps λ steps and, because its corrector
+// runs on a dense Jacobian, is skipped above maxHomotopyDim unknowns.
+const (
+	homotopySteps  = 30
+	maxHomotopyDim = 512
+)
+
 // HomotopyRung is the last-resort global Newton homotopy on the dense
-// adapter, skipped for problems larger than LadderOptions.MaxHomotopyDim.
+// adapter, skipped for problems larger than maxHomotopyDim. Its corrector
+// uses the homotopy's own Newton defaults, not Options.Newton, so a
+// crippled polish configuration cannot drag the last-resort rung down.
 func HomotopyRung() LadderRung { return homotopyRung{} }
 
 type homotopyRung struct{}
@@ -238,10 +237,10 @@ func (homotopyRung) Name() Rung { return RungHomotopy }
 // as dense Newton work. Only reached after at least one failed rung, so
 // allocation is acceptable here.
 func (homotopyRung) Try(ctx context.Context, st *RungState) (Report, bool, error) {
-	if st.Lopts.DisableHomotopy || st.Dim > st.Lopts.MaxHomotopyDim {
+	if st.Lopts.DisableHomotopy || st.Dim > maxHomotopyDim {
 		return Report{}, false, nil
 	}
-	hopts := nonlin.HomotopyOptions{Steps: st.Lopts.HomotopySteps, Predict: true, Newton: st.Lopts.HomotopyNewton}
+	hopts := nonlin.HomotopyOptions{Steps: homotopySteps, Predict: true}
 	hr, err := nonlin.NewtonHomotopy(ctx, nonlin.DenseAdapter{S: st.Sys}, st.l.start, hopts)
 	// Synthesise a dense-Newton work profile for the perf model: one
 	// factorisation and one linear solve per corrector iteration.

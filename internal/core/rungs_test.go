@@ -45,7 +45,7 @@ func TestCachedRungsColdIdentity(t *testing.T) {
 		}
 		return rep
 	}
-	base := solve(NewLadder())
+	base := solve(NewLadderRungs(DefaultRungs()...))
 	cold := solve(NewLadderRungs(CachedRungs(&fakeCache{})...))
 	nilBound := solve(NewLadderRungs(CachedRungs(nil)...))
 	for name, rep := range map[string]Report{"empty cache": cold, "nil cache": nilBound} {
@@ -67,7 +67,7 @@ func TestCachedRungsColdIdentity(t *testing.T) {
 
 func TestCacheRungExactHit(t *testing.T) {
 	b := mustRandomBurgers(t, 2, 0.5, 61)
-	base, err := NewLadder().Solve(nil, b, Options{Seeder: AnalogSeeder(analog.NewPrototype(10))}, LadderOptions{})
+	base, err := NewLadderRungs(DefaultRungs()...).Solve(nil, b, Options{Seeder: AnalogSeeder(analog.NewPrototype(10))}, LadderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestCacheRungExactHit(t *testing.T) {
 // iterations than the cold digital solve of the same problem.
 func TestWarmStartRungContinuation(t *testing.T) {
 	b := mustRandomBurgers(t, 2, 0.5, 61)
-	cold, err := NewLadder().Solve(nil, b, Options{SkipAnalog: true}, LadderOptions{})
+	cold, err := NewLadderRungs(DefaultRungs()...).Solve(nil, b, Options{SkipAnalog: true}, LadderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestWarmStartRungContinuation(t *testing.T) {
 // cache-free ladder would.
 func TestWarmStartRungStaleGate(t *testing.T) {
 	b := mustRandomBurgers(t, 2, 0.5, 61)
-	base, err := NewLadder().Solve(nil, b, Options{SkipAnalog: true}, LadderOptions{})
+	base, err := NewLadderRungs(DefaultRungs()...).Solve(nil, b, Options{SkipAnalog: true}, LadderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

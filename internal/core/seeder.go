@@ -27,10 +27,8 @@ func (noSeed) Seed(ctx context.Context, sys problem.SparseSystem, seed []float64
 	return nil
 }
 
-// DirectSeeder seeds with a single accelerator solve of the full system;
+// directSeeder seeds with a single accelerator solve of the full system;
 // it errors when the problem exceeds the accelerator's capacity.
-func DirectSeeder(acc *analog.Accelerator) Seeder { return &directSeeder{acc: acc} }
-
 type directSeeder struct{ acc *analog.Accelerator }
 
 func (d *directSeeder) Seed(ctx context.Context, sys problem.SparseSystem, seed []float64, opts *Options, rep *Report) error {
@@ -60,6 +58,14 @@ func (d *directSeeder) Seed(ctx context.Context, sys problem.SparseSystem, seed 
 func DecomposedSeeder(accels ...*analog.Accelerator) Seeder {
 	return &decomposedSeeder{accels: accels}
 }
+
+// The red-black Gauss-Seidel outer loop runs at most gsMaxSweeps sweeps and
+// stops once the full residual falls below gsTol·(1+‖F(w₀)‖): the seed only
+// needs analog-level accuracy.
+const (
+	gsMaxSweeps = 8
+	gsTol       = 0.08
+)
 
 type decomposedSeeder struct {
 	accels []*analog.Accelerator
@@ -113,10 +119,10 @@ func (d *decomposedSeeder) Seed(ctx context.Context, sys problem.SparseSystem, s
 	if err := sys.Eval(seed, f); err != nil {
 		return err
 	}
-	target := opts.GSTol * (1 + la.Norm2(f))
+	target := gsTol * (1 + la.Norm2(f))
 
 	workers := len(d.accels)
-	for sweep := 0; sweep < opts.GSMaxSweeps; sweep++ {
+	for sweep := 0; sweep < gsMaxSweeps; sweep++ {
 		rep.GSSweeps = sweep + 1
 		for colour := 0; colour <= 1; colour++ { // red then black
 			var phase []int

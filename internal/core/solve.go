@@ -37,17 +37,11 @@ type Options struct {
 	Analog analog.SolveOptions
 	// Seeder produces the analog-quality warm start. Use AnalogSeeder for
 	// the paper's pipeline (direct when the problem fits the accelerator,
-	// red-black decomposed otherwise), DirectSeeder or DecomposedSeeder to
-	// force a stage, or NoSeed / SkipAnalog for the pure-digital baseline.
+	// red-black decomposed otherwise), or NoSeed / SkipAnalog for the
+	// pure-digital baseline.
 	Seeder Seeder
 	// Perf selects the digital cost model. Default PerfCPU.
 	Perf PerfBackend
-	// GSMaxSweeps bounds the red-black Gauss-Seidel outer loop. Default 8.
-	GSMaxSweeps int
-	// GSTol stops Gauss-Seidel when the full residual falls below
-	// GSTol·(1+‖F(w₀)‖). The seed only needs analog-level accuracy;
-	// default 0.08.
-	GSTol float64
 	// SkipAnalog disables seeding regardless of Seeder (pure digital
 	// baseline) — the ablation switch used throughout the evaluation.
 	SkipAnalog bool
@@ -87,12 +81,6 @@ func (o *Options) defaults() {
 	}
 	if !o.DisableAutoDamp {
 		o.Newton.AutoDamp = true
-	}
-	if o.GSMaxSweeps <= 0 {
-		o.GSMaxSweeps = 8
-	}
-	if o.GSTol <= 0 {
-		o.GSTol = 0.08
 	}
 	if o.Perf == nil {
 		o.Perf = PerfCPU

@@ -7,11 +7,11 @@ import (
 )
 
 // DetRed pins the deterministic-reduction discipline of the parallel hot
-// path. The bit-identity contract (DESIGN.md §11, the cross-procs FNV
-// checksums in BENCH_core.json) requires that a cross-chunk floating-point
-// sum fold partials over blocks whose size does not depend on the pool
-// size, in block order — never per-worker partials, whose count (and thus
-// fold order and intermediate rounding) would change with the pool size.
+// path. The bit-identity contract (DESIGN.md §11, the *ProcsBitIdentical
+// tests) requires that a cross-chunk floating-point sum fold partials
+// over blocks whose size does not depend on the pool size, in block order
+// — never per-worker partials, whose count (and thus fold order and
+// intermediate rounding) would change with the pool size.
 // The one cross-chunk fold left in the tree is la.BandLU's per-chunk
 // FactorOps partials, which are int64 and so add exactly in any order.
 //

@@ -12,8 +12,8 @@ import (
 // construction (a content address built in map order would hash the same
 // request differently per process), response bodies (exact-repeat requests
 // promise byte-identical replays), and floating-point accumulation (sum
-// order changes the last bits, which the cross-procs checksums in
-// BENCH_core.json would catch only at runtime).
+// order changes the last bits, which the cross-procs bit-identity tests
+// would catch only at runtime).
 //
 // The rule flags `range` over a map when the loop body feeds an
 // order-sensitive sink:

@@ -69,9 +69,8 @@ func intAccounting() int64 {
 	return ops
 }
 
-// procsRebalance is the autoscaler's Workers×SolveProcs budget math
-// (internal/serve.rebalanceProcs): pure integer division over the core
-// budget, exact at any pool width, so it is exempt by construction.
+// procsRebalance splits a core budget across a pool: pure integer
+// division, exact at any pool width, so it is exempt by construction.
 func procsRebalance(workers int) int {
 	p := runtime.GOMAXPROCS(0) / workers
 	if p < 1 {

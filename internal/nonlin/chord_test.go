@@ -121,29 +121,33 @@ func TestChordProcsBitIdentical(t *testing.T) {
 	const steps = 5
 	opts := nonlin.NewtonOptions{Tol: 1e-10, MaxIter: 60, Chord: true}
 
-	ref := marchChord(t, transientBurgers(t, 6, 23), nonlin.NewSparseSolver(), opts, steps)
+	// n = 6 fits the band kernels in one or two chunks; n = 16 (dim 512)
+	// spreads them over many.
+	for _, n := range []int{6, 16} {
+		ref := marchChord(t, transientBurgers(t, n, 23), nonlin.NewSparseSolver(), opts, steps)
 
-	for _, procs := range []int{2, 8} {
-		o := opts
-		o.Procs = procs
-		solver := nonlin.NewSparseSolver()
-		got := marchChord(t, transientBurgers(t, 6, 23), solver, o, steps)
-		for s := range ref {
-			if got[s].iters != ref[s].iters || got[s].linSolves != ref[s].linSolves ||
-				got[s].refactors != ref[s].refactors {
-				t.Fatalf("procs=%d step %d: gate decisions diverged: got %+v want %+v",
-					procs, s+1, got[s], ref[s])
-			}
-			if got[s].residual != ref[s].residual { //pdevet:allow floateq determinism test wants bit-identity
-				t.Fatalf("procs=%d step %d: residual %x, want %x", procs, s+1, got[s].residual, ref[s].residual)
-			}
-			for i := range ref[s].u {
-				if got[s].u[i] != ref[s].u[i] { //pdevet:allow floateq determinism test wants bit-identity
-					t.Fatalf("procs=%d step %d: U[%d] = %x, want %x", procs, s+1, i, got[s].u[i], ref[s].u[i])
+		for _, procs := range []int{2, 8} {
+			o := opts
+			o.Procs = procs
+			solver := nonlin.NewSparseSolver()
+			got := marchChord(t, transientBurgers(t, n, 23), solver, o, steps)
+			for s := range ref {
+				if got[s].iters != ref[s].iters || got[s].linSolves != ref[s].linSolves ||
+					got[s].refactors != ref[s].refactors {
+					t.Fatalf("n=%d procs=%d step %d: gate decisions diverged: got %+v want %+v",
+						n, procs, s+1, got[s], ref[s])
+				}
+				if got[s].residual != ref[s].residual { //pdevet:allow floateq determinism test wants bit-identity
+					t.Fatalf("n=%d procs=%d step %d: residual %x, want %x", n, procs, s+1, got[s].residual, ref[s].residual)
+				}
+				for i := range ref[s].u {
+					if got[s].u[i] != ref[s].u[i] { //pdevet:allow floateq determinism test wants bit-identity
+						t.Fatalf("n=%d procs=%d step %d: U[%d] = %x, want %x", n, procs, s+1, i, got[s].u[i], ref[s].u[i])
+					}
 				}
 			}
+			solver.Close()
 		}
-		solver.Close()
 	}
 }
 

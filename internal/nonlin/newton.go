@@ -26,10 +26,8 @@ type NewtonOptions struct {
 	Damping float64
 	// AutoDamp enables the paper's baseline schedule (§6.1): start at
 	// h = 1.0 and halve the damping parameter after each failed attempt
-	// until convergence is possible or MinDamping is reached.
+	// until convergence is possible or minDamping is reached.
 	AutoDamp bool
-	// MinDamping is the smallest damping tried by AutoDamp. Default 1/1024.
-	MinDamping float64
 	// DivergeFactor aborts an attempt when the residual exceeds this
 	// multiple of its starting value. Default 1e6.
 	DivergeFactor float64
@@ -47,21 +45,26 @@ type NewtonOptions struct {
 	// Solve calls of the same system (implicit time stepping, where
 	// consecutive steps differ by O(dt)). The factorization is refreshed
 	// only when the refresh gate fires: the observed residual contraction
-	// degrades past ChordContraction, or the factorization's age exceeds
+	// degrades past chordContraction, or the factorization's age exceeds
 	// ChordMaxAge. Gate decisions depend only on residual values, which are
 	// bit-identical across worker counts, so chord solves keep the
 	// cross-procs bit-identity contract. The dense path ignores it.
 	Chord bool
-	// ChordContraction is the refresh-gate threshold ρ ∈ (0,1): an
-	// iteration under a reused factorization must contract the residual to
-	// at most ρ·previous, otherwise the Jacobian is refreshed and
-	// refactored before the next linear solve. Default 0.5.
-	ChordContraction float64
 	// ChordMaxAge is the hard bound on factorization reuse: after this many
 	// linear solves the Jacobian is refreshed regardless of contraction.
 	// Default 64.
 	ChordMaxAge int
 }
+
+const (
+	// minDamping is the smallest damping AutoDamp tries before giving up.
+	minDamping = 1.0 / 1024
+	// chordContraction is the chord refresh-gate threshold ρ: an iteration
+	// under a reused factorization must contract the residual to at most
+	// ρ·previous, otherwise the Jacobian is refreshed and refactored before
+	// the next linear solve.
+	chordContraction = 0.5
+)
 
 func (o *NewtonOptions) defaults() {
 	if o.Tol <= 0 {
@@ -73,14 +76,8 @@ func (o *NewtonOptions) defaults() {
 	if o.Damping <= 0 || o.Damping > 1 {
 		o.Damping = 1
 	}
-	if o.MinDamping <= 0 {
-		o.MinDamping = 1.0 / 1024
-	}
 	if o.DivergeFactor <= 0 {
 		o.DivergeFactor = 1e6
-	}
-	if o.ChordContraction <= 0 || o.ChordContraction >= 1 {
-		o.ChordContraction = 0.5
 	}
 	if o.ChordMaxAge <= 0 {
 		o.ChordMaxAge = 64
@@ -207,7 +204,6 @@ type SparseSolver struct {
 	chordValid  bool
 	chordAge    int
 	chordLastR  float64
-	chordRho    float64
 	chordMaxAge int
 }
 
@@ -235,7 +231,6 @@ func (w *SparseSolver) Solve(ctx context.Context, sys SparseSystem, u0 []float64
 	}
 	opts.defaults()
 	w.chordOn = opts.Chord
-	w.chordRho = opts.ChordContraction
 	w.chordMaxAge = opts.ChordMaxAge
 	if w.sys != sys {
 		// A different system invalidates the live factorization: chord reuse
@@ -350,7 +345,7 @@ func (w *SparseSolver) solveStep(u, f, delta []float64) (stepWork, error) {
 	r := la.Norm2(f)
 	refresh := !w.chordValid || w.lu == nil ||
 		w.chordAge >= w.chordMaxAge ||
-		(w.chordLastR >= 0 && r > w.chordRho*w.chordLastR)
+		(w.chordLastR >= 0 && r > chordContraction*w.chordLastR)
 	var work stepWork
 	if refresh {
 		ops, err := w.refactor(u)
@@ -427,7 +422,7 @@ func newtonLoop(ctx context.Context, s jacSolver, u0 []float64, opts NewtonOptio
 			return res, err
 		}
 		h /= 2
-		if h < opts.MinDamping {
+		if h < minDamping {
 			res.U = att.U
 			res.Residual = att.Residual
 			res.Iterations = att.Iterations

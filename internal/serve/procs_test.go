@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"runtime"
 	"testing"
 )
 
@@ -45,19 +44,17 @@ func TestSolveProcsResponseIdentity(t *testing.T) {
 	}
 }
 
-// TestSolveProcsDefaultBudget checks the Workers × SolveProcs composition
-// rule: the default splits GOMAXPROCS across the worker fleet and never
-// drops below 1.
+// TestSolveProcsDefaultBudget checks the SolveProcs default: a solve runs
+// serial unless the operator asks otherwise, whatever the worker count (the
+// server scales by workers; see Config.SolveProcs).
 func TestSolveProcsDefaultBudget(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
 	cases := []struct {
 		workers, procs, want int
 	}{
-		{workers: 0, procs: 0, want: 1},       // Workers=GOMAXPROCS ⇒ 1 each
-		{workers: gmp * 2, procs: 0, want: 1}, // oversubscribed fleet ⇒ still 1
-		{workers: 1, procs: 0, want: gmp},     // single worker gets the machine
-		{workers: 1, procs: -1, want: 1},      // negative disables explicitly
-		{workers: 1, procs: 3, want: 3},       // explicit setting wins
+		{workers: 0, procs: 0, want: 1},  // unset ⇒ 1
+		{workers: 1, procs: 0, want: 1},  // ... even when one worker has the machine
+		{workers: 1, procs: -1, want: 1}, // negative ⇒ 1
+		{workers: 1, procs: 3, want: 3},  // explicit setting wins
 	}
 	for _, tc := range cases {
 		cfg := Config{Workers: tc.workers, SolveProcs: tc.procs}

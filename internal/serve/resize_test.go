@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -43,34 +42,6 @@ func TestResizeGrowShrinkClamped(t *testing.T) {
 	} {
 		if !strings.Contains(page, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, page)
-		}
-	}
-}
-
-// TestResizeRebalancesProcs: with SolveProcs defaulted, every resize keeps
-// Workers×SolveProcs within the GOMAXPROCS budget — the invariant that
-// stops request- and solve-level parallelism from oversubscribing cores.
-func TestResizeRebalancesProcs(t *testing.T) {
-	s := NewServer(Config{Workers: 1, MinWorkers: 1, MaxWorkers: 4})
-	gmp := runtime.GOMAXPROCS(0)
-	expect := func(workers int) int {
-		p := gmp / workers
-		if p < 1 {
-			p = 1
-		}
-		return p
-	}
-	for _, target := range []int{1, 4, 2, 3, 1} {
-		got := s.Resize(target, "test")
-		if got != target {
-			t.Fatalf("resize to %d achieved %d", target, got)
-		}
-		procs := int(s.solveProcs.Load())
-		if procs != expect(target) {
-			t.Fatalf("workers=%d: solve procs %d, want %d", target, procs, expect(target))
-		}
-		if target <= gmp && target*procs > gmp {
-			t.Fatalf("budget violated: %d workers × %d procs > GOMAXPROCS %d", target, procs, gmp)
 		}
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hybridpde/internal/adapt"
@@ -74,14 +73,13 @@ type Config struct {
 	// between retries. Default 10ms.
 	RetryBackoff time.Duration
 	// SolveProcs is each solve's intra-solve worker count (core.Options
-	// Procs). Request-level and solve-level parallelism compose
-	// multiplicatively — Workers solves × SolveProcs goroutines each — so
-	// the default budgets the machine instead of oversubscribing it:
-	// max(1, GOMAXPROCS/Workers), which is 1 under the default
-	// Workers = GOMAXPROCS sizing (fully loaded servers want request
-	// throughput) and spends the idle cores on latency when Workers is set
-	// low. Negative disables intra-solve parallelism explicitly. Responses
-	// are bit-identical at every setting.
+	// Procs). 0 and negative mean 1: the benchmark measured splitting a
+	// solve at serving sizes as a slowdown (par.speedup_p2 0.87 at dim
+	// 512), so the server scales by Workers ≤ GOMAXPROCS and an operator
+	// who wants intra-solve parallelism asks for it. Request-level and
+	// solve-level parallelism compose multiplicatively — Workers solves ×
+	// SolveProcs goroutines each. Responses are bit-identical at every
+	// setting.
 	SolveProcs int
 	// CacheEntries bounds the content-addressed solve cache shared by all
 	// workers. 0 uses the default capacity (cache.DefaultCapacity);
@@ -143,9 +141,6 @@ func (c *Config) defaults() {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 10 * time.Millisecond
 	}
-	if c.SolveProcs == 0 {
-		c.SolveProcs = runtime.GOMAXPROCS(0) / c.Workers
-	}
 	if c.SolveProcs < 1 {
 		c.SolveProcs = 1
 	}
@@ -184,11 +179,6 @@ type Server struct {
 	curWorkers int
 	parked     []*worker
 	seedSeq    int64
-	// solveProcs is the per-solve parallelism every worker reads at solve
-	// time; Resize rebalances it (when SolveProcs was defaulted) so
-	// Workers×SolveProcs stays within the GOMAXPROCS budget at every step.
-	solveProcs atomic.Int32
-	autoProcs  bool
 	pool       *core.WorkspacePool
 	// cache is the content-addressed solve cache shared by every worker;
 	// nil when disabled (CacheEntries < 0 or chaos mode).
@@ -202,7 +192,6 @@ type Server struct {
 // with its pooled Workspace) so the first request of each worker pays no
 // setup beyond its problem-shape cache fill.
 func NewServer(cfg Config) *Server {
-	autoProcs := cfg.SolveProcs == 0
 	cfg.defaults()
 	s := &Server{
 		cfg:        cfg,
@@ -212,14 +201,12 @@ func NewServer(cfg Config) *Server {
 		pool:       core.NewWorkspacePool(),
 		curWorkers: cfg.Workers,
 		seedSeq:    int64(cfg.Workers),
-		autoProcs:  autoProcs,
 	}
-	s.solveProcs.Store(int32(cfg.SolveProcs))
 	if cfg.CacheEntries > 0 && cfg.Faults == nil {
 		s.cache = cache.New(cfg.CacheEntries)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		s.workers <- newWorker(&s.cfg, s.pool, cfg.Seed+int64(i), s.cache, &s.solveProcs)
+		s.workers <- newWorker(&s.cfg, s.pool, cfg.Seed+int64(i), s.cache)
 	}
 	if cfg.Faults != nil {
 		s.transientFaults = cfg.Faults.Transient()
@@ -291,11 +278,6 @@ func (s *Server) Workers() int {
 // blocking receive from the pool channel, so a worker is never interrupted
 // mid-solve — and composes with BeginDrain, whose in-flight requests
 // return their workers as they finish.
-//
-// The SolveProcs budget (when defaulted) is rebalanced around the pool
-// change in the order that preserves Workers×SolveProcs ≤ GOMAXPROCS at
-// every intermediate step: growth lowers the per-solve budget before
-// adding workers; shrink removes workers before raising it.
 func (s *Server) Resize(target int, reason string) int {
 	s.resizeMu.Lock()
 	defer s.resizeMu.Unlock()
@@ -307,7 +289,6 @@ func (s *Server) Resize(target int, reason string) int {
 	}
 	switch {
 	case target > s.curWorkers:
-		s.rebalanceProcs(target)
 		for target > s.curWorkers {
 			s.workers <- s.reviveWorker()
 			s.curWorkers++
@@ -319,7 +300,6 @@ func (s *Server) Resize(target int, reason string) int {
 			s.parked = append(s.parked, wk)
 			s.curWorkers--
 		}
-		s.rebalanceProcs(target)
 		s.m.resizes.With("down", reason).Inc()
 	}
 	s.m.workers.Set(int64(s.curWorkers))
@@ -334,25 +314,9 @@ func (s *Server) reviveWorker() *worker {
 		s.parked = s.parked[:n-1]
 		return wk
 	}
-	wk := newWorker(&s.cfg, s.pool, s.cfg.Seed+s.seedSeq, s.cache, &s.solveProcs)
+	wk := newWorker(&s.cfg, s.pool, s.cfg.Seed+s.seedSeq, s.cache)
 	s.seedSeq++
 	return wk
-}
-
-// rebalanceProcs recomputes the defaulted per-solve parallelism for a pool
-// of n workers: max(1, GOMAXPROCS/n), the same rule Config.defaults
-// applies at construction. An explicit SolveProcs setting is the
-// operator's budget and is left alone. Callers hold resizeMu.
-func (s *Server) rebalanceProcs(n int) {
-	if !s.autoProcs {
-		return
-	}
-	p := runtime.GOMAXPROCS(0) / n
-	if p < 1 {
-		p = 1
-	}
-	s.solveProcs.Store(int32(p))
-	s.m.solveProcsGauge.Set(int64(p))
 }
 
 // Observe samples the autoscaler's input signals from the metrics plane;

@@ -67,9 +67,8 @@ type StreamSummary struct {
 }
 
 // streamChecksum hashes the exact bit pattern of a solution vector
-// (FNV-64a over the little-endian float64 bits) — the same digest
-// cmd/pdebench commits, so streamed frames are checkable against offline
-// solves.
+// (FNV-64a over the little-endian float64 bits), so streamed frames are
+// checkable against offline solves and against each other.
 func streamChecksum(u []float64) string {
 	h := fnv.New64a()
 	var buf [8]byte

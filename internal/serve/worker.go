@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 
 	"hybridpde/internal/analog"
 	"hybridpde/internal/cache"
@@ -45,10 +44,9 @@ type worker struct {
 	// faults, when non-nil, is attached (salted) to every accelerator this
 	// worker builds.
 	faults *fault.Spec
-	// procs is the shared per-solve worker count, read at solve time so
-	// Resize's rebalancing reaches workers already in the pool; the
+	// procs is the per-solve worker count (Config.SolveProcs); the
 	// workspace's sparse solver owns the actual goroutine pool.
-	procs *atomic.Int32
+	procs int
 	// store is the server-shared solve cache (nil when disabled); bind
 	// adapts it to the ladder's cache rungs one request at a time, and kb
 	// builds content keys without allocating.
@@ -80,7 +78,7 @@ type gridEntry struct {
 	f       []float64          // residual scratch
 }
 
-func newWorker(cfg *Config, pool *core.WorkspacePool, seed int64, store *cache.Store, procs *atomic.Int32) *worker {
+func newWorker(cfg *Config, pool *core.WorkspacePool, seed int64, store *cache.Store) *worker {
 	wk := &worker{
 		ws:      pool.Get(),
 		rng:     rand.New(rand.NewSource(seed)),
@@ -90,7 +88,7 @@ func newWorker(cfg *Config, pool *core.WorkspacePool, seed int64, store *cache.S
 		lopts:   core.LadderOptions{GateFactor: cfg.SeedGate},
 		gate:    cfg.SeedGate,
 		faults:  cfg.Faults,
-		procs:   procs,
+		procs:   cfg.SolveProcs,
 		store:   store,
 		radius:  cfg.WarmRadius,
 	}
@@ -120,13 +118,13 @@ func (wk *worker) run(ctx context.Context, req *Request, resp *Response) error {
 // prepare is the front half run and stream share: look up (or build) the
 // cached problem of the request's shape, refill its fields from the request
 // seed, and assemble the solve options every grid request starts from —
-// the worker's pooled Workspace, the priced backend, the current per-solve
+// the worker's pooled Workspace, the priced backend, the per-solve
 // parallelism and the analog seeder when the request asks for one.
 func (wk *worker) prepare(req *Request) (*gridEntry, core.Options, error) {
 	opts := core.Options{
 		Workspace:  wk.ws,
 		Perf:       backendFor(req.Backend),
-		Procs:      int(wk.procs.Load()),
+		Procs:      wk.procs,
 		SkipAnalog: !req.Analog,
 	}
 	e, err := wk.entry(req)

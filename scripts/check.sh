@@ -26,9 +26,6 @@ fi
 echo "== go test -race ./..."
 go test -race ./...
 
-echo "== pdebench smoke (determinism checksums across worker counts)"
-go run ./cmd/pdebench -short -reps 1 -out /tmp/pdebench_check.json > /dev/null
-
 echo "== fuzz smoke (3s per target)"
 make fuzz
 

@@ -70,7 +70,7 @@ GW_PID=$!
 wait_healthy "http://$GW_ADDR" "$TMP/gw.log"
 
 echo "== stage 1: warm the fleet through the gateway"
-"$TMP/pdeload" -targets "http://$GW_ADDR" -rate "$RATE" -duration "$DURATION" \
+"$TMP/pdeload" -url "http://$GW_ADDR" -rate "$RATE" -duration "$DURATION" \
 	-problem burgers-steady -n 5 -seed-spread 1 \
 	-re 1.0 -re-step 0.01 -re-count 4 -out "$TMP/stage1.json"
 grep -q '"server_5xx": 0' "$TMP/stage1.json" || {
@@ -97,7 +97,7 @@ esac
 echo "== stage 2: SIGKILL the pinned backend (port $OWNER_PORT) mid-load"
 (sleep 1 && kill -KILL "$OWNER_PID" 2>/dev/null || true) &
 KILLER_PID=$!
-"$TMP/pdeload" -targets "http://$GW_ADDR" -rate "$RATE" -duration "$DURATION" \
+"$TMP/pdeload" -url "http://$GW_ADDR" -rate "$RATE" -duration "$DURATION" \
 	-problem burgers-steady -n 5 -seed-spread 1 \
 	-re 1.0 -re-step 0.01 -re-count 4 -out "$TMP/stage2.json"
 wait "$KILLER_PID" 2>/dev/null || true
