@@ -38,7 +38,6 @@ lint-baseline:
 # CI-sized, and the one list of fuzz targets (scripts/check.sh calls it).
 # Longer local runs: go test -fuzz FuzzBandLU -fuzztime 60s ./internal/la/
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzSolveTridiagonal -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzBandLU -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzParseNetlist -fuzztime 3s ./internal/analog/
@@ -47,7 +46,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 3s ./internal/serve/
 
 # Full verification gate: build + vet + pdevet + formatting + race-enabled
-# tests + fuzz smoke + the bench/ module's vet and tests.
+# tests + fuzz smoke + the -quick experiment transcripts against their
+# committed golden text + the bench/ module's vet and tests.
 check:
 	./scripts/check.sh
 

@@ -26,8 +26,10 @@ func main() {
 		out   = flag.String("out", "", "directory for image artifacts (PPM basin plots)")
 	)
 	flag.Parse()
-	// Ctrl-C cancels the context threaded through every solver, so a long
-	// sweep aborts mid-solve instead of running a figure to completion.
+	// Ctrl-C cancels the context every driver takes, so a long sweep stops
+	// instead of running a figure to completion: the digital Newton solves
+	// and the banded analog solves abort mid-solve, the fig2/fig3 basin
+	// sweeps (dense analog solves, milliseconds each) at the next pixel row.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	cfg := exp.Config{Quick: *quick, Seed: *seed, OutDir: *out}

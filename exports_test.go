@@ -10,9 +10,9 @@ import (
 	"testing"
 )
 
-// keptAsOracle lists the exported solver symbols that nothing outside their
-// own package's tests names and that stay anyway: name → the test that
-// compares against it, or why it is not this test's to delete.
+// keptAsOracle lists the exported internal/ symbols that nothing outside
+// their own package's tests names and that stay anyway: name → the test that
+// needs it, or why it is not this test's to delete.
 var keptAsOracle = map[string]string{
 	// Dense references the band and CSR kernels are checked against.
 	"SolveDense":   "la: TestBandLUMatchesDenseLU, TestPropertyBandEqualsDense, TestFactorNormalFromMatchesDense",
@@ -29,19 +29,29 @@ var keptAsOracle = map[string]string{
 	// Forces the red-black sweep onto a chosen accelerator count: one gives
 	// the serial reference the parallel sweep is compared against.
 	"DecomposedSeeder": "core: TestParallelDecompositionMatchesSerial",
+	// The seeded instance generator of the 1-D kind's own tests, the way
+	// RandomBurgers is for the experiments.
+	"RandomBurgers1D": "pde: TestBurgers1DJacobianMatchesFD, TestBurgers1DNewtonSolve",
+	// What the Table 1 profiler's tests observe the accumulated state through.
+	"Total":    "prof: TestSectionAccumulates, TestEmptyProfile, TestSectionTimesFunction, TestConcurrentUse",
+	"Sections": "prof: TestSectionsOrderAndString (first-use order), TestConcurrentUse",
+	// The one-package entry point the analyzer fixtures are driven through;
+	// cmd/pdevet calls AnalyzePackage, which also reports unused allows.
+	"RunPackage": "lint: TestLockOrderDeterministicOutput and the eleven Test*Fixture tests (testFixture)",
+	// Called by go/types through the types.Importer interface, never by name.
+	"Import": "lint: every fixture test type-checks its package through moduleImporter",
 }
 
-// TestSolverExportsHaveCallers keeps the solver inventory at what runs: every
-// exported top-level func or method of internal/{core,nonlin,la,ode} must be
-// named, apart from its own declaration, in a non-test file (anywhere in the
-// tree, bench/ included) or in a _test.go of a different package; the rest
-// must be in keptAsOracle. Name-based on purpose: go/parser only, no types.
-func TestSolverExportsHaveCallers(t *testing.T) {
+// TestInternalExportsHaveCallers keeps the inventory at what runs: every
+// exported top-level func or method of an internal/ package must be named,
+// apart from its own declaration, in a non-test file (anywhere in the tree,
+// bench/ included) or in a _test.go of a different package; the rest must
+// be in keptAsOracle. Name-based on purpose: go/parser only, no types.
+func TestInternalExportsHaveCallers(t *testing.T) {
 	type decl struct{ name, dir, file string }
 	var decls []decl
 	used := map[string]bool{}                // names some non-test file mentions
 	testUses := map[string]map[string]bool{} // name → dirs whose _test.go mention it
-	solverDir := map[string]bool{"internal/core": true, "internal/nonlin": true, "internal/la": true, "internal/ode": true}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -66,7 +76,7 @@ func TestSolverExportsHaveCallers(t *testing.T) {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok {
 				declNames[fd.Name] = true
-				if solverDir[dir] && !isTest && fd.Name.IsExported() {
+				if strings.HasPrefix(dir, "internal/") && !isTest && fd.Name.IsExported() {
 					decls = append(decls, decl{fd.Name.Name, dir, path})
 				}
 			}
@@ -106,7 +116,7 @@ func TestSolverExportsHaveCallers(t *testing.T) {
 	}
 	for name := range keptAsOracle {
 		if !declared[name] {
-			t.Errorf("keptAsOracle lists %s, which internal/{core,nonlin,la,ode} no longer declares", name)
+			t.Errorf("keptAsOracle lists %s, which no internal/ package declares any more", name)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package analog
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -134,17 +135,48 @@ func (a *Accelerator) AreaMM2() float64 {
 	return AreaPerVariableMM2 * float64(a.Capacity())
 }
 
+// quotientLoop is the one stage the three root-finding modes differ in: the
+// finite-gain gradient-descent loop of Figure 1's shaded block. Given the
+// saturated state w at circuit time t it writes δ = (JᵀJ + εI)⁻¹·Jᵀg into
+// delta, with g and J the mode's scaled residual and Jacobian as the
+// datapath computes them: through the function and Jacobian gain and offset
+// errors of cells, or exactly when cells is nil (an ideal run). A kernel
+// owns its matrices and its factorisation, the way nonlin's denseSolver and
+// SparseSolver do behind newtonLoop, and nothing else of the run.
+type quotientLoop func(t float64, w []float64, cells []*NewtonCell, delta []float64) error
+
+// fabricMode is everything one root-finding mode adds to the shared run.
+type fabricMode struct {
+	loop quotientLoop
+	// start and evolution name the mode's input and its circuit in errors.
+	start, evolution string
+	// minHold and minTime gate settle detection (ode.SteadyStateOptions);
+	// only the homotopy sets them, to wait out its λ ramp.
+	minHold int
+	minTime float64
+}
+
 // Solve runs the continuous Newton method on the fabric for F(u) = 0 from
 // the initial guess u0 (|u| expected within opts.DynamicRange).
 func (a *Accelerator) Solve(sys nonlin.System, u0 []float64, opts SolveOptions) (Solution, error) {
-	opts.defaults()
-	n := sys.Dim()
-	if len(u0) != n {
-		return Solution{}, errors.New("analog: initial guess has wrong dimension")
-	}
 	ss, err := newScaledSystem(sys, opts.DynamicRange)
 	if err != nil {
 		return Solution{}, err
+	}
+	return a.run(nil, ss, u0, opts, fabricMode{
+		loop:  denseLoop(ss.Dim(), ss.linearize),
+		start: "initial guess", evolution: "circuit",
+	})
+}
+
+// run is the one pass through the board every root-finding mode makes:
+// allocate cells, load the DACs, let the continuous Newton circuit settle,
+// read the ADCs. ss carries the system in hardware range; ctx may be nil.
+func (a *Accelerator) run(ctx context.Context, ss *scaledSystem, u0 []float64, opts SolveOptions, m fabricMode) (Solution, error) {
+	opts.defaults()
+	n := ss.Dim()
+	if len(u0) != n {
+		return Solution{}, fmt.Errorf("analog: %s has wrong dimension", m.start)
 	}
 	if n > a.usableCapacity() {
 		return Solution{}, fmt.Errorf("%w: %d variables exceed %d usable tiles", ErrInsufficientHardware, n, a.usableCapacity())
@@ -155,6 +187,10 @@ func (a *Accelerator) Solve(sys nonlin.System, u0 []float64, opts SolveOptions) 
 	}
 	defer a.Fabric.FreeAll()
 	a.beginRun()
+	noisy := !opts.DisableNoise
+	if !noisy {
+		cells = nil
+	}
 
 	// DAC-quantised initial conditions in normalised units.
 	w0 := make([]float64, n)
@@ -162,10 +198,40 @@ func (a *Accelerator) Solve(sys nonlin.System, u0 []float64, opts SolveOptions) 
 		w0[i] = quantize(clamp(a.dacIn(i, v/ss.s), 1), a.Fabric.Config.DACBits)
 	}
 
-	flow := a.hardwareFlow(ss, cells, opts, nil)
+	// The ODE the board physically evolves: the continuous Newton flow of
+	// the scaled system, filtered through the cells' gain and offset
+	// errors, the finite-gain quotient loop, slew limiting and saturation.
+	wsat := make([]float64, n)
+	sat := a.satLimit()
+	slew := a.Fabric.Config.SlewLimit
+	flow := func(t float64, w, dwdt []float64) error {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("analog: solve aborted: %w", err)
+			}
+		}
+		// The datapath sees the saturated state; the integrator's own
+		// state is left untouched.
+		for i := range w {
+			wsat[i] = clamp(w[i], sat)
+		}
+		if err := m.loop(t, wsat, cells, dwdt); err != nil {
+			return err
+		}
+		for i := range dwdt {
+			d := -dwdt[i]
+			if noisy {
+				d += cells[i].IntOffset
+			}
+			dwdt[i] = softClamp(a.drive(t, i, w[i], d), slew)
+		}
+		return nil
+	}
 	sr, err := ode.IntegrateToSteadyState(flow, w0, ode.SteadyStateOptions{
 		TMax:     opts.TMaxTau,
 		DerivTol: settleDerivTol,
+		MinHold:  m.minHold,
+		MinTime:  m.minTime,
 		Adaptive: ode.AdaptiveOptions{AbsTol: 1e-6, RelTol: 1e-5, MaxSteps: opts.MaxSteps, MaxEvals: 6 * opts.MaxSteps},
 	})
 	if errors.Is(err, ode.ErrTooManySteps) {
@@ -175,55 +241,56 @@ func (a *Accelerator) Solve(sys nonlin.System, u0 []float64, opts SolveOptions) 
 		sr.Settled = false
 	}
 	if err != nil {
-		return Solution{}, fmt.Errorf("analog: circuit evolution failed: %w", err)
+		return Solution{}, fmt.Errorf("analog: %s evolution failed: %w", m.evolution, err)
 	}
-	return a.readout(sys, ss, sr, opts)
+
+	sol := Solution{W: la.Copy(sr.Y)}
+	// ADC readout with quantisation.
+	wq := make([]float64, n)
+	for i, v := range sr.Y {
+		q := a.adcOut(i, v)
+		if noisy {
+			q = quantize(clamp(q, 1), a.Fabric.Config.ADCBits)
+		}
+		wq[i] = q
+	}
+	sol.U = ss.toProblem(wq)
+	f := make([]float64, n)
+	if err := ss.eval(sol.U, f); err != nil {
+		return sol, err
+	}
+	sol.Residual = la.Norm2(f)
+	sol.Converged = sr.Settled
+	if sr.Settled {
+		sol.SettleTau = sr.SettleTime
+	} else {
+		sol.SettleTau = sr.T
+	}
+	sol.SettleSeconds = sol.SettleTau * TimeConstantSeconds
+	sol.EnergyJoules = a.PeakPowerWatts(n) * sol.SettleSeconds
+	return sol, nil
 }
 
-// hardwareFlow builds the ODE the board physically evolves: the continuous
-// Newton flow of the scaled system, filtered through the cells' gain and
-// offset errors, the finite-gain quotient loop, slew limiting and
-// saturation. lambda, when non-nil, blends a homotopy (SolveHomotopy).
-func (a *Accelerator) hardwareFlow(ss *scaledSystem, cells []*NewtonCell, opts SolveOptions, blend *homotopyBlend) ode.System {
-	n := ss.Dim()
+// denseLoop is the quotient loop of the prototype-scale board, shared by
+// the two dense modes: linearize fills g and J at the saturated state — the
+// scaled system itself for Solve, the λ-blend for SolveHomotopy — and a
+// dense LU solves the regularised normal equations.
+func denseLoop(n int, linearize func(t float64, w, g []float64, jac *la.Dense) error) quotientLoop {
 	g := make([]float64, n)
-	wsat := make([]float64, n)
 	jac := la.NewDense(n, n)
 	jtj := la.NewDense(n, n)
 	jtf := make([]float64, n)
-	sat := a.satLimit()
-	slew := a.Fabric.Config.SlewLimit
-	noisy := !opts.DisableNoise
-	return func(t float64, w, dwdt []float64) error {
-		// The datapath sees the saturated state; the integrator's own
-		// state is left untouched.
-		for i := range w {
-			wsat[i] = clamp(w[i], sat)
+	return func(t float64, w []float64, cells []*NewtonCell, delta []float64) error {
+		if err := linearize(t, w, g, jac); err != nil {
+			return err
 		}
-		if blend != nil {
-			if err := blend.eval(t, wsat, g, jac); err != nil {
-				return err
-			}
-		} else {
-			if err := ss.Eval(wsat, g); err != nil {
-				return err
-			}
-			if err := ss.Jacobian(wsat, jac); err != nil {
-				return err
+		for i, c := range cells {
+			g[i] = (1+c.FuncGain)*g[i] + c.FuncOffset
+			row := jac.Row(i)
+			for j := range row {
+				row[j] *= 1 + c.JacGain
 			}
 		}
-		if noisy {
-			for i := 0; i < n; i++ {
-				c := cells[i]
-				g[i] = (1+c.FuncGain)*g[i] + c.FuncOffset
-				row := jac.Row(i)
-				for j := range row {
-					row[j] *= 1 + c.JacGain
-				}
-			}
-		}
-		// Finite-gain gradient-descent quotient loop:
-		// δ = (JᵀJ + εI)⁻¹ Jᵀ g.
 		for i := 0; i < n; i++ {
 			for j := i; j < n; j++ {
 				s := 0.0
@@ -246,47 +313,8 @@ func (a *Accelerator) hardwareFlow(ss *scaledSystem, cells []*NewtonCell, opts S
 		if err != nil {
 			return fmt.Errorf("analog: quotient loop failed: %w", err)
 		}
-		if err := lu.Solve(dwdt, jtf); err != nil {
-			return err
-		}
-		for i := range dwdt {
-			d := -dwdt[i]
-			if noisy {
-				d += cells[i].IntOffset
-			}
-			dwdt[i] = softClamp(a.drive(t, i, w[i], d), slew)
-		}
-		return nil
+		return lu.Solve(delta, jtf)
 	}
-}
-
-func (a *Accelerator) readout(sys nonlin.System, ss *scaledSystem, sr ode.SteadyResult, opts SolveOptions) (Solution, error) {
-	n := ss.Dim()
-	sol := Solution{W: la.Copy(sr.Y)}
-	// ADC readout with quantisation.
-	wq := make([]float64, n)
-	for i, v := range sr.Y {
-		q := a.adcOut(i, v)
-		if !opts.DisableNoise {
-			q = quantize(clamp(q, 1), a.Fabric.Config.ADCBits)
-		}
-		wq[i] = q
-	}
-	sol.U = ss.toProblem(wq)
-	f := make([]float64, n)
-	if err := sys.Eval(sol.U, f); err != nil {
-		return sol, err
-	}
-	sol.Residual = la.Norm2(f)
-	sol.Converged = sr.Settled
-	if sr.Settled {
-		sol.SettleTau = sr.SettleTime
-	} else {
-		sol.SettleTau = sr.T
-	}
-	sol.SettleSeconds = sol.SettleTau * TimeConstantSeconds
-	sol.EnergyJoules = a.PeakPowerWatts(n) * sol.SettleSeconds
-	return sol, nil
 }
 
 // homotopyBlend evaluates G(w, λ(t)) = (1−λ)S(w) + λH(w) with λ ramping
@@ -354,12 +382,11 @@ func (a *Accelerator) SolveHomotopy(simple, hard nonlin.System, start []float64,
 		opts.Solve.MaxSteps = 6000
 	}
 	opts.Solve.defaults()
+	if opts.Solve.TMaxTau <= homotopyRampTau {
+		opts.Solve.TMaxTau = homotopyRampTau * 4
+	}
 	if simple.Dim() != hard.Dim() {
 		return Solution{}, fmt.Errorf("analog: homotopy dimension mismatch %d vs %d", simple.Dim(), hard.Dim())
-	}
-	n := hard.Dim()
-	if len(start) != n {
-		return Solution{}, errors.New("analog: homotopy start has wrong dimension")
 	}
 	ssS, err := newScaledSystem(simple, opts.Solve.DynamicRange)
 	if err != nil {
@@ -369,46 +396,19 @@ func (a *Accelerator) SolveHomotopy(simple, hard nonlin.System, start []float64,
 	if err != nil {
 		return Solution{}, err
 	}
-	if n > a.usableCapacity() {
-		return Solution{}, fmt.Errorf("%w: %d variables exceed %d usable tiles", ErrInsufficientHardware, n, a.usableCapacity())
-	}
-	cells, err := a.Fabric.AllocateCells(n)
-	if err != nil {
-		return Solution{}, err
-	}
-	defer a.Fabric.FreeAll()
-	a.beginRun()
-
+	n := hard.Dim()
 	blend := &homotopyBlend{
 		simple: ssS, hard: ssH,
 		fs: make([]float64, n), fh: make([]float64, n),
 		js: la.NewDense(n, n), jh: la.NewDense(n, n),
 	}
-	w0 := make([]float64, n)
-	for i, v := range start {
-		w0[i] = quantize(clamp(a.dacIn(i, v/ssH.s), 1), a.Fabric.Config.DACBits)
-	}
-	if opts.Solve.TMaxTau <= homotopyRampTau {
-		opts.Solve.TMaxTau = homotopyRampTau * 4
-	}
-	flow := a.hardwareFlow(ssH, cells, opts.Solve, blend)
 	// The state is intentionally away from equilibrium during the ramp, so
 	// only check for settling after λ reaches 1.
-	sr, err := ode.IntegrateToSteadyState(flow, w0, ode.SteadyStateOptions{
-		TMax:     opts.Solve.TMaxTau,
-		DerivTol: settleDerivTol,
-		MinHold:  5,
-		MinTime:  homotopyRampTau,
-		Adaptive: ode.AdaptiveOptions{AbsTol: 1e-6, RelTol: 1e-5, MaxSteps: opts.Solve.MaxSteps, MaxEvals: 6 * opts.Solve.MaxSteps},
+	sol, err := a.run(nil, ssH, start, opts.Solve, fabricMode{
+		loop:  denseLoop(n, blend.eval),
+		start: "homotopy start", evolution: "homotopy",
+		minHold: 5, minTime: homotopyRampTau,
 	})
-	if errors.Is(err, ode.ErrTooManySteps) {
-		err = nil
-		sr.Settled = false
-	}
-	if err != nil {
-		return Solution{}, fmt.Errorf("analog: homotopy evolution failed: %w", err)
-	}
-	sol, err := a.readout(hard, ssH, sr, opts.Solve)
 	if err != nil {
 		return sol, err
 	}

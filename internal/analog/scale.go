@@ -34,23 +34,6 @@ type PolySystem struct {
 // PolynomialDegree reports the declared degree.
 func (p PolySystem) PolynomialDegree() int { return p.Degree }
 
-// degreeOf extracts the polynomial degree of sys, defaulting to 2 — the
-// degree of every PDE stencil in the paper (Burgers and the semilinear
-// reaction systems are quadratic).
-func degreeOf(sys nonlin.System) (int, error) {
-	if d, ok := sys.(DegreeReporter); ok {
-		deg := d.PolynomialDegree()
-		if deg < 0 {
-			return 0, ErrTranscendental
-		}
-		if deg == 0 {
-			return 0, fmt.Errorf("analog: degree-0 system is constant, nothing to solve")
-		}
-		return deg, nil
-	}
-	return 2, nil
-}
-
 // scaledSystem maps the problem F(u) = 0 with |u| ≤ s into the hardware's
 // normalised coordinates w = u/s, |w| ≤ 1 (§5.3): G(w) = F(s·w)/s^deg. For
 // a polynomial of degree `deg` this automatically scales the quadratic
@@ -58,7 +41,12 @@ func degreeOf(sys nonlin.System) (int, error) {
 // exactly the proportionality rule the paper states. Roots are preserved:
 // G(w) = 0 ⟺ F(s·w) = 0.
 type scaledSystem struct {
-	inner nonlin.System
+	// The unscaled system: F, and J in the form the system offers it —
+	// dense for Solve and SolveHomotopy, banded for SolveSparse; the other
+	// is nil.
+	eval  func(u, f []float64) error
+	jac   func(u []float64, jac *la.Dense) error
+	csr   func(u []float64) (*la.CSR, error)
 	s     float64 // dynamic range of u
 	deg   int
 	fNorm float64 // 1/s^deg
@@ -67,31 +55,60 @@ type scaledSystem struct {
 }
 
 func newScaledSystem(sys nonlin.System, dynamicRange float64) (*scaledSystem, error) {
-	deg, err := degreeOf(sys)
+	ss, err := newScaling(sys, dynamicRange)
 	if err != nil {
 		return nil, err
+	}
+	ss.eval, ss.jac, ss.uBuf = sys.Eval, sys.Jacobian, make([]float64, sys.Dim())
+	return ss, nil
+}
+
+func newScaledSparse(sys nonlin.SparseSystem, dynamicRange float64) (*scaledSystem, error) {
+	ss, err := newScaling(sys, dynamicRange)
+	if err != nil {
+		return nil, err
+	}
+	ss.eval, ss.csr, ss.uBuf = sys.Eval, sys.JacobianCSR, make([]float64, sys.Dim())
+	return ss, nil
+}
+
+// newScaling resolves the polynomial degree of sys, defaulting to 2 — the
+// degree of every PDE stencil in the paper (Burgers and the semilinear
+// reaction systems are quadratic) — and derives the scale factors from it.
+func newScaling(sys any, dynamicRange float64) (*scaledSystem, error) {
+	deg := 2
+	if d, ok := sys.(DegreeReporter); ok {
+		deg = d.PolynomialDegree()
+		if deg < 0 {
+			return nil, ErrTranscendental
+		}
+		if deg == 0 {
+			return nil, fmt.Errorf("analog: degree-0 system is constant, nothing to solve")
+		}
 	}
 	if dynamicRange <= 0 {
 		dynamicRange = 1
 	}
 	sp := math.Pow(dynamicRange, float64(deg))
-	return &scaledSystem{
-		inner: sys,
-		s:     dynamicRange,
-		deg:   deg,
-		fNorm: 1 / sp,
-		jNorm: dynamicRange / sp,
-		uBuf:  make([]float64, sys.Dim()),
-	}, nil
+	return &scaledSystem{s: dynamicRange, deg: deg, fNorm: 1 / sp, jNorm: dynamicRange / sp}, nil
 }
 
-func (ss *scaledSystem) Dim() int { return ss.inner.Dim() }
+func (ss *scaledSystem) Dim() int { return len(ss.uBuf) }
 
-func (ss *scaledSystem) Eval(w, g []float64) error {
+// lift writes u = s·w, the problem-coordinate image of a hardware state,
+// into the record's scratch vector.
+func (ss *scaledSystem) lift(w []float64) []float64 {
 	for i, v := range w {
 		ss.uBuf[i] = ss.s * v
 	}
-	if err := ss.inner.Eval(ss.uBuf, g); err != nil {
+	return ss.uBuf
+}
+
+// toProblem converts a hardware-space state back to problem coordinates.
+func (ss *scaledSystem) toProblem(w []float64) []float64 { return la.Copy(ss.lift(w)) }
+
+func (ss *scaledSystem) Eval(w, g []float64) error {
+	if err := ss.eval(ss.lift(w), g); err != nil {
 		return err
 	}
 	for i := range g {
@@ -101,23 +118,29 @@ func (ss *scaledSystem) Eval(w, g []float64) error {
 }
 
 func (ss *scaledSystem) Jacobian(w []float64, jac *la.Dense) error {
-	for i, v := range w {
-		ss.uBuf[i] = ss.s * v
-	}
-	if err := ss.inner.Jacobian(ss.uBuf, jac); err != nil {
+	if err := ss.jac(ss.lift(w), jac); err != nil {
 		return err
 	}
 	jac.Scale(ss.jNorm)
 	return nil
 }
 
-// toProblem converts a hardware-space solution back to problem coordinates.
-func (ss *scaledSystem) toProblem(w []float64) []float64 {
-	u := make([]float64, len(w))
-	for i, v := range w {
-		u[i] = ss.s * v
+func (ss *scaledSystem) JacobianCSR(w []float64) (*la.CSR, error) {
+	j, err := ss.csr(ss.lift(w))
+	if err != nil {
+		return nil, err
 	}
-	return u
+	j.Scale(ss.jNorm)
+	return j, nil
+}
+
+// linearize fills g and J of the scaled system at w: the dense quotient
+// loop's input when no homotopy blends two systems.
+func (ss *scaledSystem) linearize(_ float64, w, g []float64, jac *la.Dense) error {
+	if err := ss.Eval(w, g); err != nil {
+		return err
+	}
+	return ss.Jacobian(w, jac)
 }
 
 // quantize rounds x onto a signed grid with the given number of bits over

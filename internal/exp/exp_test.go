@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"os"
 	"strings"
 	"testing"
@@ -114,6 +115,27 @@ func TestFig3Quick(t *testing.T) {
 	// Homotopy must eliminate (nearly) all wrong-result pixels.
 	if r.HomotopyWrong > total/20 {
 		t.Fatalf("homotopy wrong pixels %d of %d — should be near zero", r.HomotopyWrong, total)
+	}
+}
+
+// A cancelled context must stop the two basin sweeps, not be painted as
+// no-convergence pixels (Fig2) or ignored (Fig3).
+func TestBasinSweepsHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r2, err := Fig2(ctx, quickCfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig2 under a cancelled context: got %v, want context.Canceled", err)
+	}
+	if r2.AnalogRootsFound != 0 || r2.Failures != 0 {
+		t.Fatalf("Fig2 kept sweeping after cancellation: %d roots, %d failures", r2.AnalogRootsFound, r2.Failures)
+	}
+	r3, err := Fig3(ctx, quickCfg)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Fig3 under a cancelled context: got %v, want context.Canceled", err)
+	}
+	if len(r3.Roots) != 0 || r3.PlainWrong != 0 || r3.HomotopyWrong != 0 {
+		t.Fatalf("Fig3 kept sweeping after cancellation: %+v", r3.Roots)
 	}
 }
 

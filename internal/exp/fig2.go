@@ -89,6 +89,9 @@ func Fig2(ctx context.Context, cfg Config) (Fig2Result, error) {
 	rootsSeen := map[int]bool{}
 	const span = 2.0
 	for py := 0; py < pixels; py++ {
+		if err := ctx.Err(); err != nil {
+			return res, fmt.Errorf("exp: fig2 sweep aborted at row %d of %d: %w", py, pixels, err)
+		}
 		imag := span - 2*span*float64(py)/float64(pixels-1) // top = +2i
 		for px := 0; px < pixels; px++ {
 			real := -span + 2*span*float64(px)/float64(pixels-1)

@@ -99,6 +99,9 @@ func Fig3(ctx context.Context, cfg Config) (Fig3Result, error) {
 
 	const span = 2.0
 	for py := 0; py < pixels; py++ {
+		if err := ctx.Err(); err != nil {
+			return res, fmt.Errorf("exp: fig3 sweep aborted at row %d of %d: %w", py, pixels, err)
+		}
 		p1 := span - 2*span*float64(py)/float64(pixels-1)
 		for px := 0; px < pixels; px++ {
 			p0 := -span + 2*span*float64(px)/float64(pixels-1)

@@ -23,7 +23,6 @@ type Injector struct {
 	satFactor           float64
 	bursts              []burst
 	dead                map[int]bool
-	runs                int
 }
 
 type drift struct {
@@ -102,16 +101,9 @@ func (inj *Injector) Spec() Spec {
 	return s
 }
 
-// FaultCount is the number of injected fault classes.
-func (inj *Injector) FaultCount() int { return len(inj.spec.Faults) }
-
-// Runs is the number of solves the injector has seen (BeginRun calls).
-func (inj *Injector) Runs() int { return inj.runs }
-
 // BeginRun implements analog.Injector: transient bursts draw their per-run
 // activation here, and nowhere else.
 func (inj *Injector) BeginRun() {
-	inj.runs++
 	for i := range inj.bursts {
 		b := &inj.bursts[i]
 		b.active = inj.rng.Float64() < b.prob

@@ -130,9 +130,6 @@ func TestInjectorBurstProbability(t *testing.T) {
 			t.Fatalf("prob-1 burst idle on run %d", run)
 		}
 	}
-	if never.Runs() != 32 || always.Runs() != 32 {
-		t.Fatalf("run counter wrong: %d, %d", never.Runs(), always.Runs())
-	}
 }
 
 func TestInjectorSpecCopyIsolated(t *testing.T) {
@@ -141,9 +138,6 @@ func TestInjectorSpecCopyIsolated(t *testing.T) {
 	s.Faults[0].Var = 7
 	if inj.Spec().Faults[0].Var != 0 {
 		t.Fatal("Spec() must return an isolated copy")
-	}
-	if inj.FaultCount() != 1 {
-		t.Fatalf("FaultCount %d, want 1", inj.FaultCount())
 	}
 }
 

@@ -1,7 +1,6 @@
 package la
 
 import (
-	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -11,15 +10,6 @@ import (
 // never a panic, and when the fuzzer happens to build a strictly
 // diagonally dominant system — where the condition number is provably
 // bounded — the residual must actually be small.
-
-// floatsFrom decodes data as little-endian float64s.
-func floatsFrom(data []byte) []float64 {
-	vals := make([]float64, len(data)/8)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
-	}
-	return vals
-}
 
 func allFinite(xs ...[]float64) bool {
 	for _, x := range xs {
@@ -38,60 +28,6 @@ func maxAbs(xs []float64) float64 {
 		m = math.Max(m, math.Abs(v))
 	}
 	return m
-}
-
-func FuzzSolveTridiagonal(f *testing.F) {
-	seed := make([]byte, 16*8)
-	for i := 0; i < 4; i++ {
-		binary.LittleEndian.PutUint64(seed[8*i:], math.Float64bits(1))                 // sub
-		binary.LittleEndian.PutUint64(seed[8*(4+i):], math.Float64bits(4))             // diag
-		binary.LittleEndian.PutUint64(seed[8*(8+i):], math.Float64bits(1))             // super
-		binary.LittleEndian.PutUint64(seed[8*(12+i):], math.Float64bits(1+float64(i))) // rhs
-	}
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		vals := floatsFrom(data)
-		n := len(vals) / 4
-		if n == 0 {
-			return
-		}
-		a, b, c, rhs := vals[:n], vals[n:2*n], vals[2*n:3*n], vals[3*n:4*n]
-		dst := make([]float64, n)
-		if err := SolveTridiagonal(dst, a, b, c, rhs); err != nil {
-			return // ErrSingular and length mismatches are in-contract
-		}
-		if !allFinite(a, b, c, rhs) {
-			return
-		}
-		// Strict diagonal dominance with unit margin bounds ‖A⁻¹‖∞ ≤ 1,
-		// so the Thomas algorithm must deliver a small residual here.
-		for i := 0; i < n; i++ {
-			sub, sup := 0.0, 0.0
-			if i > 0 {
-				sub = math.Abs(a[i])
-			}
-			if i < n-1 {
-				sup = math.Abs(c[i])
-			}
-			if math.Abs(b[i]) < sub+sup+1 {
-				return
-			}
-		}
-		tol := 1e-8 * float64(n) * (1 + maxAbs(rhs) + maxAbs(dst))
-		for i := 0; i < n; i++ {
-			r := b[i]*dst[i] - rhs[i]
-			if i > 0 {
-				r += a[i] * dst[i-1]
-			}
-			if i < n-1 {
-				r += c[i] * dst[i+1]
-			}
-			if math.Abs(r) > tol {
-				t.Fatalf("row %d residual %g exceeds %g on a diagonally dominant system", i, r, tol)
-			}
-		}
-	})
 }
 
 // fuzzCSRFrom builds an n×n CSR from a byte-stream of (row, col, value)

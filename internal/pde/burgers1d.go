@@ -187,35 +187,3 @@ func (b *Burgers1D) SetRHSForRoot(wRoot []float64) error {
 	copy(b.RHS, f)
 	return nil
 }
-
-// NewtonStepTridiagonal performs one undamped Newton step exploiting the
-// tridiagonal structure with the Thomas algorithm — the O(n) fast path a
-// production 1-D solver uses instead of the generic banded factorization.
-func (b *Burgers1D) NewtonStepTridiagonal(w []float64) error {
-	n := b.N
-	f := make([]float64, n)
-	if err := b.Eval(w, f); err != nil {
-		return err
-	}
-	sub := make([]float64, n)
-	diag := make([]float64, n)
-	sup := make([]float64, n)
-	for i := 0; i < n; i++ {
-		uC := b.at(w, i)
-		uE := b.at(w, i+1)
-		uW := b.at(w, i-1)
-		diag[i] = 1 + 0.5*((uE-uW)/2+2/b.Re)
-		if i > 0 {
-			sub[i] = 0.5 * (-uC/2 - 1/b.Re)
-		}
-		if i < n-1 {
-			sup[i] = 0.5 * (uC/2 - 1/b.Re)
-		}
-	}
-	delta := make([]float64, n)
-	if err := la.SolveTridiagonal(delta, sub, diag, sup, f); err != nil {
-		return err
-	}
-	la.Axpy(-1, delta, w)
-	return nil
-}

@@ -96,26 +96,6 @@ func TestBurgers1DNewtonSolve(t *testing.T) {
 	}
 }
 
-func TestBurgers1DThomasStepMatchesBandedNewton(t *testing.T) {
-	rng := rand.New(rand.NewSource(72))
-	b, err := RandomBurgers1D(10, 0.7, 1.0, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w1 := b.InitialGuess()
-	if err := b.NewtonStepTridiagonal(w1); err != nil {
-		t.Fatal(err)
-	}
-	// Reference: one undamped sparse-Newton iteration.
-	res, err := nonlin.NewtonSparse(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-300, MaxIter: 1, DivergeFactor: 1e18})
-	_ = err // MaxIter=1 typically reports no convergence; we want the iterate
-	for i := range w1 {
-		if math.Abs(w1[i]-res.U[i]) > 1e-10 {
-			t.Fatalf("Thomas step differs from banded Newton step at %d: %g vs %g", i, w1[i], res.U[i])
-		}
-	}
-}
-
 func TestBurgers1DTimeMarchDecay(t *testing.T) {
 	b, err := NewBurgers1D(8, 0.2)
 	if err != nil {
@@ -136,48 +116,5 @@ func TestBurgers1DTimeMarchDecay(t *testing.T) {
 	}
 	if la.Norm2(b.UPrev) >= initial {
 		t.Fatalf("diffusive 1-D field should decay: %g → %g", initial, la.Norm2(b.UPrev))
-	}
-}
-
-func TestSolveTridiagonalAgainstBand(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	n := 40
-	sub := make([]float64, n)
-	diag := make([]float64, n)
-	sup := make([]float64, n)
-	bld := la.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		diag[i] = 4 + rng.Float64()
-		bld.Append(i, i, diag[i])
-		if i > 0 {
-			sub[i] = -1 + 0.2*rng.Float64()
-			bld.Append(i, i-1, sub[i])
-		}
-		if i < n-1 {
-			sup[i] = -1 + 0.2*rng.Float64()
-			bld.Append(i, i+1, sup[i])
-		}
-	}
-	rhs := make([]float64, n)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	if err := la.SolveTridiagonal(x, sub, diag, sup, rhs); err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := la.SolveSparse(bld.ToCSR(), rhs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if math.Abs(x[i]-want[i]) > 1e-10 {
-			t.Fatalf("Thomas vs band mismatch at %d", i)
-		}
-	}
-	// Singular pivot detection.
-	zero := make([]float64, 2)
-	if err := la.SolveTridiagonal(zero, []float64{0, 0}, []float64{0, 1}, []float64{0, 0}, []float64{1, 1}); err == nil {
-		t.Fatal("zero pivot must be rejected")
 	}
 }

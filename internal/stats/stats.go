@@ -108,17 +108,6 @@ func (h *Histogram) BinCenter(k int) float64 {
 	return h.Min + w*(float64(k)+0.5)
 }
 
-// Mode returns the index of the fullest bin.
-func (h *Histogram) Mode() int {
-	best, bestC := 0, -1
-	for k, c := range h.Counts {
-		if c > bestC {
-			best, bestC = k, c
-		}
-	}
-	return best
-}
-
 // String renders an ASCII bar chart, one row per bin.
 func (h *Histogram) String() string {
 	var b strings.Builder

@@ -79,9 +79,6 @@ func TestHistogram(t *testing.T) {
 	if h.Counts[4] != 2 { // 9 and clamped 11
 		t.Fatalf("bin 4 count %d, want 2", h.Counts[4])
 	}
-	if h.Mode() != 0 {
-		t.Fatalf("mode bin %d, want 0", h.Mode())
-	}
 	if c := h.BinCenter(0); math.Abs(c-1) > 1e-12 {
 		t.Fatalf("bin 0 center %g, want 1", c)
 	}

@@ -1,7 +1,8 @@
 #!/bin/sh
-# Full verification gate: build, vet, formatting, and the test suite under
-# the race detector (the parallel red-black Gauss-Seidel sweep must stay
-# race-clean). Run from the repository root; also available as `make check`.
+# Full verification gate: build, vet, formatting, the test suite under the
+# race detector (the parallel red-black Gauss-Seidel sweep must stay
+# race-clean), the fuzz smoke, the experiment transcripts and the bench
+# module. Run from the repository root; also available as `make check`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -28,6 +29,20 @@ go test -race ./...
 
 echo "== fuzz smoke (3s per target)"
 make fuzz
+
+# The -quick experiment transcripts are deterministic (seeded problems and
+# chip mismatch, modelled rather than measured time), so a fabric-model or
+# solver change that moves a paper number fails here instead of passing
+# silently. A PR that means to move one regenerates the file and says so.
+# Recorded on amd64; a platform that fuses multiply-adds may differ.
+echo "== experiment transcripts (hybridpde -exp <fig> -quick vs internal/exp/testdata)"
+transcripts=$(mktemp -d)
+trap 'rm -rf "$transcripts"' EXIT
+go build -o "$transcripts/hybridpde" ./cmd/hybridpde
+for e in fig2 fig3 fig6 fig7 fig8 fig9 ablate; do
+	"$transcripts/hybridpde" -exp "$e" -quick >"$transcripts/$e.quick.txt"
+	diff -u "internal/exp/testdata/$e.quick.txt" "$transcripts/$e.quick.txt"
+done
 
 # bench/ is its own module, so ./... above never compiles it: an exported-API
 # slip in serve, cluster or core would otherwise surface only when the
