@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt lint lint-baseline fuzz check bench serve serve-smoke chaos-smoke cache-smoke cluster-smoke scale-smoke stream-smoke
+.PHONY: all build test race vet fmt lint fuzz check bench serve serve-smoke chaos-smoke cache-smoke cluster-smoke scale-smoke stream-smoke
 
 all: build
 
@@ -19,20 +19,12 @@ vet:
 fmt:
 	gofmt -l .
 
-# Project-specific static analysis: the eleven pdevet rules (internal/lint)
-# guarding the repo's numerical, hot-path and concurrency invariants. The
-# committed .pdevet-baseline is the ledger of tolerated findings (empty on a
-# clean tree); pdevet fails on anything not in it AND on stale entries, so
-# the baseline can only shrink together with the code it excuses. Zero exit
-# here means: no unbaselined findings, no stale baseline entries, no unused
-# //pdevet:allow annotations.
+# Project-specific static analysis: the nine pdevet rules (internal/lint)
+# guarding the repo's numerical, hot-path and concurrency invariants. Zero
+# exit means no findings and no unused //pdevet:allow annotations; any
+# finding exits 1.
 lint:
-	$(GO) run ./cmd/pdevet -baseline .pdevet-baseline ./...
-
-# Regenerate the baseline ledger. Only run this alongside the change that
-# justifies it — CI diffs will show exactly which debt was added or paid.
-lint-baseline:
-	$(GO) run ./cmd/pdevet -write-baseline .pdevet-baseline ./...
+	$(GO) run ./cmd/pdevet ./...
 
 # Short fuzz smoke over the solver, parser and request-decode targets;
 # CI-sized, and the one list of fuzz targets (scripts/check.sh calls it).

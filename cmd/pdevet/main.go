@@ -1,27 +1,20 @@
-// Command pdevet runs the repository's custom static-analysis pass: eleven
+// Command pdevet runs the repository's custom static-analysis pass: nine
 // project-specific rules (internal/lint) that turn the numerical, hot-path
 // and concurrency conventions of the hybrid solver — reproducible
 // randomness, simulated-time-only accounting, allocation-free stepping,
 // tolerance-based float comparison, context discipline, no swallowed
-// errors, consistent lock order, lifecycle-tied goroutines, unmixed atomic
-// access, sorted map iteration at deterministic outputs, fixed-block float
-// reductions — into machine-checked invariants. Pure standard library:
-// go/ast + go/types with a source importer, no golang.org/x/tools.
+// errors, no nested locks, lifecycle-tied goroutines, sorted map iteration
+// at deterministic outputs — into machine-checked invariants. Pure standard
+// library: go/ast + go/types with a source importer, no golang.org/x/tools.
 //
 // Usage:
 //
-//	pdevet [-rule name] [-list] [-json] [-baseline file] [-write-baseline file] [packages]
+//	pdevet [-rule name] [-list] [packages]
 //
 // Package patterns are directories relative to the current module; `...`
-// walks subtrees (default `./...`). Exit status: 0 clean, 1 findings (or a
-// stale baseline), 2 usage or load failure.
-//
-// -json emits findings as a JSON array instead of text. -baseline reads a
-// committed ledger of known findings (rule<TAB>path<TAB>message, no line
-// numbers): listed findings are suppressed, but entries matching no current
-// finding are stale and fail the run — the ledger can only shrink together
-// with the code it excuses. -write-baseline regenerates the ledger from the
-// current tree.
+// walks subtrees (default `./...`). Findings print one per line as
+// `file:line:col: [rule] message` with module-relative paths. Exit status:
+// 0 clean, 1 findings, 2 usage or load failure.
 //
 // Findings are suppressed in source with `//pdevet:allow <rule> [reason]`
 // annotations; hot-path functions opt into the allocation rule with
@@ -36,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
+	"strings"
 
 	"hybridpde/internal/lint"
 )
@@ -48,13 +43,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pdevet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		rule          = fs.String("rule", "", "run a single analyzer by name (disables unusedallow reporting)")
-		list          = fs.Bool("list", false, "list analyzers and exit")
-		jsonOut       = fs.Bool("json", false, "emit findings as a JSON array")
-		baselinePath  = fs.String("baseline", "", "suppress findings listed in this baseline file; stale entries fail the run")
-		writeBaseline = fs.String("write-baseline", "", "write current findings to this baseline file and exit")
-	)
+	rule := fs.String("rule", "", "run a single analyzer by name (disables unusedallow reporting)")
+	list := fs.Bool("list", false, "list analyzers and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -95,67 +85,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatal(stderr, fmt.Errorf("no packages match %v", patterns))
 	}
 
-	var diags []lint.Diagnostic
+	root := loader.ModuleRoot()
+	findings := 0
 	for _, dir := range dirs {
 		pkg, err := loader.Load(dir)
 		if err != nil {
 			return fatal(stderr, err)
 		}
 		res := lint.AnalyzePackage(pkg, analyzers)
-		diags = append(diags, res.Diags...)
-		diags = append(diags, res.Unused...)
-	}
-	root := loader.ModuleRoot()
-
-	if *writeBaseline != "" {
-		if err := os.WriteFile(*writeBaseline, []byte(lint.FormatBaseline(diags, root)), 0o644); err != nil {
-			return fatal(stderr, err)
-		}
-		fmt.Fprintf(stderr, "pdevet: wrote %d baseline entr%s to %s\n", len(diags), plural(len(diags), "y", "ies"), *writeBaseline)
-		return 0
-	}
-
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		b, err := lint.ParseBaseline(f)
-		f.Close()
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		diags, stale = b.Filter(diags, root)
-	}
-
-	if *jsonOut {
-		if err := lint.WriteJSON(stdout, diags, root); err != nil {
-			return fatal(stderr, err)
-		}
-	} else {
-		for _, d := range diags {
-			// Module-relative paths keep text output stable across
-			// checkouts and let CI problem matchers anchor annotations.
-			d.Pos.Filename = lint.RelPath(root, d.Pos.Filename)
+		for _, d := range append(res.Diags, res.Unused...) {
+			// Module-relative paths keep output stable across checkouts
+			// and let CI problem matchers anchor annotations.
+			d.Pos.Filename = relPath(root, d.Pos.Filename)
 			fmt.Fprintln(stdout, d)
+			findings++
 		}
 	}
-	for _, e := range stale {
-		fmt.Fprintf(stderr, "pdevet: stale baseline entry (finding fixed or moved — delete it): %s\n", e)
-	}
-	if len(diags) > 0 || len(stale) > 0 {
-		fmt.Fprintf(stderr, "pdevet: %d finding(s), %d stale baseline entr%s\n", len(diags), len(stale), plural(len(stale), "y", "ies"))
+	if findings > 0 {
+		fmt.Fprintf(stderr, "pdevet: %d finding(s)\n", findings)
 		return 1
 	}
 	return 0
 }
 
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
+// relPath relativizes an absolute diagnostic path against the module root,
+// with forward slashes; paths outside the root are kept absolute.
+func relPath(root, path string) string {
+	rel, err := filepath.Rel(root, path)
+	if err != nil || strings.HasPrefix(rel, "..") {
+		return filepath.ToSlash(path)
 	}
-	return many
+	return filepath.ToSlash(rel)
 }
 
 func fatal(stderr io.Writer, err error) int {

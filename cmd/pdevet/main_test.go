@@ -2,17 +2,14 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // The driver fixture (testdata/src/driver) carries exactly two stable
 // findings: a walltime violation and an unused //pdevet:allow. Driver tests
-// pin the pipeline around them: text and -json output, the -rule filter's
-// effect on unusedallow, and baseline add/suppress/expire semantics.
+// pin the pipeline around them: text output and exit status, and the -rule
+// filter's effect on unusedallow.
 
 const driverPkg = "testdata/src/driver"
 
@@ -34,6 +31,11 @@ func TestTextOutput(t *testing.T) {
 	if !strings.Contains(out, "[unusedallow]") {
 		t.Errorf("missing unusedallow finding:\n%s", out)
 	}
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if !strings.HasPrefix(line, "cmd/pdevet/testdata/src/driver/driver.go:") {
+			t.Errorf("finding %q does not start with the module-relative forward-slash path", line)
+		}
+	}
 }
 
 func TestRuleFilterDisablesUnusedAllow(t *testing.T) {
@@ -51,117 +53,12 @@ func TestRuleFilterDisablesUnusedAllow(t *testing.T) {
 	}
 }
 
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-}
-
-func TestJSONOutput(t *testing.T) {
-	code, out, _ := runDriver(t, "-json", driverPkg)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1\n%s", code, out)
-	}
-	var findings []jsonFinding
-	if err := json.Unmarshal([]byte(out), &findings); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, out)
-	}
-	if len(findings) != 2 {
-		t.Fatalf("got %d findings, want 2:\n%s", len(findings), out)
-	}
-	rules := map[string]bool{}
-	for _, f := range findings {
-		rules[f.Rule] = true
-		if f.File != "cmd/pdevet/testdata/src/driver/driver.go" {
-			t.Errorf("file = %q, want module-relative forward-slash path", f.File)
-		}
-		if f.Line <= 0 || f.Col <= 0 {
-			t.Errorf("finding %+v has no position", f)
-		}
-		if f.Message == "" {
-			t.Errorf("finding %+v has no message", f)
-		}
-	}
-	if !rules["walltime"] || !rules["unusedallow"] {
-		t.Errorf("rules = %v, want walltime and unusedallow", rules)
-	}
-}
-
-func TestJSONCleanTree(t *testing.T) {
-	code, out, _ := runDriver(t, "-json", "testdata/src/clean")
+func TestCleanTree(t *testing.T) {
+	code, out, _ := runDriver(t, "testdata/src/clean")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0\n%s", code, out)
 	}
-	if strings.TrimSpace(out) != "[]" {
-		t.Errorf("clean -json output = %q, want []", out)
-	}
-}
-
-func TestBaselineLifecycle(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline")
-
-	// Add: -write-baseline captures the current findings.
-	code, _, errb := runDriver(t, "-write-baseline", base, driverPkg)
-	if code != 0 {
-		t.Fatalf("-write-baseline exit = %d, want 0\n%s", code, errb)
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var entries []string
-	for _, line := range strings.Split(string(data), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			entries = append(entries, line)
-		}
-	}
-	if len(entries) != 2 {
-		t.Fatalf("baseline has %d entries, want 2:\n%s", len(entries), data)
-	}
-	for _, e := range entries {
-		if len(strings.SplitN(e, "\t", 3)) != 3 {
-			t.Errorf("entry %q is not rule<TAB>path<TAB>message", e)
-		}
-		if strings.Contains(e, ":") && strings.Contains(strings.SplitN(e, "\t", 3)[1], ":") {
-			t.Errorf("entry %q carries a line number; baseline identity must be line-free", e)
-		}
-	}
-
-	// Suppress: the same tree against its own baseline is clean.
-	code, out, errb := runDriver(t, "-baseline", base, driverPkg)
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out, errb)
-	}
-	if strings.TrimSpace(out) != "" {
-		t.Errorf("baselined run reported findings:\n%s", out)
-	}
-
-	// Expire: an entry matching no finding is stale and fails the run —
-	// the ledger cannot shrink except together with the code it excuses.
-	staleEntry := "floateq\tcmd/pdevet/testdata/src/driver/driver.go\tno such finding anymore"
-	if err := os.WriteFile(base, []byte(string(data)+staleEntry+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, errb = runDriver(t, "-baseline", base, driverPkg)
-	if code != 1 {
-		t.Fatalf("stale-baseline run exit = %d, want 1\nstdout:\n%s\nstderr:\n%s", code, out, errb)
-	}
-	if !strings.Contains(errb, "stale baseline entry") {
-		t.Errorf("stderr does not name the stale entry:\n%s", errb)
-	}
-
-	// New finding: removing a real entry re-surfaces that finding.
-	short := strings.Join(entries[:1], "\n") + "\n"
-	if err := os.WriteFile(base, []byte(short), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out, _ = runDriver(t, "-baseline", base, driverPkg)
-	if code != 1 {
-		t.Fatalf("shrunk-baseline run exit = %d, want 1\n%s", code, out)
-	}
-	if strings.Count(strings.TrimSpace(out), "\n")+1 != 1 {
-		t.Errorf("want exactly one resurfaced finding:\n%s", out)
+	if out != "" {
+		t.Errorf("clean run printed findings:\n%s", out)
 	}
 }

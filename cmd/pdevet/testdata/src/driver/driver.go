@@ -1,7 +1,7 @@
 // Package driver is the pdevet driver's own fixture. It carries exactly two
 // stable findings — one walltime violation and one stale allow — so the
-// driver tests can pin the full pipeline: text output, -json shape,
-// baseline add/suppress/expire, and unusedallow reporting.
+// driver tests can pin the full pipeline: text output, exit status, and
+// unusedallow reporting.
 package driver
 
 import "time"

@@ -35,9 +35,6 @@ var keptAsOracle = map[string]string{
 	// What the Table 1 profiler's tests observe the accumulated state through.
 	"Total":    "prof: TestSectionAccumulates, TestEmptyProfile, TestSectionTimesFunction, TestConcurrentUse",
 	"Sections": "prof: TestSectionsOrderAndString (first-use order), TestConcurrentUse",
-	// The one-package entry point the analyzer fixtures are driven through;
-	// cmd/pdevet calls AnalyzePackage, which also reports unused allows.
-	"RunPackage": "lint: TestLockOrderDeterministicOutput and the eleven Test*Fixture tests (testFixture)",
 	// Called by go/types through the types.Importer interface, never by name.
 	"Import": "lint: every fixture test type-checks its package through moduleImporter",
 }

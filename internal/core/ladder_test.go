@@ -80,8 +80,8 @@ func TestSeedGateFaultTable(t *testing.T) {
 				t.Fatal("the digital polish must converge whether or not the seed was kept")
 			}
 			again := run()
-			if again.SeedResidual != rep.SeedResidual || again.StartResidual != rep.StartResidual || //pdevet:allow floateq pinned seeds promise bit-identity
-				again.FinalResidual != rep.FinalResidual || again.SeedRejected != rep.SeedRejected { //pdevet:allow floateq pinned seeds promise bit-identity
+			if again.SeedResidual != rep.SeedResidual || again.StartResidual != rep.StartResidual ||
+				again.FinalResidual != rep.FinalResidual || again.SeedRejected != rep.SeedRejected {
 				t.Fatalf("repeat run diverged: %+v vs %+v", rep, again)
 			}
 		})
@@ -98,7 +98,7 @@ func TestSeedGateDisabledKeepsBadSeed(t *testing.T) {
 	if rep.SeedRejected {
 		t.Fatal("SeedGate 0 must disable gating")
 	}
-	if rep.StartResidual != 0 { //pdevet:allow floateq ungated solves never compute the start residual; zero is the untouched sentinel
+	if rep.StartResidual != 0 {
 		t.Fatal("ungated solve should not spend an Eval on the start residual")
 	}
 }
@@ -166,7 +166,7 @@ func TestLadderDegradesToDigitalUnderFaults(t *testing.T) {
 		t.Fatalf("residual %g too large", rep.FinalResidual)
 	}
 	_, again := run()
-	if len(again.Attempts) != len(fb.Attempts) || again.Attempts[0].SeedResidual != fb.Attempts[0].SeedResidual { //pdevet:allow floateq pinned seeds promise bit-identity
+	if len(again.Attempts) != len(fb.Attempts) || again.Attempts[0].SeedResidual != fb.Attempts[0].SeedResidual {
 		t.Fatalf("repeat ladder run diverged: %+v vs %+v", fb, again)
 	}
 }

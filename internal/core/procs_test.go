@@ -41,7 +41,7 @@ func TestSolveProcsBitIdentical(t *testing.T) {
 		}
 		for _, procs := range []int{1, 2, 8} {
 			rep := run(procs)
-			if rep.SeedResidual != ref.SeedResidual || rep.FinalResidual != ref.FinalResidual { //pdevet:allow floateq the determinism contract promises bit-identity
+			if rep.SeedResidual != ref.SeedResidual || rep.FinalResidual != ref.FinalResidual {
 				t.Fatalf("n=%d procs=%d: residuals diverged: seed %x/%x final %x/%x",
 					in.n, procs, rep.SeedResidual, ref.SeedResidual, rep.FinalResidual, ref.FinalResidual)
 			}
@@ -49,7 +49,7 @@ func TestSolveProcsBitIdentical(t *testing.T) {
 				t.Fatalf("n=%d procs=%d: digital accounting diverged: %+v vs %+v", in.n, procs, rep.Digital, ref.Digital)
 			}
 			for i := range ref.U {
-				if rep.U[i] != ref.U[i] { //pdevet:allow floateq the determinism contract promises bit-identity
+				if rep.U[i] != ref.U[i] {
 					t.Fatalf("n=%d procs=%d: U[%d] = %x, want %x", in.n, procs, i, rep.U[i], ref.U[i])
 				}
 			}
@@ -91,11 +91,11 @@ func TestLadderProcsBitIdenticalFallbackReport(t *testing.T) {
 				t.Fatalf("procs=%d: attempt %d diverged: %+v vs %+v", procs, i, fb.Attempts[i], refFB.Attempts[i])
 			}
 		}
-		if rep.FinalResidual != refRep.FinalResidual { //pdevet:allow floateq the determinism contract promises bit-identity
+		if rep.FinalResidual != refRep.FinalResidual {
 			t.Fatalf("procs=%d: FinalResidual %x, want %x", procs, rep.FinalResidual, refRep.FinalResidual)
 		}
 		for i := range refRep.U {
-			if rep.U[i] != refRep.U[i] { //pdevet:allow floateq the determinism contract promises bit-identity
+			if rep.U[i] != refRep.U[i] {
 				t.Fatalf("procs=%d: U[%d] = %x, want %x", procs, i, rep.U[i], refRep.U[i])
 			}
 		}

@@ -49,12 +49,12 @@ func TestCachedRungsColdIdentity(t *testing.T) {
 	cold := solve(NewLadderRungs(CachedRungs(&fakeCache{})...))
 	nilBound := solve(NewLadderRungs(CachedRungs(nil)...))
 	for name, rep := range map[string]Report{"empty cache": cold, "nil cache": nilBound} {
-		if rep.FinalResidual != base.FinalResidual || rep.SeedResidual != base.SeedResidual || //pdevet:allow floateq pinned seeds promise bit-identity
+		if rep.FinalResidual != base.FinalResidual || rep.SeedResidual != base.SeedResidual ||
 			rep.Digital.TotalIters != base.Digital.TotalIters {
 			t.Fatalf("%s: cold solve diverged from cache-free ladder: %+v vs %+v", name, rep, base)
 		}
 		for i := range rep.U {
-			if rep.U[i] != base.U[i] { //pdevet:allow floateq pinned seeds promise bit-identity
+			if rep.U[i] != base.U[i] {
 				t.Fatalf("%s: U[%d] diverged", name, i)
 			}
 		}
@@ -96,11 +96,11 @@ func TestCacheRungExactHit(t *testing.T) {
 	if !rep.Digital.Converged || rep.Digital.TotalIters != base.Digital.TotalIters {
 		t.Fatalf("replayed digital account wrong: %+v", rep.Digital)
 	}
-	if rep.FinalResidual != base.FinalResidual || rep.TotalSeconds != base.TotalSeconds { //pdevet:allow floateq replay is exact
+	if rep.FinalResidual != base.FinalResidual || rep.TotalSeconds != base.TotalSeconds {
 		t.Fatalf("replayed scalars diverged: %+v", rep)
 	}
 	for i := range rep.U {
-		if rep.U[i] != base.U[i] { //pdevet:allow floateq replay is exact
+		if rep.U[i] != base.U[i] {
 			t.Fatalf("replayed U[%d] diverged", i)
 		}
 	}
@@ -183,7 +183,7 @@ func TestWarmStartRungStaleGate(t *testing.T) {
 			rep.Digital.TotalIters, base.Digital.TotalIters)
 	}
 	for i := range rep.U {
-		if rep.U[i] != base.U[i] { //pdevet:allow floateq the fall-through restarts from the pristine snapshot
+		if rep.U[i] != base.U[i] {
 			t.Fatalf("U[%d] diverged after stale warm start", i)
 		}
 	}

@@ -56,17 +56,17 @@ func TestTimeLoopMatchesManualSolveLoop(t *testing.T) {
 			t.Fatalf("manual step %d: %v", s+1, err)
 		}
 		f := frames[s]
-		if f.step != s+1 || f.t != float64(s+1)*0.25 { //pdevet:allow floateq exact step multiples
+		if f.step != s+1 || f.t != float64(s+1)*0.25 {
 			t.Fatalf("frame %d mislabelled: step=%d t=%v", s, f.step, f.t)
 		}
-		if f.residual != rep.FinalResidual { //pdevet:allow floateq determinism test wants bit-identity
+		if f.residual != rep.FinalResidual {
 			t.Fatalf("step %d: residual %x, want %x", s+1, f.residual, rep.FinalResidual)
 		}
 		if f.iters != rep.Digital.TotalIters || f.linSolves != rep.Digital.LinearSolves {
 			t.Fatalf("step %d: work accounting diverged: frame %+v vs report %+v", s+1, f, rep.Digital)
 		}
 		for i := range f.u {
-			if f.u[i] != rep.U[i] { //pdevet:allow floateq determinism test wants bit-identity
+			if f.u[i] != rep.U[i] {
 				t.Fatalf("step %d: U[%d] = %x, want %x", s+1, i, f.u[i], rep.U[i])
 			}
 		}
@@ -120,7 +120,7 @@ func TestTimeLoopChordWarmWorkspaceBitIdentity(t *testing.T) {
 			t.Fatalf("step %d: warm gate decisions diverged: %+v vs %+v", s+1, warm[s], cold[s])
 		}
 		for i := range cold[s].u {
-			if warm[s].u[i] != cold[s].u[i] { //pdevet:allow floateq determinism test wants bit-identity
+			if warm[s].u[i] != cold[s].u[i] {
 				t.Fatalf("step %d: U[%d] = %x, want %x", s+1, i, warm[s].u[i], cold[s].u[i])
 			}
 		}
@@ -190,7 +190,7 @@ func TestTimeLoopValidation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if gotT != 1 { //pdevet:allow floateq exact default
+	if gotT != 1 {
 		t.Fatalf("default Dt should label the first frame t=1, got %v", gotT)
 	}
 }

@@ -21,7 +21,7 @@ func mustInjector(t *testing.T, src string, salt int64) *Injector {
 func TestInjectorStuckAndRailed(t *testing.T) {
 	inj := mustInjector(t, "stuck 0\nrailed 1\n", 0)
 	inj.BeginRun()
-	if d := inj.Drive(0.5, 0, 0.3, 2.0); d != 0 { //pdevet:allow floateq stuck drive is exactly zero by construction
+	if d := inj.Drive(0.5, 0, 0.3, 2.0); d != 0 {
 		t.Fatalf("stuck integrator drive %g, want 0", d)
 	}
 	// Railed: pulled toward the positive rail, harder the further away.
@@ -32,7 +32,7 @@ func TestInjectorStuckAndRailed(t *testing.T) {
 		t.Fatalf("rail pull must weaken near the rail: at 0.1 → %g, at 0.9 → %g", hi, lo)
 	}
 	// Unaffected variable passes through.
-	if d := inj.Drive(0.5, 2, 0.3, 2.0); d != 2.0 { //pdevet:allow floateq pass-through is exact
+	if d := inj.Drive(0.5, 2, 0.3, 2.0); d != 2.0 {
 		t.Fatalf("healthy variable drive %g, want 2", d)
 	}
 }
@@ -43,7 +43,7 @@ func TestInjectorDriftAndSaturation(t *testing.T) {
 	if got, want := inj.DAC(0, 1.0), 1.0*1.1+0.05; math.Abs(got-want) > 1e-15 {
 		t.Fatalf("DAC drift: got %g want %g", got, want)
 	}
-	if got := inj.DAC(1, 1.0); got != 1.0 { //pdevet:allow floateq undrifted channel is exact pass-through
+	if got := inj.DAC(1, 1.0); got != 1.0 {
 		t.Fatalf("DAC channel 1 should be clean, got %g", got)
 	}
 	if got, want := inj.ADC(3, 0.8), 0.4; math.Abs(got-want) > 1e-15 {
@@ -69,11 +69,11 @@ func TestInjectorDeadTiles(t *testing.T) {
 func TestInjectorBurstWindow(t *testing.T) {
 	inj := mustInjector(t, "burst 1 2 5 10\n", 0)
 	inj.BeginRun()
-	if d := inj.Drive(2, 0, 0, 0); d != 0 { //pdevet:allow floateq outside the window the drive is untouched (exactly zero here)
+	if d := inj.Drive(2, 0, 0, 0); d != 0 {
 		t.Fatalf("burst active outside window: %g", d)
 	}
 	inside := inj.Drive(5.75, 0, 0, 0)
-	if inside == 0 { //pdevet:allow floateq a sinusoid off its zero crossing is exactly nonzero
+	if inside == 0 {
 		t.Fatal("burst inactive inside window")
 	}
 	if math.Abs(inside) > 2 {
@@ -99,14 +99,14 @@ func TestInjectorDeterminism(t *testing.T) {
 	}
 	a, b := trace(3), trace(3)
 	for i := range a {
-		if a[i] != b[i] { //pdevet:allow floateq bit-reproducibility is the property under test
+		if a[i] != b[i] {
 			t.Fatalf("same salt diverged at sample %d: %g vs %g", i, a[i], b[i])
 		}
 	}
 	c := trace(4)
 	same := true
 	for i := range a {
-		if a[i] != c[i] { //pdevet:allow floateq comparing full bit patterns
+		if a[i] != c[i] {
 			same = false
 			break
 		}
@@ -123,10 +123,10 @@ func TestInjectorBurstProbability(t *testing.T) {
 	for run := 0; run < 32; run++ {
 		never.BeginRun()
 		always.BeginRun()
-		if d := never.Drive(1, 0, 0, 0); d != 0 { //pdevet:allow floateq inactive burst leaves the zero drive exactly zero
+		if d := never.Drive(1, 0, 0, 0); d != 0 {
 			t.Fatalf("prob-0 burst fired on run %d", run)
 		}
-		if d := always.Drive(1, 0, 0, 0); d == 0 { //pdevet:allow floateq active burst sinusoid is exactly nonzero at this phase
+		if d := always.Drive(1, 0, 0, 0); d == 0 {
 			t.Fatalf("prob-1 burst idle on run %d", run)
 		}
 	}

@@ -99,7 +99,7 @@ func FuzzCSR(f *testing.F) {
 		tt := m.Transpose().Transpose()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if m.At(i, j) != tt.At(i, j) { //pdevet:allow floateq integer-valued entries are exact
+				if m.At(i, j) != tt.At(i, j) {
 					t.Fatalf("transpose^2 mismatch at (%d,%d): %g vs %g", i, j, m.At(i, j), tt.At(i, j))
 				}
 			}
@@ -116,7 +116,7 @@ func FuzzCSR(f *testing.F) {
 			for j := 0; j < n; j++ {
 				sum += m.At(i, j)
 			}
-			if got[i] != sum { //pdevet:allow floateq integer-valued entries are exact
+			if got[i] != sum {
 				t.Fatalf("row %d: MulVec %g, At-sum %g", i, got[i], sum)
 			}
 		}

@@ -21,42 +21,9 @@ func TestWallTimeFixture(t *testing.T)   { testFixture(t, "walltime") }
 func TestFloatEqFixture(t *testing.T)    { testFixture(t, "floateq") }
 func TestCtxCheckFixture(t *testing.T)   { testFixture(t, "ctxcheck") }
 func TestErrDropFixture(t *testing.T)    { testFixture(t, "errdrop") }
-func TestLockOrderFixture(t *testing.T)  { testFixture(t, "lockorder") }
+func TestLockNestFixture(t *testing.T)   { testFixture(t, "locknest") }
 func TestGoroutineFixture(t *testing.T)  { testFixture(t, "goroutine") }
-func TestAtomicMixFixture(t *testing.T)  { testFixture(t, "atomicmix") }
 func TestMapRangeFixture(t *testing.T)   { testFixture(t, "maprange") }
-func TestDetRedFixture(t *testing.T)     { testFixture(t, "detred") }
-
-// TestLockOrderDeterministicOutput pins the fix for a bug pdevet found in
-// its own lockorder pass: interprocedural edges were generated by iterating
-// Go maps, so report order (and tie-breaks between same-position findings)
-// could vary per run. Repeated runs must be identical, diagnostic for
-// diagnostic.
-func TestLockOrderDeterministicOutput(t *testing.T) {
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkg, err := loader.Load(filepath.Join("testdata", "src", "lockorder"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := RunPackage(pkg, []*Analyzer{LockOrder})
-	if len(first) == 0 {
-		t.Fatal("lockorder fixture produced no findings")
-	}
-	for run := 1; run < 20; run++ {
-		again := RunPackage(pkg, []*Analyzer{LockOrder})
-		if len(again) != len(first) {
-			t.Fatalf("run %d: %d findings, first run had %d", run, len(again), len(first))
-		}
-		for i := range again {
-			if again[i] != first[i] {
-				t.Fatalf("run %d, finding %d: %v != %v", run, i, again[i], first[i])
-			}
-		}
-	}
-}
 
 func testFixture(t *testing.T, rule string) {
 	t.Helper()
@@ -82,7 +49,7 @@ func testFixture(t *testing.T, rule string) {
 		t.Fatal(err)
 	}
 
-	kept := RunPackage(pkg, []*Analyzer{a})
+	kept := AnalyzePackage(pkg, []*Analyzer{a}).Diags
 	if len(kept) == 0 {
 		t.Fatalf("%s: fixture produced no findings", rule)
 	}

@@ -19,22 +19,15 @@
 //	errdrop     no `_ = err` swallows; fmt.Errorf wraps errors with %w
 //
 // The concurrency/determinism suite extends the set to the runtime
-// contracts of the parallel solver and the serving stack — drain-complete
-// shutdown, byte-identical cache replays, and bit-identical solves across
-// worker counts:
+// contracts of the serving stack — deadlock freedom, drain-complete
+// shutdown, and byte-identical cache replays and metric scrapes:
 //
-//	lockorder   mutex acquisition order is globally consistent per package;
-//	            cycles and nested re-acquisition are reported
+//	locknest    no Lock/RLock while another mutex is held, directly or
+//	            through one same-package call
 //	goroutine   every `go` statement reaches a ctx, WaitGroup, or channel
 //	            lifecycle, so drain/join can observe it
-//	atomicmix   a variable touched via sync/atomic is never read or written
-//	            plainly elsewhere
 //	maprange    no map iteration feeds serialized output, key construction,
 //	            or float/string accumulation without sorting first
-//	detred      no float accumulation over procs-dependent ranges; cross-
-//	            chunk sums fold partials over blocks whose size does not
-//	            depend on the pool size (the one fold left, la.BandLU's
-//	            per-chunk FactorOps partials, is int64 and exact)
 //
 // Findings are suppressed with annotation comments (see annot.go):
 // `//pdevet:allow <rule> [reason]` on the offending line (or the line
@@ -107,11 +100,9 @@ func Analyzers() []*Analyzer {
 		FloatEq,
 		CtxCheck,
 		ErrDrop,
-		LockOrder,
+		LockNest,
 		Goroutine,
-		AtomicMix,
 		MapRange,
-		DetRed,
 	}
 }
 
@@ -167,13 +158,6 @@ func AnalyzePackage(pkg *Package, analyzers []*Analyzer) Result {
 		sortDiags(res.Unused)
 	}
 	return res
-}
-
-// RunPackage executes the analyzers over one loaded package and returns the
-// findings that survive the package's //pdevet:allow annotations, sorted by
-// position.
-func RunPackage(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	return AnalyzePackage(pkg, analyzers).Diags
 }
 
 func sortDiags(ds []Diagnostic) {

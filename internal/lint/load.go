@@ -58,7 +58,7 @@ func NewLoader(dir string) (*Loader, error) {
 }
 
 // ModuleRoot returns the directory containing go.mod, the base against
-// which baseline entries and JSON output relativize file paths.
+// which the driver relativizes file paths in its output.
 func (l *Loader) ModuleRoot() string { return l.moduleRoot }
 
 // findModule walks up from dir to the enclosing go.mod and returns the

@@ -137,11 +137,11 @@ func TestChordProcsBitIdentical(t *testing.T) {
 					t.Fatalf("n=%d procs=%d step %d: gate decisions diverged: got %+v want %+v",
 						n, procs, s+1, got[s], ref[s])
 				}
-				if got[s].residual != ref[s].residual { //pdevet:allow floateq determinism test wants bit-identity
+				if got[s].residual != ref[s].residual {
 					t.Fatalf("n=%d procs=%d step %d: residual %x, want %x", n, procs, s+1, got[s].residual, ref[s].residual)
 				}
 				for i := range ref[s].u {
-					if got[s].u[i] != ref[s].u[i] { //pdevet:allow floateq determinism test wants bit-identity
+					if got[s].u[i] != ref[s].u[i] {
 						t.Fatalf("n=%d procs=%d step %d: U[%d] = %x, want %x", n, procs, s+1, i, got[s].u[i], ref[s].u[i])
 					}
 				}
@@ -240,11 +240,11 @@ func TestResetReuseRestoresColdStartBits(t *testing.T) {
 			warm[s].refactors != cold[s].refactors {
 			t.Fatalf("step %d: warm rerun diverged from cold run: got %+v want %+v", s+1, warm[s], cold[s])
 		}
-		if warm[s].residual != cold[s].residual { //pdevet:allow floateq determinism test wants bit-identity
+		if warm[s].residual != cold[s].residual {
 			t.Fatalf("step %d: residual %x, want %x", s+1, warm[s].residual, cold[s].residual)
 		}
 		for i := range cold[s].u {
-			if warm[s].u[i] != cold[s].u[i] { //pdevet:allow floateq determinism test wants bit-identity
+			if warm[s].u[i] != cold[s].u[i] {
 				t.Fatalf("step %d: U[%d] = %x, want %x", s+1, i, warm[s].u[i], cold[s].u[i])
 			}
 		}

@@ -236,7 +236,7 @@ func WriteHistogramVec(w io.Writer, name, help string, v *HistogramVec) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		h := v.vals[k]
-		h.mu.Lock()
+		h.mu.Lock() //pdevet:allow locknest Observe takes only the child's lock, so no path takes v.mu while holding h.mu
 		var cum uint64
 		for i, b := range h.bounds {
 			cum += h.counts[i]

@@ -226,7 +226,7 @@ func TestDrainWithSingleflightWaiters(t *testing.T) {
 		if code != http.StatusOK || !resps[i].Converged {
 			t.Fatalf("request %d: code %d, %+v", i, code, resps[i])
 		}
-		if resps[i].Residual != resps[0].Residual { //pdevet:allow floateq identical requests promise bit-identity
+		if resps[i].Residual != resps[0].Residual {
 			t.Fatalf("waiter %d diverged from leader: %+v vs %+v", i, resps[i], resps[0])
 		}
 	}

@@ -163,8 +163,8 @@ func TestChaosDeterminism(t *testing.T) {
 	first := run()
 	for i := 0; i < 2; i++ {
 		again := run()
-		if again.Residual != first.Residual || again.Rung != first.Rung || //pdevet:allow floateq chaos determinism wants bit-identity
-			again.SeedResidual != first.SeedResidual || again.Degraded != first.Degraded { //pdevet:allow floateq chaos determinism wants bit-identity
+		if again.Residual != first.Residual || again.Rung != first.Rung ||
+			again.SeedResidual != first.SeedResidual || again.Degraded != first.Degraded {
 			t.Fatalf("chaos run diverged: %+v vs %+v", first, again)
 		}
 	}

@@ -31,7 +31,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if ep == EndpointSolve && (req.Steps != 0 || req.Dt != 0 || req.IncludeSolution) { //pdevet:allow floateq zero is the JSON-absent sentinel
+		if ep == EndpointSolve && (req.Steps != 0 || req.Dt != 0 || req.IncludeSolution) {
 			t.Fatalf("/v1/solve accepted stream fields: %+v", req)
 		}
 		body, _ := json.Marshal(&req) // a failure leaves nothing to decode below

@@ -32,8 +32,8 @@ func TestSolveProcsResponseIdentity(t *testing.T) {
 		got := solveAll(procs)
 		for i := range ref {
 			r, g := ref[i], got[i]
-			if g.Residual != r.Residual || g.InitialResidual != r.InitialResidual || //pdevet:allow floateq SolveProcs promises bit-identical responses
-				g.SeedResidual != r.SeedResidual || g.ModelSeconds != r.ModelSeconds { //pdevet:allow floateq SolveProcs promises bit-identical responses
+			if g.Residual != r.Residual || g.InitialResidual != r.InitialResidual ||
+				g.SeedResidual != r.SeedResidual || g.ModelSeconds != r.ModelSeconds {
 				t.Fatalf("procs=%d %s: response floats diverged:\n got %+v\nwant %+v", procs, reqs[i].Problem, g, r)
 			}
 			if g.Iterations != r.Iterations || g.Converged != r.Converged || g.Rung != r.Rung ||

@@ -63,7 +63,7 @@ func TestResizeBitIdentity(t *testing.T) {
 		req := Request{Problem: KindBurgersSteady, N: 5, Seed: int64(100 + i)}
 		_, er, _ := postSolve(t, ets.URL, req)
 		_, fr, _ := postSolve(t, fts.URL, req)
-		if er.Residual != fr.Residual || er.Iterations != fr.Iterations || er.Dim != fr.Dim { //pdevet:allow floateq bit-identity across resize history is the contract under test
+		if er.Residual != fr.Residual || er.Iterations != fr.Iterations || er.Dim != fr.Dim {
 			t.Fatalf("seed %d diverged across resize history: %+v vs %+v", req.Seed, er, fr)
 		}
 	}

@@ -101,12 +101,12 @@ func TestSolveDeterminism(t *testing.T) {
 	_, first, _ := postSolve(t, ts.URL, req)
 	for i := 0; i < 3; i++ {
 		_, again, _ := postSolve(t, ts.URL, req)
-		if again.Residual != first.Residual || again.Iterations != first.Iterations { //pdevet:allow floateq determinism test wants bit-identity
+		if again.Residual != first.Residual || again.Iterations != first.Iterations {
 			t.Fatalf("nondeterministic solve: %+v vs %+v", first, again)
 		}
 	}
 	_, other, _ := postSolve(t, ts.URL, Request{Problem: KindBurgersSteady, N: 5, Seed: 100})
-	if other.Residual == first.Residual { //pdevet:allow floateq distinct seeds must differ in every bit pattern
+	if other.Residual == first.Residual {
 		t.Fatal("different seeds produced identical residuals")
 	}
 }

@@ -125,7 +125,7 @@ func TestStreamRoundtrip(t *testing.T) {
 			t.Fatalf("%s: %d frames, want %d", req.Problem, len(res.frames), req.Steps)
 		}
 		for i, f := range res.frames {
-			if f.Step != i+1 || f.T != float64(i+1)*req.Dt { //pdevet:allow floateq exact step multiples
+			if f.Step != i+1 || f.T != float64(i+1)*req.Dt {
 				t.Fatalf("%s: frame %d mislabelled: %+v", req.Problem, i, f)
 			}
 			if !f.Converged || f.Residual >= 1e-9 {
@@ -207,7 +207,7 @@ func TestStreamMatchesOfflineTimeLoop(t *testing.T) {
 			t.Fatalf("step %d: streamed %d unknowns, offline %d", f.Step, len(got.U), len(f.U))
 		}
 		for i := range f.U {
-			if got.U[i] != f.U[i] { //pdevet:allow floateq determinism test wants bit-identity
+			if got.U[i] != f.U[i] {
 				t.Fatalf("step %d: U[%d] = %x, want %x", f.Step, i, got.U[i], f.U[i])
 			}
 		}
@@ -239,7 +239,7 @@ func TestStreamRepeatFrameBitIdentity(t *testing.T) {
 		}
 		for i := range first.frames {
 			a, b := first.frames[i], again.frames[i]
-			if a.Checksum != b.Checksum || a.Residual != b.Residual || //pdevet:allow floateq determinism test wants bit-identity
+			if a.Checksum != b.Checksum || a.Residual != b.Residual ||
 				a.Iterations != b.Iterations || a.Refactorizations != b.Refactorizations {
 				t.Fatalf("repeat %d frame %d differs: %+v vs %+v", rep, i, b, a)
 			}

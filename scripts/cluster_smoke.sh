@@ -29,8 +29,16 @@ B2_PORT=$((BASE_PORT + 1))
 B3_PORT=$((BASE_PORT + 2))
 GW2_ADDR="127.0.0.1:$((BASE_PORT + 8))"
 DEAD_URL="http://127.0.0.1:$((BASE_PORT + 9))" # nothing ever listens here
-trap 'kill "$GW_PID" "$GW2_PID" "$B1_PID" "$B2_PID" "$B3_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
-GW2_PID=""
+# Every PID starts empty (set -u) and is killed on its own: an empty PID in
+# a shared kill list makes kill reject the whole list.
+GW_PID="" GW2_PID="" B1_PID="" B2_PID="" B3_PID=""
+cleanup() {
+	for pid in $GW_PID $GW2_PID $B1_PID $B2_PID $B3_PID; do
+		kill "$pid" 2>/dev/null || true
+	done
+	rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 echo "== build"
 go build -o "$TMP/pdeserved" ./cmd/pdeserved

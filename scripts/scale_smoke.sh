@@ -22,7 +22,16 @@ FIXED_ADDR="${SMOKE_FIXED_ADDR:-127.0.0.1:18086}"
 RAMP="${SMOKE_RAMP:-100:1000:4}"
 DURATION="${SMOKE_DURATION:-6s}"
 TMP="$(mktemp -d)"
-trap 'kill "$SRV_PID" "$FIXED_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+# Every PID starts empty (set -u) and is killed on its own: an empty PID in
+# a shared kill list makes kill reject the whole list.
+SRV_PID="" FIXED_PID=""
+cleanup() {
+	for pid in $SRV_PID $FIXED_PID; do
+		kill "$pid" 2>/dev/null || true
+	done
+	rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 echo "== build"
 go build -o "$TMP/pdeserved" ./cmd/pdeserved

@@ -26,7 +26,16 @@ STEPS="${SMOKE_STEPS:-256}"
 RATE="${SMOKE_RATE:-4}"
 DURATION="${SMOKE_DURATION:-5s}"
 TMP="$(mktemp -d)"
-trap 'kill "$GW_PID" "$SRV_PID" 2>/dev/null || true; rm -rf "$TMP"' EXIT
+# Every PID starts empty (set -u) and is killed on its own: an empty PID in
+# a shared kill list makes kill reject the whole list.
+GW_PID="" SRV_PID=""
+cleanup() {
+	for pid in $GW_PID $SRV_PID; do
+		kill "$pid" 2>/dev/null || true
+	done
+	rm -rf "$TMP"
+}
+trap cleanup EXIT
 
 echo "== build"
 go build -o "$TMP/pdeserved" ./cmd/pdeserved
