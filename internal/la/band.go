@@ -23,13 +23,22 @@ import (
 // i−kl … i+ku+kl at data[i*w : (i+1)*w], w = 2·kl+ku+1; entry (i, j) sits
 // at offset j−i+kl. The extra kl columns per row absorb fill from row
 // interchanges, and every elimination update is unit-stride.
+//
+// Fill reaches only as far as the interchanges carry it (LAPACK dgbtf2's
+// JU): after pivot steps 0…k no row holds a non-zero right of column
+// max(piv[k′]+ku) over k′ ≤ k, because the load wrote +0 everywhere else.
+// The swaps, updates and back substitution therefore stop at that reach,
+// and every product they skip is m·(+0).
 type BandLU struct {
 	n, kl, ku int
 	w         int // row width = 2·kl+ku+1
 	data      []float64
 	piv       []int
-	// FactorOps counts the floating-point multiply-adds performed, so the
-	// performance models can price the solve.
+	maxPivOff int // max(piv[k]−k) of the last factorization: U's reach is ku+maxPivOff
+	// FactorOps is the full-band multiply-add count the performance models
+	// price: min(k+ku+kl, n−1)−k per non-zero multiplier at pivot k, fill
+	// region included. It is not the count executed, since the elimination
+	// stops at the reach, so a rate derived from it is nominal.
 	FactorOps int64
 	// pool, when set, fans the trailing-row updates of each pivot step
 	// across its workers; upd/opsPartial are the persistent runner and the
@@ -52,7 +61,6 @@ const bandParGrain = 2048
 // pool is used only during Factor* calls, which must not run concurrently.
 func (f *BandLU) SetPool(p *par.Pool) {
 	f.pool = p
-	f.upd.f = f
 	if n := p.Procs(); len(f.opsPartial) < n {
 		f.opsPartial = make([]int64, n)
 	}
@@ -65,15 +73,23 @@ func (f *BandLU) SetPool(p *par.Pool) {
 type bandUpdateRun struct {
 	f     *BandLU
 	k     int
-	span  int
+	span  int // columns k…reach the update touches
 	pivot float64
 }
 
 func (r *bandUpdateRun) Run(chunk, lo, hi int) {
+	r.f.opsPartial[chunk] += r.eliminate(lo, hi)
+}
+
+// eliminate stores the multipliers of working rows k+1+lo … k+hi and
+// subtracts their multiples of row k, returning the FactorOps they book:
+// the full band's min(k+ku+kl, n−1)−k per row, not the span touched.
+func (r *bandUpdateRun) eliminate(lo, hi int) int64 {
 	f := r.f
 	w, kl, k := f.w, f.kl, r.k
 	data := f.data
-	rowK := data[k*w+kl : k*w+kl+r.span]
+	rowK := data[k*w+kl+1 : k*w+kl+r.span] // columns k+1…reach of row k
+	full := int64(min(k+f.ku+kl, f.n-1) - k)
 	var ops int64
 	for t := lo; t < hi; t++ {
 		i := k + 1 + t
@@ -83,13 +99,27 @@ func (r *bandUpdateRun) Run(chunk, lo, hi int) {
 		if m == 0 {
 			continue
 		}
-		rowI := data[base : base+r.span]
-		for s := 1; s < r.span; s++ {
-			rowI[s] -= m * rowK[s]
-		}
-		ops += int64(r.span - 1)
+		subScaled(data[base+1:base+r.span], rowK, m)
+		ops += full
 	}
-	f.opsPartial[chunk] += ops
+	return ops
+}
+
+// subScaled sets y[t] −= m·x[t] for every t < len(y); len(x) ≥ len(y). The
+// explicit conversion rounds each product before the subtraction, which
+// forbids a fused multiply-add, so the bits do not depend on the CPU.
+func subScaled(y, x []float64, m float64) {
+	for len(y) >= 4 && len(x) >= 4 {
+		y[0] -= float64(m * x[0])
+		y[1] -= float64(m * x[1])
+		y[2] -= float64(m * x[2])
+		y[3] -= float64(m * x[3])
+		y, x = y[4:], x[4:]
+	}
+	x = x[:len(y)]
+	for t := range y {
+		y[t] -= float64(m * x[t])
+	}
 }
 
 // Bandwidths returns the lower and upper bandwidths of a sparse matrix.
@@ -130,13 +160,28 @@ func FactorBandLU(a *CSR) (*BandLU, error) {
 // FactorFrom loads a into the workspace and factors it. a's dimensions and
 // bandwidths must fit the workspace.
 func (f *BandLU) FactorFrom(a *CSR) error {
+	if err := f.load(a); err != nil {
+		return err
+	}
+	return f.factor()
+}
+
+// clearFor checks that a fits the workspace and zeroes it. Every entry a
+// load leaves unwritten stays +0, which the elimination's reach relies on.
+func (f *BandLU) clearFor(a *CSR) error {
 	if a.Rows() != f.n || a.Cols() != f.n {
 		return fmt.Errorf("la: band workspace is %d×%d, matrix is %d×%d", f.n, f.n, a.Rows(), a.Cols())
 	}
-	for i := range f.data {
-		f.data[i] = 0
-	}
+	clear(f.data)
 	f.FactorOps = 0
+	return nil
+}
+
+// load copies a into the cleared workspace.
+func (f *BandLU) load(a *CSR) error {
+	if err := f.clearFor(a); err != nil {
+		return err
+	}
 	for i := 0; i < f.n; i++ {
 		cols, vals := a.RowNNZ(i)
 		row := f.data[i*f.w : (i+1)*f.w]
@@ -150,7 +195,7 @@ func (f *BandLU) FactorFrom(a *CSR) error {
 			row[off] = vals[k]
 		}
 	}
-	return f.factor()
+	return nil
 }
 
 func (f *BandLU) factor() error {
@@ -158,6 +203,9 @@ func (f *BandLU) factor() error {
 	data := f.data
 	var ops int64
 	procs := f.pool.Procs()
+	f.upd.f = f
+	f.maxPivOff = 0
+	reach := 0 // rightmost column any row may hold a non-zero in (dgbtf2's JU)
 	for k := 0; k < n; k++ {
 		// Partial pivot among rows k..min(k+kl, n-1); element (i, k) is
 		// at data[i*w + k-i+kl].
@@ -173,41 +221,26 @@ func (f *BandLU) factor() error {
 			return ErrSingular
 		}
 		f.piv[k] = iMax
-		jHi := min(k+ku+kl, n-1) // swaps and updates touch the fill region
-		span := jHi - k + 1
-		rowK := data[k*w+kl : k*w+kl+span] // columns k..jHi of row k
+		f.maxPivOff = max(f.maxPivOff, iMax-k)
+		// Past the reach, rows k and iMax both still hold the load's +0.
+		reach = max(reach, min(iMax+ku, n-1))
+		span := reach - k + 1
+		rowK := data[k*w+kl : k*w+kl+span] // columns k…reach of row k
 		if iMax != k {
 			rowM := data[iMax*w+k-iMax+kl : iMax*w+k-iMax+kl+span]
-			for t := 0; t < span; t++ {
+			for t := range rowK {
 				rowK[t], rowM[t] = rowM[t], rowK[t]
 			}
 		}
-		pivot := rowK[0]
 		rows := iHi - k
+		f.upd.k, f.upd.span, f.upd.pivot = k, span, rowK[0]
 		if procs > 1 && rows > 1 && rows*span >= bandParGrain {
 			// Pivot search and swap above stay serial (they scan shared
 			// state); the per-row eliminations are disjoint and fan out.
-			f.upd.k, f.upd.span, f.upd.pivot = k, span, pivot
-			grain := bandParGrain / span
-			if grain < 1 {
-				grain = 1
-			}
-			f.pool.Run(rows, grain, &f.upd)
+			f.pool.Run(rows, max(bandParGrain/span, 1), &f.upd)
 			continue
 		}
-		for i := k + 1; i <= iHi; i++ {
-			base := i*w + k - i + kl
-			m := data[base] / pivot
-			data[base] = m
-			if m == 0 {
-				continue
-			}
-			rowI := data[base : base+span]
-			for t := 1; t < span; t++ {
-				rowI[t] -= m * rowK[t]
-			}
-			ops += int64(span - 1)
-		}
+		ops += f.upd.eliminate(0, rows)
 	}
 	// Fold the parallel chunks' op counts: integer partials, so the sum is
 	// exact and order-free.
@@ -233,7 +266,7 @@ func (f *BandLU) Reset(n, kl, ku int) {
 		f.piv = make([]int, n)
 	}
 	f.piv = f.piv[:n]
-	f.FactorOps = 0
+	f.FactorOps, f.maxPivOff = 0, 0
 }
 
 // FactorBandLUInto factors the banded matrix a into the caller-owned
@@ -277,16 +310,18 @@ func (f *BandLU) Solve(dst, b []float64) error {
 		}
 		iHi := min(k+kl, n-1)
 		for i := k + 1; i <= iHi; i++ {
-			x[i] -= data[i*w+k-i+kl] * xk
+			x[i] -= float64(data[i*w+k-i+kl] * xk)
 		}
 	}
-	// Back substitution.
+	// Back substitution over row i of U, columns i…i+reach.
+	reach := ku + f.maxPivOff
 	for i := n - 1; i >= 0; i-- {
 		row := data[i*w : (i+1)*w]
+		jHi := min(i+reach, n-1)
+		u, xs := row[kl+1:kl+1+jHi-i], x[i+1:jHi+1]
 		s := x[i]
-		jHi := min(i+ku+kl, n-1)
-		for j := i + 1; j <= jHi; j++ {
-			s -= row[j-i+kl] * x[j]
+		for j, v := range u {
+			s -= float64(v * xs[j])
 		}
 		d := row[kl]
 		if d == 0 {
@@ -330,13 +365,17 @@ func SolveSparse(a *CSR, b []float64) ([]float64, *BandLU, error) {
 // continuous as singular values of A cross zero, exactly like the physical
 // finite-gain gradient-descent circuit it models.
 func (f *BandLU) FactorNormalFrom(a *CSR, eps float64) error {
-	if a.Rows() != f.n || a.Cols() != f.n {
-		return fmt.Errorf("la: band workspace is %d×%d, matrix is %d×%d", f.n, f.n, a.Rows(), a.Cols())
+	if err := f.loadNormal(a, eps); err != nil {
+		return err
 	}
-	for i := range f.data {
-		f.data[i] = 0
+	return f.factor()
+}
+
+// loadNormal accumulates AᵀA + εI into the cleared workspace.
+func (f *BandLU) loadNormal(a *CSR, eps float64) error {
+	if err := f.clearFor(a); err != nil {
+		return err
 	}
-	f.FactorOps = 0
 	w, kl := f.w, f.kl
 	// (AᵀA)ij = Σ_k A[k][i]·A[k][j]: accumulate over the nnz pairs of each
 	// row of A.
@@ -353,14 +392,14 @@ func (f *BandLU) FactorNormalFrom(a *CSR, eps float64) error {
 				if off < -f.kl || off > f.ku {
 					return fmt.Errorf("la: normal-equation entry (%d,%d) outside band kl=%d ku=%d", i, j, f.kl, f.ku)
 				}
-				f.data[base+j] += vi * vals[q]
+				f.data[base+j] += float64(vi * vals[q])
 			}
 		}
 	}
 	for i := 0; i < f.n; i++ {
 		f.data[i*w+kl] += eps
 	}
-	return f.factor()
+	return nil
 }
 
 // MulTransVec computes dst = Aᵀ·x.
@@ -378,7 +417,7 @@ func (m *CSR) MulTransVec(dst, x []float64) {
 		}
 		lo, hi := m.rowPtr[k], m.rowPtr[k+1]
 		for t := lo; t < hi; t++ {
-			dst[m.colIdx[t]] += m.vals[t] * xk
+			dst[m.colIdx[t]] += float64(m.vals[t] * xk)
 		}
 	}
 }

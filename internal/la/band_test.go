@@ -2,9 +2,206 @@ package la
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+
+	"hybridpde/internal/par"
 )
+
+// fullSpanFactor is the textbook banded elimination the reach bound
+// replaced: every pivot step swaps and updates all columns
+// k…min(k+ku+kl, n−1), the never-filled fill region included. f must hold
+// a loaded, unfactored matrix.
+func fullSpanFactor(f *BandLU) error {
+	n, kl, ku, w := f.n, f.kl, f.ku, f.w
+	data := f.data
+	var ops int64
+	for k := 0; k < n; k++ {
+		iHi := min(k+kl, n-1)
+		iMax, vMax := k, math.Abs(data[k*w+kl])
+		for i := k + 1; i <= iHi; i++ {
+			if v := math.Abs(data[i*w+k-i+kl]); v > vMax {
+				iMax, vMax = i, v
+			}
+		}
+		if vMax == 0 {
+			return ErrSingular
+		}
+		f.piv[k] = iMax
+		span := min(k+ku+kl, n-1) - k + 1
+		rowK := data[k*w+kl : k*w+kl+span]
+		if iMax != k {
+			rowM := data[iMax*w+k-iMax+kl : iMax*w+k-iMax+kl+span]
+			for t := range rowK {
+				rowK[t], rowM[t] = rowM[t], rowK[t]
+			}
+		}
+		for i := k + 1; i <= iHi; i++ {
+			base := i*w + k - i + kl
+			m := data[base] / rowK[0]
+			data[base] = m
+			if m == 0 {
+				continue
+			}
+			for t := 1; t < span; t++ {
+				data[base+t] -= float64(m * rowK[t])
+			}
+			ops += int64(span - 1)
+		}
+	}
+	f.FactorOps = ops
+	return nil
+}
+
+// fullSpanSolve is Solve with every row's back substitution summed over
+// the full band, columns i…i+ku+kl.
+func fullSpanSolve(f *BandLU, dst, b []float64) error {
+	n, kl, ku, w := f.n, f.kl, f.ku, f.w
+	data := f.data
+	x := dst
+	copy(x, b)
+	for k := 0; k < n; k++ {
+		if p := f.piv[k]; p != k {
+			x[k], x[p] = x[p], x[k]
+		}
+		xk := x[k]
+		if xk == 0 {
+			continue
+		}
+		for i := k + 1; i <= min(k+kl, n-1); i++ {
+			x[i] -= float64(data[i*w+k-i+kl] * xk)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j <= min(i+ku+kl, n-1); j++ {
+			s -= float64(data[i*w+j-i+kl] * x[j])
+		}
+		if data[i*w+kl] == 0 {
+			return ErrSingular
+		}
+		x[i] = s / data[i*w+kl]
+	}
+	return nil
+}
+
+// compareFullSpan factors ref with the full-span oracle and checks that got,
+// factored from the same load by the package, agrees: same error, pivots
+// and FactorOps, factors equal in value (and in bits when noNegZero; a
+// loaded −0 past the reach is one the oracle turns into +0 when m < 0) and
+// Solve bit-identical on b. It returns the oracle's row interchanges, or
+// −1 if the matrix is singular.
+func compareFullSpan(t *testing.T, name string, got, ref *BandLU, gotErr error, b []float64, noNegZero bool) int {
+	t.Helper()
+	refErr := fullSpanFactor(ref)
+	if !errors.Is(gotErr, refErr) {
+		t.Fatalf("%s: factor error %v, full span %v", name, gotErr, refErr)
+	}
+	if refErr != nil {
+		return -1
+	}
+	if got.FactorOps != ref.FactorOps {
+		t.Fatalf("%s: FactorOps %d, full span %d", name, got.FactorOps, ref.FactorOps)
+	}
+	swaps := 0
+	for k, p := range ref.piv {
+		if got.piv[k] != p {
+			t.Fatalf("%s: piv[%d] = %d, full span %d", name, k, got.piv[k], p)
+		}
+		if p != k {
+			swaps++
+		}
+	}
+	for q, v := range ref.data {
+		if g := got.data[q]; g != v || (noNegZero && math.Float64bits(g) != math.Float64bits(v)) {
+			t.Fatalf("%s: factor storage [%d] = %x, full span %x", name, q, math.Float64bits(g), math.Float64bits(v))
+		}
+	}
+	x, xr := make([]float64, len(b)), make([]float64, len(b))
+	gotErr, refErr = got.Solve(x, b), fullSpanSolve(ref, xr, b)
+	if !errors.Is(gotErr, refErr) {
+		t.Fatalf("%s: solve error %v, full span %v", name, gotErr, refErr)
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(xr[i]) {
+			t.Fatalf("%s: x[%d] = %x, full span %x", name, i, math.Float64bits(x[i]), math.Float64bits(xr[i]))
+		}
+	}
+	return swaps
+}
+
+// swapBanded builds an n×n matrix with bandwidths (kl, ku) whose diagonal
+// is small against the entries below it, so partial pivoting interchanges
+// rows and fill spreads into the extra kl columns. With zeros set, about a
+// quarter of the off-diagonal entries are an explicit 0 or −0.
+func swapBanded(rng *rand.Rand, n, kl, ku int, zeros bool) *CSR {
+	b := NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		for j := max(0, i-kl); j <= min(n-1, i+ku); j++ {
+			v := rng.NormFloat64()
+			switch r := rng.Intn(8); {
+			case i == j:
+				v *= 0.05
+			case zeros && r == 0:
+				v = 0
+			case zeros && r == 1:
+				v = math.Copysign(0, -1)
+			}
+			b.Append(i, j, v)
+		}
+	}
+	return b.ToCSR()
+}
+
+// TestBandLUReachMatchesFullSpan pins the reach bound against the
+// full-span oracle: on matrices that interchange rows, with explicit ±0
+// entries, lopsided and degenerate bandwidths, both loaders and pools of
+// 1–3 workers, the pivots, FactorOps and Solve bits are the oracle's.
+func TestBandLUReachMatchesFullSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	pools := []*par.Pool{nil, par.NewPool(1), par.NewPool(2), par.NewPool(3)}
+	defer func() {
+		for _, p := range pools[1:] {
+			p.Close()
+		}
+	}()
+	shapes := [][3]int{
+		{1, 0, 0}, {7, 0, 0}, {9, 0, 3}, {9, 3, 0}, {12, 1, 2}, {20, 5, 2},
+		{20, 2, 7}, {33, 6, 6},
+		// rows·span ≥ bandParGrain, so pools of 2 and 3 fan out.
+		{200, 120, 60},
+	}
+	for _, sh := range shapes {
+		n, kl, ku := sh[0], sh[1], sh[2]
+		for _, zeros := range []bool{false, true} {
+			a := swapBanded(rng, n, kl, ku, zeros)
+			b := randomVec(rng, n)
+			for procs, p := range pools {
+				name := fmt.Sprintf("n=%d kl=%d ku=%d zeros=%v pool=%d", n, kl, ku, zeros, procs)
+				got, ref := NewBandLUWorkspace(n, kl, ku), NewBandLUWorkspace(n, kl, ku)
+				got.SetPool(p)
+				if err := ref.load(a); err != nil {
+					t.Fatal(err)
+				}
+				swaps := compareFullSpan(t, name+" FactorFrom", got, ref, got.FactorFrom(a), b, !zeros)
+				if kl > 0 && n > 8 && swaps <= 0 {
+					t.Fatalf("%s: %d row interchanges, so the fill region went untested", name, swaps)
+				}
+
+				// AᵀA has bandwidth kl+ku on both sides.
+				const eps = 1e-3
+				got, ref = NewBandLUWorkspace(n, kl+ku, kl+ku), NewBandLUWorkspace(n, kl+ku, kl+ku)
+				got.SetPool(p)
+				if err := ref.loadNormal(a, eps); err != nil {
+					t.Fatal(err)
+				}
+				compareFullSpan(t, name+" FactorNormalFrom", got, ref, got.FactorNormalFrom(a, eps), b, true)
+			}
+		}
+	}
+}
 
 func TestBandwidths(t *testing.T) {
 	a := laplacian1D(6)

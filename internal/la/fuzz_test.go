@@ -1,6 +1,7 @@
 package la
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -51,16 +52,41 @@ func FuzzBandLU(f *testing.F) {
 		n := 1 + int(nRaw)%8
 		m, _ := fuzzCSRFrom(n, data)
 		lu, err := FactorBandLU(m)
+		// The full-span oracle must agree on singularity, and on every bit
+		// of a finite solution.
+		kl, ku := Bandwidths(m)
+		ref := NewBandLUWorkspace(n, kl, ku)
+		if err := ref.load(m); err != nil {
+			t.Fatal(err)
+		}
+		if refErr := fullSpanFactor(ref); !errors.Is(err, refErr) {
+			t.Fatalf("factor error %v, full span %v", err, refErr)
+		}
 		if err != nil {
 			return // singular systems are in-contract
+		}
+		if lu.FactorOps != ref.FactorOps {
+			t.Fatalf("FactorOps %d, full span %d", lu.FactorOps, ref.FactorOps)
+		}
+		for k, p := range ref.piv {
+			if lu.piv[k] != p {
+				t.Fatalf("piv[%d] = %d, full span %d", k, lu.piv[k], p)
+			}
 		}
 		b := make([]float64, n)
 		for i := range b {
 			b[i] = float64(i + 1)
 		}
-		x := make([]float64, n)
+		x, xr := make([]float64, n), make([]float64, n)
 		if err := lu.Solve(x, b); err != nil {
 			return
+		}
+		if err := fullSpanSolve(ref, xr, b); err == nil && allFinite(xr) {
+			for i := range x {
+				if math.Float64bits(x[i]) != math.Float64bits(xr[i]) {
+					t.Fatalf("x[%d] = %x, full span %x", i, math.Float64bits(x[i]), math.Float64bits(xr[i]))
+				}
+			}
 		}
 		if !allFinite(x) {
 			return // overflow on near-singular input is acceptable

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification gate: build, vet, pdevet, formatting, the test suite
 # under the race detector (the parallel red-black Gauss-Seidel sweep must
-# stay race-clean), the fuzz smoke, the experiment transcripts and the bench
+# stay race-clean), the fuzz smoke, the experiment transcripts, an arm64
+# cross-build that must hold no fused multiply-add in band.go, and the bench
 # module. Run from the repository root; also available as `make check`.
 set -eu
 
@@ -51,6 +52,18 @@ for e in fig2 fig3 fig6 fig7 fig8 fig9 ablate; do
 	"$transcripts/hybridpde" -exp "$e" -quick >"$transcripts/$e.quick.txt"
 	diff -u "internal/exp/testdata/$e.quick.txt" "$transcripts/$e.quick.txt"
 done
+
+# The Go spec lets a compiler fuse x*y+z, and arm64 does; amd64 does not.
+# Every multiply-add in the band-LU kernels is written float64(x*y)+z, which
+# forbids fusion, so their bits match across architectures. A cross-built
+# arm64 binary must show no fused instruction attributed to band.go.
+echo "== no fused multiply-add in band.go (GOARCH=arm64 go tool objdump)"
+GOARCH=arm64 go build -o "$transcripts/hybridpde-arm64" ./cmd/hybridpde
+fused=$(go tool objdump "$transcripts/hybridpde-arm64" | grep 'band\.go:' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
+if [ "$fused" -ne 0 ]; then
+	echo "band.go compiles to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
+	exit 1
+fi
 
 # bench/ is its own module, so ./... above never compiles it: an exported-API
 # slip in serve, cluster or core would otherwise surface only when the
