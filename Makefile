@@ -31,6 +31,7 @@ lint:
 # Longer local runs: go test -fuzz FuzzBandLU -fuzztime 60s ./internal/la/
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBandLU -fuzztime 3s ./internal/la/
+	$(GO) test -run '^$$' -fuzz FuzzBandCholesky -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzParseNetlist -fuzztime 3s ./internal/analog/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 3s ./internal/fault/

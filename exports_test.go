@@ -15,9 +15,9 @@ import (
 // needs it, or why it is not this test's to delete.
 var keptAsOracle = map[string]string{
 	// Dense references the band and CSR kernels are checked against.
-	"SolveDense":   "la: TestBandLUMatchesDenseLU, TestPropertyBandEqualsDense, TestFactorNormalFromMatchesDense",
-	"Mul":          "la: TestFactorNormalFromMatchesDense forms the dense JᵀJ with it",
-	"Transpose":    "la: TestFactorNormalFromMatchesDense (Dense), TestPropertyTransposeAdjoint and FuzzCSR (CSR)",
+	"SolveDense":   "la: TestBandLUMatchesDenseLU, TestPropertyBandEqualsDense, TestBandCholeskyMatchesDense",
+	"Mul":          "la: TestBandCholeskyMatchesDense forms the dense JᵀJ with it",
+	"Transpose":    "la: TestBandCholeskyMatchesDense (Dense), TestPropertyTransposeAdjoint and FuzzCSR (CSR)",
 	"Identity":     "la: TestDenseMulIdentity, the reference for Mul",
 	"NewDenseFrom": "la: literal matrices of TestLUSolveKnownSystem and the pivoting/singular LU tests",
 	// ode.RK4 is analog's TestMethodOfLinesDiffusionDecay reference; the

@@ -80,7 +80,10 @@ func pinnedBurgers(t *testing.T) (*pde.Burgers, []float64) {
 // model (Solve, SolveSparse, SolveHomotopy) to golden bits. The values were
 // recorded before the modes were merged onto one run and must never be
 // edited by a refactor: a PR that moves them changes the paper's seed and
-// has to say so.
+// has to say so. They were re-recorded once on purpose, when the banded
+// loop moved to a Cholesky factor and Dormand–Prince's stage 7 onto the
+// accepted state: U and the residual kept their bits in every case, W and τ
+// moved in their last bits (τ by at most 4e-12 relative).
 func TestFabricRunBitsPinned(t *testing.T) {
 	check := func(name string, sol Solution, err error, converged bool, want uint64) {
 		t.Helper()
@@ -97,7 +100,7 @@ func TestFabricRunBitsPinned(t *testing.T) {
 
 	// Dense quotient loop with every calibrated non-ideality on.
 	sol, err := NewPrototype(2).Solve(cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2})
-	check("dense cubic", sol, err, true, 0x87f5d4be42811991)
+	check("dense cubic", sol, err, true, 0x06e82cc856038227)
 
 	// Banded quotient loop on the PDE stencil the seeder feeds it.
 	b, u0 := pinnedBurgers(t)
@@ -106,18 +109,18 @@ func TestFabricRunBitsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sol, err = acc.SolveSparse(context.Background(), b, u0, SolveOptions{DynamicRange: 1.5})
-	check("sparse burgers 4×4", sol, err, true, 0x519a365abb1ea197)
+	check("sparse burgers 4×4", sol, err, true, 0x204260291a8bd9e3)
 
 	// Homotopy: dense loop fed by the λ-blend, settle gated on the ramp.
 	sol, err = NewPrototype(6).SolveHomotopy(nonlin.SquareRootsSimple(2), quadPair(1, -1), []float64{1, -1},
 		HomotopyOptions{Solve: SolveOptions{DynamicRange: 3, TMaxTau: 600}})
-	check("homotopy corner (1,−1)", sol, err, true, 0x9afd2bc54f213622)
+	check("homotopy corner (1,−1)", sol, err, true, 0x12bc1094a7b0485e)
 
 	// Every Injector hook, in the order the run consults them.
 	inj := &hookInjector{}
 	acc.SetInjector(inj)
 	sol, err = acc.SolveSparse(nil, b, u0, SolveOptions{DynamicRange: 1.5})
-	check("sparse under injector", sol, err, true, 0xf49ff98238073785)
+	check("sparse under injector", sol, err, true, 0x5d4cd82d61de28a4)
 	if inj.begin != 1 || inj.sat != 1 || inj.dac != len(u0) || inj.adc != len(u0) {
 		t.Fatalf("hook counts: BeginRun %d, Saturation %d, DAC %d, ADC %d; want 1, 1, %d, %d", inj.begin, inj.sat, inj.dac, inj.adc, len(u0), len(u0))
 	}
@@ -139,12 +142,12 @@ func TestFabricRunBitsPinned(t *testing.T) {
 
 	// Step budget exhausted: an unsettled measurement, not an error.
 	sol, err = acc.SolveSparse(nil, b, u0, SolveOptions{DynamicRange: 1.5, MaxSteps: 5})
-	check("sparse MaxSteps=5", sol, err, false, 0xec94e9a784c94577)
+	check("sparse MaxSteps=5", sol, err, false, 0xde72c8da721607df)
 	sol, err = NewPrototype(2).Solve(cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2, MaxSteps: 5})
-	check("dense MaxSteps=5", sol, err, false, 0x11f59bfc6b670bc6)
+	check("dense MaxSteps=5", sol, err, false, 0xf3dac68ea3a4004b)
 	sol, err = NewPrototype(6).SolveHomotopy(nonlin.SquareRootsSimple(2), quadPair(1, -1), []float64{1, -1},
 		HomotopyOptions{Solve: SolveOptions{DynamicRange: 3, MaxSteps: 5}})
-	check("homotopy MaxSteps=5", sol, err, false, 0x46dcda81fc3d0a35)
+	check("homotopy MaxSteps=5", sol, err, false, 0xb9f8a017551a4e7c)
 	if sol.SettleTau != homotopyRampTau {
 		t.Fatalf("homotopy read out mid-ramp reports τ = %v, want the ramp's %v", sol.SettleTau, homotopyRampTau)
 	}

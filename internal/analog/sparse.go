@@ -34,14 +34,15 @@ func (a *Accelerator) SolveSparse(ctx context.Context, sys nonlin.SparseSystem, 
 }
 
 // bandedLoop is the quotient loop of the scaled-up boards: the same
-// δ = (JᵀJ + εI)⁻¹·Jᵀg as denseLoop, formed and factored in band storage.
+// δ = (JᵀJ + εI)⁻¹·Jᵀg as denseLoop, formed and factored in band storage
+// by a band Cholesky, since JᵀJ + εI is symmetric positive definite.
 func bandedLoop(ss *scaledSystem) quotientLoop {
 	n := ss.Dim()
 	g := make([]float64, n)
 	// The Jacobian pattern is fixed, so one banded workspace (sized for
 	// the doubled normal-equation bandwidth) serves every derivative
 	// evaluation of the circuit simulation.
-	var lu *la.BandLU
+	var chol *la.BandCholesky
 	return func(_ float64, w []float64, cells []*NewtonCell, delta []float64) error {
 		if err := ss.Eval(w, g); err != nil {
 			return err
@@ -54,15 +55,14 @@ func bandedLoop(ss *scaledSystem) quotientLoop {
 			g[i] = (1+c.FuncGain)*g[i] + c.FuncOffset
 			jac.ScaleRow(i, 1+c.JacGain)
 		}
-		if lu == nil {
+		if chol == nil {
 			klA, kuA := la.Bandwidths(jac)
-			b := klA + kuA
-			lu = la.NewBandLUWorkspace(n, b, b)
+			chol = la.NewBandCholesky(n, klA+kuA)
 		}
-		if err := lu.FactorNormalFrom(jac, QuotientLoopEpsilon); err != nil {
+		if err := chol.FactorNormalFrom(jac, QuotientLoopEpsilon); err != nil {
 			return fmt.Errorf("analog: quotient loop failed: %w", err)
 		}
 		jac.MulTransVec(delta, g)
-		return lu.SolveInto(delta)
+		return chol.SolveInto(delta)
 	}
 }

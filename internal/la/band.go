@@ -166,22 +166,14 @@ func (f *BandLU) FactorFrom(a *CSR) error {
 	return f.factor()
 }
 
-// clearFor checks that a fits the workspace and zeroes it. Every entry a
-// load leaves unwritten stays +0, which the elimination's reach relies on.
-func (f *BandLU) clearFor(a *CSR) error {
+// load checks that a fits the workspace and copies it in. Every entry a
+// leaves unwritten is +0, which the elimination's reach relies on.
+func (f *BandLU) load(a *CSR) error {
 	if a.Rows() != f.n || a.Cols() != f.n {
 		return fmt.Errorf("la: band workspace is %d×%d, matrix is %d×%d", f.n, f.n, a.Rows(), a.Cols())
 	}
 	clear(f.data)
 	f.FactorOps = 0
-	return nil
-}
-
-// load copies a into the cleared workspace.
-func (f *BandLU) load(a *CSR) error {
-	if err := f.clearFor(a); err != nil {
-		return err
-	}
 	for i := 0; i < f.n; i++ {
 		cols, vals := a.RowNNZ(i)
 		row := f.data[i*f.w : (i+1)*f.w]
@@ -354,52 +346,6 @@ func SolveSparse(a *CSR, b []float64) ([]float64, *BandLU, error) {
 		return nil, f, err
 	}
 	return x, f, nil
-}
-
-// FactorNormalFrom loads the regularised normal equations AᵀA + εI into the
-// workspace and factors them. If A has bandwidths (klA, kuA), AᵀA has
-// bandwidth klA+kuA on both sides, which the workspace must accommodate.
-//
-// This is the smooth (Levenberg–Marquardt-like) form of the analog quotient
-// loop: unlike a shifted direct solve, (AᵀA+εI)⁻¹Aᵀg stays bounded and
-// continuous as singular values of A cross zero, exactly like the physical
-// finite-gain gradient-descent circuit it models.
-func (f *BandLU) FactorNormalFrom(a *CSR, eps float64) error {
-	if err := f.loadNormal(a, eps); err != nil {
-		return err
-	}
-	return f.factor()
-}
-
-// loadNormal accumulates AᵀA + εI into the cleared workspace.
-func (f *BandLU) loadNormal(a *CSR, eps float64) error {
-	if err := f.clearFor(a); err != nil {
-		return err
-	}
-	w, kl := f.w, f.kl
-	// (AᵀA)ij = Σ_k A[k][i]·A[k][j]: accumulate over the nnz pairs of each
-	// row of A.
-	for k := 0; k < f.n; k++ {
-		cols, vals := a.RowNNZ(k)
-		for p, i := range cols {
-			vi := vals[p]
-			if vi == 0 {
-				continue
-			}
-			base := i*w - i + kl
-			for q, j := range cols {
-				off := j - i
-				if off < -f.kl || off > f.ku {
-					return fmt.Errorf("la: normal-equation entry (%d,%d) outside band kl=%d ku=%d", i, j, f.kl, f.ku)
-				}
-				f.data[base+j] += float64(vi * vals[q])
-			}
-		}
-	}
-	for i := 0; i < f.n; i++ {
-		f.data[i*w+kl] += eps
-	}
-	return nil
 }
 
 // MulTransVec computes dst = Aᵀ·x.

@@ -157,8 +157,9 @@ func swapBanded(rng *rand.Rand, n, kl, ku int, zeros bool) *CSR {
 
 // TestBandLUReachMatchesFullSpan pins the reach bound against the
 // full-span oracle: on matrices that interchange rows, with explicit ±0
-// entries, lopsided and degenerate bandwidths, both loaders and pools of
-// 1–3 workers, the pivots, FactorOps and Solve bits are the oracle's.
+// entries, lopsided and degenerate bandwidths, each matrix A and its
+// assembled normal equations AᵀA + εI, and pools of 1–3 workers, the
+// pivots, FactorOps and Solve bits are the oracle's.
 func TestBandLUReachMatchesFullSpan(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	pools := []*par.Pool{nil, par.NewPool(1), par.NewPool(2), par.NewPool(3)}
@@ -190,14 +191,14 @@ func TestBandLUReachMatchesFullSpan(t *testing.T) {
 					t.Fatalf("%s: %d row interchanges, so the fill region went untested", name, swaps)
 				}
 
-				// AᵀA has bandwidth kl+ku on both sides.
-				const eps = 1e-3
+				// AᵀA + εI, assembled, has bandwidth kl+ku on both sides.
+				ata := normalEquations(a, 1e-3)
 				got, ref = NewBandLUWorkspace(n, kl+ku, kl+ku), NewBandLUWorkspace(n, kl+ku, kl+ku)
 				got.SetPool(p)
-				if err := ref.loadNormal(a, eps); err != nil {
+				if err := ref.load(ata); err != nil {
 					t.Fatal(err)
 				}
-				compareFullSpan(t, name+" FactorNormalFrom", got, ref, got.FactorNormalFrom(a, eps), b, true)
+				compareFullSpan(t, name+" FactorFrom(AᵀA+εI)", got, ref, got.FactorFrom(ata), b, true)
 			}
 		}
 	}
@@ -307,68 +308,6 @@ func TestBandLUPoisson2D(t *testing.T) {
 	vecAlmostEq(t, x, want, 1e-9)
 	if f.FactorOps <= 0 {
 		t.Fatal("FactorOps should count elimination work")
-	}
-}
-
-func TestFactorNormalFromMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 15; trial++ {
-		n := 4 + rng.Intn(20)
-		// Random banded matrix, possibly singular — normal equations must
-		// still factor thanks to the εI shift.
-		bld := NewCOO(n, n)
-		dn := NewDense(n, n)
-		for i := 0; i < n; i++ {
-			for j := max(0, i-2); j <= min(n-1, i+1); j++ {
-				v := rng.NormFloat64()
-				bld.Append(i, j, v)
-				dn.Set(i, j, v)
-			}
-		}
-		a := bld.ToCSR()
-		const eps = 1e-3
-		ws := NewBandLUWorkspace(n, 3, 3)
-		if err := ws.FactorNormalFrom(a, eps); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		// Dense reference: (AᵀA + εI)·x = Aᵀ·g.
-		at := dn.Transpose()
-		ata := Mul(at, dn)
-		for i := 0; i < n; i++ {
-			ata.Add(i, i, eps)
-		}
-		g := randomVec(rng, n)
-		atg := make([]float64, n)
-		a.MulTransVec(atg, g)
-		// Cross-check MulTransVec against the dense transpose.
-		atgDense := make([]float64, n)
-		at.MulVec(atgDense, g)
-		vecAlmostEq(t, atg, atgDense, 1e-12)
-
-		want, err := SolveDense(ata, atg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := Copy(atg)
-		if err := ws.SolveInto(got); err != nil {
-			t.Fatal(err)
-		}
-		vecAlmostEq(t, got, want, 1e-8)
-	}
-}
-
-func TestFactorNormalFromSingularMatrix(t *testing.T) {
-	// An exactly singular matrix: the shifted normal equations still
-	// factor and the solve direction vanishes along the null space input.
-	bld := NewCOO(2, 2)
-	bld.Append(0, 0, 1)
-	bld.Append(0, 1, 1)
-	bld.Append(1, 0, 1)
-	bld.Append(1, 1, 1)
-	a := bld.ToCSR()
-	ws := NewBandLUWorkspace(2, 2, 2)
-	if err := ws.FactorNormalFrom(a, 1e-3); err != nil {
-		t.Fatalf("shifted normal equations must factor a singular matrix: %v", err)
 	}
 }
 

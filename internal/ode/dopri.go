@@ -56,10 +56,30 @@ var (
 	dpB4 = [7]float64{5179.0 / 57600, 0, 7571.0 / 16695, 393.0 / 640, -92097.0 / 339200, 187.0 / 2100, 1.0 / 40}
 )
 
+// stepObserver is dormandPrince's hook after every accepted step: y is the
+// accepted state at time t and dydt is f(t, y) bit for bit, the FSAL
+// stage the next step starts from. Returning false stops the integration.
+type stepObserver func(t float64, y, dydt []float64) bool
+
 // DormandPrince integrates dy/dt = f(t,y) from t0 to tEnd with adaptive step
 // control (RK5(4), PI controller). It matches the role of
 // odeint::runge_kutta_dopri5 used by the paper's accelerator model.
 func DormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOptions) (Result, error) {
+	var obs stepObserver
+	if opts.Observer != nil {
+		obs = func(t float64, y, _ []float64) bool { return opts.Observer(t, y) }
+	}
+	return dormandPrince(f, y0, t0, tEnd, opts, obs)
+}
+
+// dormandPrince is the integrator DormandPrince and IntegrateToSteadyState
+// share; it reports accepted steps to obs and ignores opts.Observer.
+//
+// Stage 7 is evaluated at the 5th-order solution y5 itself rather than at
+// y + Σ h·a₇ⱼ·kⱼ: the tableau has a₇ = b₅, so the two agree up to rounding,
+// and this way k[6] is exactly f at the state the step accepts. The next
+// step's first stage (FSAL) and obs's derivative are then that exact f.
+func dormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOptions, obs stepObserver) (Result, error) {
 	if tEnd < t0 {
 		return Result{}, fmt.Errorf("ode: tEnd %g before t0 %g", tEnd, t0)
 	}
@@ -78,7 +98,7 @@ func DormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOption
 	}
 	ytmp := make([]float64, n)
 	y5 := make([]float64, n)
-	yerr := make([]float64, n)
+	s5 := make([]float64, n) // Σ b₅ⱼ·kⱼ, kept for the error estimate
 
 	// Initial derivative; also used for automatic initial step selection.
 	if err := f(t0, y, k[0]); err != nil {
@@ -130,16 +150,32 @@ func DormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOption
 		// Stages 2..7.
 		failed := false
 		for s := 1; s < 7; s++ {
-			for i := 0; i < n; i++ {
-				acc := y[i]
-				for j := 0; j < s; j++ {
-					if dpA[s][j] != 0 { //pdevet:allow floateq Butcher-tableau entries are structural zeros by assignment
-						acc += h * dpA[s][j] * k[j][i]
+			yin := ytmp
+			if s < 6 {
+				for i := 0; i < n; i++ {
+					acc := y[i]
+					for j := 0; j < s; j++ {
+						if dpA[s][j] != 0 { //pdevet:allow floateq Butcher-tableau entries are structural zeros by assignment
+							acc += float64(h * dpA[s][j] * k[j][i])
+						}
 					}
+					ytmp[i] = acc
 				}
-				ytmp[i] = acc
+			} else {
+				// Stage 7 runs at the candidate solution y5 (a₇ⱼ = b₅ⱼ).
+				yin = y5
+				for i := 0; i < n; i++ {
+					acc := 0.0
+					for j := 0; j < 6; j++ {
+						if dpB5[j] != 0 { //pdevet:allow floateq Butcher-tableau entries are structural zeros by assignment
+							acc += float64(dpB5[j] * k[j][i])
+						}
+					}
+					s5[i] = acc
+					y5[i] = y[i] + float64(h*acc)
+				}
 			}
-			if err := f(t+dpC[s]*h, ytmp, k[s]); err != nil {
+			if err := f(t+float64(dpC[s]*h), yin, k[s]); err != nil {
 				return res, err
 			}
 			res.Evals++
@@ -154,23 +190,18 @@ func DormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOption
 			firstSameAsLast = false
 			continue
 		}
-		// Candidate solution and embedded error.
+		// Embedded error.
 		errNorm := 0.0
 		for i := 0; i < n; i++ {
-			s5, s4 := 0.0, 0.0
+			s4 := 0.0
 			for s := 0; s < 7; s++ {
-				if dpB5[s] != 0 { //pdevet:allow floateq Butcher-tableau entries are structural zeros by assignment
-					s5 += dpB5[s] * k[s][i]
-				}
 				if dpB4[s] != 0 { //pdevet:allow floateq Butcher-tableau entries are structural zeros by assignment
-					s4 += dpB4[s] * k[s][i]
+					s4 += float64(dpB4[s] * k[s][i])
 				}
 			}
-			y5[i] = y[i] + h*s5
-			yerr[i] = h * (s5 - s4)
-			sc := opts.AbsTol + opts.RelTol*math.Max(math.Abs(y[i]), math.Abs(y5[i]))
-			e := yerr[i] / sc
-			errNorm += e * e
+			sc := opts.AbsTol + float64(opts.RelTol*math.Max(math.Abs(y[i]), math.Abs(y5[i])))
+			e := h * (s5[i] - s4) / sc
+			errNorm += float64(e * e)
 		}
 		errNorm = math.Sqrt(errNorm / float64(n))
 		if errNorm <= 1 && validState(y5) {
@@ -180,7 +211,7 @@ func DormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOption
 			res.Steps++
 			res.T = t
 			firstSameAsLast = true
-			if opts.Observer != nil && !opts.Observer(t, y) {
+			if obs != nil && !obs(t, y, k[6]) {
 				res.Stopped = true
 				return res, nil
 			}
@@ -214,7 +245,7 @@ func DormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOption
 func norm(x []float64) float64 {
 	s := 0.0
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -247,6 +278,12 @@ type SteadyResult struct {
 // returning the settle time — the quantity the paper converts into analog
 // solution time. If the system never settles before TMax, Settled is false
 // and the final state is still returned.
+//
+// The settle test judges the derivative Dormand–Prince's last stage already
+// evaluated at the accepted state, bit-equal to a fresh f(t, y), so it
+// costs no evaluation of its own: f runs exactly Result.Evals times. An
+// Adaptive.Observer runs first at each accepted step and can stop the
+// integration.
 func IntegrateToSteadyState(f System, y0 []float64, opts SteadyStateOptions) (SteadyResult, error) {
 	if opts.TMax <= 0 {
 		return SteadyResult{}, fmt.Errorf("ode: IntegrateToSteadyState requires TMax > 0")
@@ -259,22 +296,15 @@ func IntegrateToSteadyState(f System, y0 []float64, opts SteadyStateOptions) (St
 	}
 	hold := 0
 	settleAt := math.NaN()
-	var obsErr error
-	deriv := make([]float64, len(y0))
-	inner := opts.Adaptive
-	userObs := inner.Observer
-	inner.Observer = func(t float64, y []float64) bool {
+	userObs := opts.Adaptive.Observer
+	res, err := dormandPrince(f, y0, 0, opts.TMax, opts.Adaptive, func(t float64, y, dydt []float64) bool {
 		if userObs != nil && !userObs(t, y) {
 			return false
 		}
 		if t < opts.MinTime {
 			return true
 		}
-		if obsErr = f(t, y, deriv); obsErr != nil {
-			// Stop the integration; surfaced after DormandPrince returns.
-			return false
-		}
-		if norm(deriv) <= opts.DerivTol*(1+norm(y)) {
+		if norm(dydt) <= opts.DerivTol*(1+norm(y)) {
 			hold++
 			if hold == 1 {
 				settleAt = t
@@ -287,12 +317,8 @@ func IntegrateToSteadyState(f System, y0 []float64, opts SteadyStateOptions) (St
 			settleAt = math.NaN()
 		}
 		return true
-	}
-	res, err := DormandPrince(f, y0, 0, opts.TMax, inner)
+	})
 	sr := SteadyResult{Result: res}
-	if err == nil {
-		err = obsErr
-	}
 	if err != nil {
 		return sr, err
 	}

@@ -155,8 +155,9 @@ func TestSystemErrorPropagates(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("expected propagated error from DP, got %v", err)
 	}
-	// The user observer runs just before IntegrateToSteadyState's own
-	// derivative evaluation, so arming here makes exactly that call fail.
+	// The settle test evaluates nothing itself, so every error comes from a
+	// stage: armed at the first accepted step, the second step's first new
+	// stage fails, and IntegrateToSteadyState surfaces it after one step.
 	armed := false
 	g := func(tm float64, y, dydt []float64) error {
 		if armed {
@@ -169,8 +170,85 @@ func TestSystemErrorPropagates(t *testing.T) {
 		TMax:     10,
 		Adaptive: AdaptiveOptions{Observer: func(float64, []float64) bool { armed = true; return true }},
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("expected the observer's evaluation error, got settled=%v err=%v", sr.Settled, err)
+	if !errors.Is(err, boom) || sr.Steps != 1 {
+		t.Fatalf("expected the second step's stage error after 1 step, got %d steps, err=%v", sr.Steps, err)
+	}
+}
+
+// coupled is a nonlinear 3-variable system that decays to a steady state,
+// so the stage sums round differently from the 5th-order solution.
+func coupled(t float64, y, dydt []float64) error {
+	dydt[0] = -(y[0] - 1) + 0.3*y[1]*y[2]
+	dydt[1] = -2*y[1] + 0.5*math.Sin(y[0])
+	dydt[2] = -0.7*y[2] - 0.2*y[0]*y[1]
+	return nil
+}
+
+// TestSteadyStateEvaluatesOnlyStages pins the settle test's cost: f runs
+// exactly Result.Evals times, with no extra evaluation per accepted step.
+func TestSteadyStateEvaluatesOnlyStages(t *testing.T) {
+	calls := 0
+	f := func(tm float64, y, dydt []float64) error {
+		calls++
+		return coupled(tm, y, dydt)
+	}
+	res, err := IntegrateToSteadyState(f, []float64{0.2, -1, 2}, SteadyStateOptions{TMax: 100, DerivTol: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Settled || res.Steps < 10 {
+		t.Fatalf("settled=%v after %d steps; want a settled run of several steps", res.Settled, res.Steps)
+	}
+	if calls != res.Evals {
+		t.Fatalf("f ran %d times, Result.Evals = %d", calls, res.Evals)
+	}
+}
+
+// TestAcceptedStepDerivativeIsExact checks the FSAL stage at every accepted
+// step: the last evaluation before the observer runs is at the accepted
+// (t, y) bit for bit, and its derivative, which the settle test judges and
+// the next step starts from, equals a fresh f(t, y).
+func TestAcceptedStepDerivativeIsExact(t *testing.T) {
+	var lastT float64
+	lastY, lastD, fresh := make([]float64, 3), make([]float64, 3), make([]float64, 3)
+	f := func(tm float64, y, dydt []float64) error {
+		err := coupled(tm, y, dydt)
+		lastT = tm
+		copy(lastY, y)
+		copy(lastD, dydt)
+		return err
+	}
+	same := func(a, b []float64) bool {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	steps := 0
+	obs := func(tm float64, y []float64) bool {
+		steps++
+		if err := coupled(tm, y, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if lastT != tm || !same(lastY, y) || !same(lastD, fresh) {
+			t.Fatalf("step %d: last evaluation at t=%v y=%v gave %v; accepted t=%v y=%v, f there %v",
+				steps, lastT, lastY, lastD, tm, y, fresh)
+		}
+		return true
+	}
+	y0 := []float64{0.2, -1, 2}
+	if _, err := DormandPrince(f, y0, 0, 20, AdaptiveOptions{Observer: obs}); err != nil {
+		t.Fatal(err)
+	}
+	dpSteps := steps
+	res, err := IntegrateToSteadyState(f, y0, SteadyStateOptions{TMax: 100, DerivTol: 1e-6, Adaptive: AdaptiveOptions{Observer: obs}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dpSteps < 10 || steps-dpSteps != res.Steps {
+		t.Fatalf("observer saw %d and %d steps; want ≥ 10 and Result.Steps = %d", dpSteps, steps-dpSteps, res.Steps)
 	}
 }
 
