@@ -20,10 +20,6 @@ var keptAsOracle = map[string]string{
 	"Transpose":    "la: TestBandCholeskyMatchesDense (Dense), TestPropertyTransposeAdjoint and FuzzCSR (CSR)",
 	"Identity":     "la: TestDenseMulIdentity, the reference for Mul",
 	"NewDenseFrom": "la: literal matrices of TestLUSolveKnownSystem and the pivoting/singular LU tests",
-	// ode.RK4 is analog's TestMethodOfLinesDiffusionDecay reference; the
-	// rest of the fixed-step family shares its stepper and order tests.
-	"Euler": "ode: TestEulerFirstOrderAccuracy, TestNonFiniteStateDetected, TestFixedStepValidation",
-	"Heun":  "ode: TestHeunSecondOrderAccuracy",
 	// Called through errors.Is/As, never by name.
 	"Unwrap": "nonlin: TestNewtonSingularJacobianReported reaches la.ErrSingular through it",
 	// Forces the red-black sweep onto a chosen accelerator count: one gives

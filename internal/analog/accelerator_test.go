@@ -7,8 +7,6 @@ import (
 
 	"hybridpde/internal/la"
 	"hybridpde/internal/nonlin"
-	"hybridpde/internal/ode"
-	"hybridpde/internal/pde"
 )
 
 // cubic returns z³ − 1 = 0 as a 2-D real system, degree 3.
@@ -324,84 +322,4 @@ func TestScaledSystemPreservesRoots(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestMethodOfLinesDiffusionDecay(t *testing.T) {
-	// A diffusion-dominated semi-discrete Burgers system integrated in the
-	// classic hybrid-computer mode must decay toward zero and roughly
-	// track a digital reference integration.
-	b := newMOLProblem(t)
-	acc := NewPrototype(9)
-	u0 := b.InitialGuess()
-	mol, err := acc.IntegrateODE(wrapODE(b.SemiDiscreteRHS()), b.Dim(), u0, MOLOptions{
-		DynamicRange: 1.5,
-		THorizon:     2.0,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := ode.RK4(wrapODE(b.SemiDiscreteRHS()), u0, 0, 2.0, ode.FixedOptions{Dt: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if la.Norm2(mol.U) >= la.Norm2(u0) {
-		t.Fatalf("diffusive MOL run should decay: ‖u0‖=%g, ‖u(T)‖=%g", la.Norm2(u0), la.Norm2(mol.U))
-	}
-	for i := range mol.U {
-		if math.Abs(mol.U[i]-ref.Y[i]) > 0.25 {
-			t.Fatalf("MOL state %d = %g deviates from digital reference %g beyond hardware error",
-				i, mol.U[i], ref.Y[i])
-		}
-	}
-	if mol.WallSeconds != mol.TauReached*TimeConstantSeconds {
-		t.Fatal("analog time bookkeeping wrong")
-	}
-}
-
-func TestMethodOfLinesObserverAndCapacity(t *testing.T) {
-	b := newMOLProblem(t)
-	acc := NewPrototype(10)
-	var samples int
-	_, err := acc.IntegrateODE(wrapODE(b.SemiDiscreteRHS()), b.Dim(), b.InitialGuess(), MOLOptions{
-		DynamicRange: 1.5,
-		THorizon:     1.0,
-		Observer:     func(tau float64, u []float64) { samples++ },
-		DisableNoise: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if samples == 0 {
-		t.Fatal("observer never sampled the trajectory")
-	}
-	// Capacity: 9 variables exceed the prototype's 8 tiles.
-	big := func(tm float64, y, dydt []float64) error {
-		for i := range dydt {
-			dydt[i] = -y[i]
-		}
-		return nil
-	}
-	if _, err := acc.IntegrateODE(big, 9, make([]float64, 9), MOLOptions{THorizon: 1}); !errors.Is(err, ErrInsufficientHardware) {
-		t.Fatalf("expected ErrInsufficientHardware, got %v", err)
-	}
-	if _, err := acc.IntegrateODE(big, 8, make([]float64, 8), MOLOptions{}); err == nil {
-		t.Fatal("expected error for missing THorizon")
-	}
-}
-
-// newMOLProblem builds a small diffusion-dominated Burgers instance.
-func newMOLProblem(t *testing.T) *pde.Burgers {
-	t.Helper()
-	b, err := pde.NewBurgers(2, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.UPrev[0], b.UPrev[3] = 0.8, -0.6
-	b.VPrev[1], b.VPrev[2] = -0.7, 0.5
-	return b
-}
-
-// wrapODE adapts the pde closure to ode.System.
-func wrapODE(f func(t float64, w, dwdt []float64) error) ode.System {
-	return func(t float64, y, dydt []float64) error { return f(t, y, dydt) }
 }

@@ -46,9 +46,9 @@ func BenchmarkNewtonSparseSteadyStep(b *testing.B) {
 }
 
 // BenchmarkHybridTimeLoop advances the Crank–Nicolson time loop through
-// repeated Solve calls sharing one Workspace, the pattern of
-// examples/burgers-sim. ReportAllocs tracks the steady-state allocation
-// cost of a pure-digital step.
+// repeated Solve calls sharing one Workspace, the pattern of a time-dependent
+// Burgers run. ReportAllocs tracks the steady-state allocation cost of a
+// pure-digital step.
 func BenchmarkHybridTimeLoop(b *testing.B) {
 	burgers, err := pde.NewBurgers(8, 0.8)
 	if err != nil {

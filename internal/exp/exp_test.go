@@ -88,11 +88,32 @@ func TestTable4Quick(t *testing.T) {
 	}
 }
 
+// checkPPMs asserts that paths names two files and that each starts with a
+// binary PPM header.
+func checkPPMs(t *testing.T, paths []string) {
+	t.Helper()
+	if len(paths) != 2 {
+		t.Fatalf("wrote %d images (%v), want 2", len(paths), paths)
+	}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(string(b), "P6") {
+			t.Fatalf("%s does not start with a P6 header", p)
+		}
+	}
+}
+
 func TestFig2Quick(t *testing.T) {
-	r, err := Fig2(context.Background(), quickCfg)
+	cfg := quickCfg
+	cfg.OutDir = t.TempDir()
+	r, err := Fig2(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPPMs(t, r.Paths)
 	if r.AnalogRootsFound != 3 {
 		t.Fatalf("chip should reach all 3 cubic roots, found %d", r.AnalogRootsFound)
 	}
@@ -104,10 +125,13 @@ func TestFig2Quick(t *testing.T) {
 }
 
 func TestFig3Quick(t *testing.T) {
-	r, err := Fig3(context.Background(), quickCfg)
+	cfg := quickCfg
+	cfg.OutDir = t.TempDir()
+	r, err := Fig3(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkPPMs(t, r.Paths)
 	if len(r.Roots) < 1 {
 		t.Fatal("no roots discovered on the chip")
 	}

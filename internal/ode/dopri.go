@@ -9,26 +9,20 @@ import (
 type AdaptiveOptions struct {
 	AbsTol   float64 // default 1e-9
 	RelTol   float64 // default 1e-6
-	InitDt   float64 // default: auto from derivative magnitude
-	MaxDt    float64 // default: tEnd − t0
 	MaxSteps int     // accepted-step budget; default 1e6
 	// MaxEvals bounds total derivative evaluations, including those of
 	// rejected trial steps — the real cost guard for stiff regions where
 	// the controller rejects many trials per acceptance. Default
 	// 20·MaxSteps.
 	MaxEvals int
-	Observer Observer // optional early-stop hook
 }
 
-func (o *AdaptiveOptions) defaults(span float64) {
+func (o *AdaptiveOptions) defaults() {
 	if o.AbsTol <= 0 {
 		o.AbsTol = 1e-9
 	}
 	if o.RelTol <= 0 {
 		o.RelTol = 1e-6
-	}
-	if o.MaxDt <= 0 {
-		o.MaxDt = span
 	}
 	if o.MaxSteps <= 0 {
 		o.MaxSteps = 1_000_000
@@ -61,36 +55,21 @@ var (
 // stage the next step starts from. Returning false stops the integration.
 type stepObserver func(t float64, y, dydt []float64) bool
 
-// DormandPrince integrates dy/dt = f(t,y) from t0 to tEnd with adaptive step
-// control (RK5(4), PI controller). It matches the role of
-// odeint::runge_kutta_dopri5 used by the paper's accelerator model.
-func DormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOptions) (Result, error) {
-	var obs stepObserver
-	if opts.Observer != nil {
-		obs = func(t float64, y, _ []float64) bool { return opts.Observer(t, y) }
-	}
-	return dormandPrince(f, y0, t0, tEnd, opts, obs)
-}
-
-// dormandPrince is the integrator DormandPrince and IntegrateToSteadyState
-// share; it reports accepted steps to obs and ignores opts.Observer.
+// dormandPrince integrates dy/dt = f(t,y) from 0 to tEnd > 0 with adaptive step
+// control (RK5(4), PI controller), the role odeint::runge_kutta_dopri5 plays
+// in the paper's accelerator model. It reports accepted steps to obs, which
+// may be nil.
 //
 // Stage 7 is evaluated at the 5th-order solution y5 itself rather than at
 // y + Σ h·a₇ⱼ·kⱼ: the tableau has a₇ = b₅, so the two agree up to rounding,
 // and this way k[6] is exactly f at the state the step accepts. The next
 // step's first stage (FSAL) and obs's derivative are then that exact f.
-func dormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOptions, obs stepObserver) (Result, error) {
-	if tEnd < t0 {
-		return Result{}, fmt.Errorf("ode: tEnd %g before t0 %g", tEnd, t0)
-	}
-	opts.defaults(tEnd - t0)
+func dormandPrince(f System, y0 []float64, tEnd float64, opts AdaptiveOptions, obs stepObserver) (Result, error) {
+	opts.defaults()
 	n := len(y0)
 	y := make([]float64, n)
 	copy(y, y0)
-	res := Result{T: t0, Y: y}
-	if tEnd == t0 { //pdevet:allow floateq degenerate interval check on caller-passed bounds, not computed values
-		return res, nil
-	}
+	res := Result{Y: y}
 
 	k := make([][]float64, 7)
 	for i := range k {
@@ -101,25 +80,16 @@ func dormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOption
 	s5 := make([]float64, n) // Σ b₅ⱼ·kⱼ, kept for the error estimate
 
 	// Initial derivative; also used for automatic initial step selection.
-	if err := f(t0, y, k[0]); err != nil {
+	if err := f(0, y, k[0]); err != nil {
 		return res, err
 	}
 	res.Evals++
-	h := opts.InitDt
+	h := tEnd / 100
+	if d1 := norm(k[0]); d1 > 1e-12 {
+		h = 0.01 * (norm(y) + opts.AbsTol) / d1
+	}
 	if h <= 0 {
-		d0 := norm(y)
-		d1 := norm(k[0])
-		if d1 > 1e-12 {
-			h = 0.01 * (d0 + opts.AbsTol) / d1
-		} else {
-			h = (tEnd - t0) / 100
-		}
-		if h > opts.MaxDt {
-			h = opts.MaxDt
-		}
-		if h <= 0 {
-			h = 1e-6
-		}
+		h = 1e-6
 	}
 
 	const (
@@ -127,14 +97,11 @@ func dormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOption
 		minScale = 0.2
 		maxScale = 5.0
 	)
-	t := t0
+	t := 0.0
 	firstSameAsLast := false
 	for t < tEnd {
 		if res.Steps >= opts.MaxSteps || res.Evals >= opts.MaxEvals {
 			return res, ErrTooManySteps
-		}
-		if h > opts.MaxDt {
-			h = opts.MaxDt
 		}
 		if t+h > tEnd {
 			h = tEnd - t
@@ -212,7 +179,6 @@ func dormandPrince(f System, y0 []float64, t0, tEnd float64, opts AdaptiveOption
 			res.T = t
 			firstSameAsLast = true
 			if obs != nil && !obs(t, y, k[6]) {
-				res.Stopped = true
 				return res, nil
 			}
 			scale := maxScale
@@ -281,9 +247,7 @@ type SteadyResult struct {
 //
 // The settle test judges the derivative Dormand–Prince's last stage already
 // evaluated at the accepted state, bit-equal to a fresh f(t, y), so it
-// costs no evaluation of its own: f runs exactly Result.Evals times. An
-// Adaptive.Observer runs first at each accepted step and can stop the
-// integration.
+// costs no evaluation of its own: f runs exactly Result.Evals times.
 func IntegrateToSteadyState(f System, y0 []float64, opts SteadyStateOptions) (SteadyResult, error) {
 	if opts.TMax <= 0 {
 		return SteadyResult{}, fmt.Errorf("ode: IntegrateToSteadyState requires TMax > 0")
@@ -296,11 +260,7 @@ func IntegrateToSteadyState(f System, y0 []float64, opts SteadyStateOptions) (St
 	}
 	hold := 0
 	settleAt := math.NaN()
-	userObs := opts.Adaptive.Observer
-	res, err := dormandPrince(f, y0, 0, opts.TMax, opts.Adaptive, func(t float64, y, dydt []float64) bool {
-		if userObs != nil && !userObs(t, y) {
-			return false
-		}
+	res, err := dormandPrince(f, y0, opts.TMax, opts.Adaptive, func(t float64, y, dydt []float64) bool {
 		if t < opts.MinTime {
 			return true
 		}

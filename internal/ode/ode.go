@@ -1,13 +1,12 @@
-// Package ode provides ordinary-differential-equation integrators. It plays
-// the role the Odeint C++ library plays in the paper (§6.1): the simulated
-// analog accelerator evolves the continuous-Newton and homotopy ODEs with an
-// adaptive Runge–Kutta method, and the time the trajectory takes to settle is
-// the analog solution time.
+// Package ode provides the ordinary-differential-equation integrator of the
+// fabric model. It plays the role the Odeint C++ library plays in the paper
+// (§6.1): the simulated analog accelerator evolves the continuous-Newton and
+// homotopy ODEs with an adaptive Runge–Kutta method until they settle, and
+// the time the trajectory takes to settle is the analog solution time.
 package ode
 
 import (
 	"errors"
-	"fmt"
 	"math"
 )
 
@@ -17,19 +16,13 @@ import (
 // Newton's method); integrators abort and surface the error.
 type System func(t float64, y, dydt []float64) error
 
-// Observer is called after every accepted step with the current time and
-// state. Returning false stops the integration early (used for steady-state
-// detection). The slice is reused; copy it if it must be retained.
-type Observer func(t float64, y []float64) bool
-
 // Result describes a finished integration.
 type Result struct {
 	T       float64 // time reached
 	Y       []float64
-	Steps   int  // accepted steps
-	Rejects int  // rejected adaptive trials
-	Evals   int  // derivative evaluations
-	Stopped bool // true if the observer requested an early stop
+	Steps   int // accepted steps
+	Rejects int // rejected adaptive trials
+	Evals   int // derivative evaluations
 }
 
 // ErrStepUnderflow is returned when the adaptive controller cannot satisfy
@@ -37,7 +30,8 @@ type Result struct {
 // trajectory hit a singularity.
 var ErrStepUnderflow = errors.New("ode: step size underflow")
 
-// ErrTooManySteps is returned when MaxSteps is exhausted before TEnd.
+// ErrTooManySteps is returned when MaxSteps or MaxEvals is exhausted before
+// the end of the interval.
 var ErrTooManySteps = errors.New("ode: exceeded step budget")
 
 func validState(y []float64) bool {
@@ -47,128 +41,4 @@ func validState(y []float64) bool {
 		}
 	}
 	return true
-}
-
-// FixedOptions configures the fixed-step integrators.
-type FixedOptions struct {
-	Dt       float64  // step size, required
-	Observer Observer // optional
-}
-
-// rkStep holds scratch space for one explicit Runge–Kutta step.
-type rkScratch struct {
-	k    [][]float64
-	ytmp []float64
-}
-
-func newScratch(stages, n int) *rkScratch {
-	s := &rkScratch{ytmp: make([]float64, n)}
-	s.k = make([][]float64, stages)
-	for i := range s.k {
-		s.k[i] = make([]float64, n)
-	}
-	return s
-}
-
-// Euler integrates with the explicit (forward) Euler method. The paper's
-// damped Newton method is exactly Euler applied to the continuous-Newton
-// ODE, so this integrator doubles as the reference digital discretization.
-func Euler(f System, y0 []float64, t0, tEnd float64, opts FixedOptions) (Result, error) {
-	return fixedStep(f, y0, t0, tEnd, opts, 1, func(f System, t, dt float64, y []float64, s *rkScratch) error {
-		if err := f(t, y, s.k[0]); err != nil {
-			return err
-		}
-		for i := range y {
-			y[i] += dt * s.k[0][i]
-		}
-		return nil
-	})
-}
-
-// Heun integrates with the 2nd-order Heun (explicit trapezoid) method.
-func Heun(f System, y0 []float64, t0, tEnd float64, opts FixedOptions) (Result, error) {
-	return fixedStep(f, y0, t0, tEnd, opts, 2, func(f System, t, dt float64, y []float64, s *rkScratch) error {
-		if err := f(t, y, s.k[0]); err != nil {
-			return err
-		}
-		for i := range y {
-			s.ytmp[i] = y[i] + dt*s.k[0][i]
-		}
-		if err := f(t+dt, s.ytmp, s.k[1]); err != nil {
-			return err
-		}
-		for i := range y {
-			y[i] += dt * 0.5 * (s.k[0][i] + s.k[1][i])
-		}
-		return nil
-	})
-}
-
-// RK4 integrates with the classic 4th-order Runge–Kutta method.
-func RK4(f System, y0 []float64, t0, tEnd float64, opts FixedOptions) (Result, error) {
-	return fixedStep(f, y0, t0, tEnd, opts, 4, func(f System, t, dt float64, y []float64, s *rkScratch) error {
-		n := len(y)
-		if err := f(t, y, s.k[0]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			s.ytmp[i] = y[i] + 0.5*dt*s.k[0][i]
-		}
-		if err := f(t+0.5*dt, s.ytmp, s.k[1]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			s.ytmp[i] = y[i] + 0.5*dt*s.k[1][i]
-		}
-		if err := f(t+0.5*dt, s.ytmp, s.k[2]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			s.ytmp[i] = y[i] + dt*s.k[2][i]
-		}
-		if err := f(t+dt, s.ytmp, s.k[3]); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			y[i] += dt / 6 * (s.k[0][i] + 2*s.k[1][i] + 2*s.k[2][i] + s.k[3][i])
-		}
-		return nil
-	})
-}
-
-type stepFn func(f System, t, dt float64, y []float64, s *rkScratch) error
-
-func fixedStep(f System, y0 []float64, t0, tEnd float64, opts FixedOptions, stages int, step stepFn) (Result, error) {
-	if opts.Dt <= 0 {
-		return Result{}, fmt.Errorf("ode: fixed-step integrator requires Dt > 0, got %g", opts.Dt)
-	}
-	if tEnd < t0 {
-		return Result{}, fmt.Errorf("ode: tEnd %g before t0 %g", tEnd, t0)
-	}
-	y := make([]float64, len(y0))
-	copy(y, y0)
-	s := newScratch(stages, len(y0))
-	res := Result{T: t0, Y: y}
-	for t := t0; t < tEnd; {
-		dt := opts.Dt
-		if t+dt > tEnd {
-			dt = tEnd - t
-		}
-		if err := step(f, t, dt, y, s); err != nil {
-			res.T = t
-			return res, err
-		}
-		res.Evals += stages
-		t += dt
-		res.Steps++
-		res.T = t
-		if !validState(y) {
-			return res, fmt.Errorf("ode: state became non-finite at t=%g", t)
-		}
-		if opts.Observer != nil && !opts.Observer(t, y) {
-			res.Stopped = true
-			return res, nil
-		}
-	}
-	return res, nil
 }

@@ -21,66 +21,8 @@ func harmonic(t float64, y, dydt []float64) error {
 	return nil
 }
 
-func TestEulerFirstOrderAccuracy(t *testing.T) {
-	// Error should shrink roughly linearly with dt.
-	exact := math.Exp(-1)
-	errAt := func(dt float64) float64 {
-		res, err := Euler(expDecay, []float64{1}, 0, 1, FixedOptions{Dt: dt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(res.Y[0] - exact)
-	}
-	e1 := errAt(0.01)
-	e2 := errAt(0.005)
-	ratio := e1 / e2
-	if ratio < 1.7 || ratio > 2.3 {
-		t.Fatalf("Euler convergence ratio %g, want ≈ 2", ratio)
-	}
-}
-
-func TestHeunSecondOrderAccuracy(t *testing.T) {
-	exact := math.Exp(-1)
-	errAt := func(dt float64) float64 {
-		res, err := Heun(expDecay, []float64{1}, 0, 1, FixedOptions{Dt: dt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(res.Y[0] - exact)
-	}
-	ratio := errAt(0.02) / errAt(0.01)
-	if ratio < 3.4 || ratio > 4.6 {
-		t.Fatalf("Heun convergence ratio %g, want ≈ 4", ratio)
-	}
-}
-
-func TestRK4FourthOrderAccuracy(t *testing.T) {
-	exact := math.Exp(-1)
-	errAt := func(dt float64) float64 {
-		res, err := RK4(expDecay, []float64{1}, 0, 1, FixedOptions{Dt: dt})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(res.Y[0] - exact)
-	}
-	ratio := errAt(0.1) / errAt(0.05)
-	if ratio < 12 || ratio > 20 {
-		t.Fatalf("RK4 convergence ratio %g, want ≈ 16", ratio)
-	}
-}
-
-func TestRK4HarmonicEnergyConservation(t *testing.T) {
-	res, err := RK4(harmonic, []float64{1, 0}, 0, 2*math.Pi, FixedOptions{Dt: 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Y[0]-1) > 1e-8 || math.Abs(res.Y[1]) > 1e-8 {
-		t.Fatalf("after one period: y = %v, want (1, 0)", res.Y)
-	}
-}
-
 func TestDormandPrinceAccuracy(t *testing.T) {
-	res, err := DormandPrince(expDecay, []float64{1}, 0, 5, AdaptiveOptions{AbsTol: 1e-12, RelTol: 1e-10})
+	res, err := dormandPrince(expDecay, []float64{1}, 5, AdaptiveOptions{AbsTol: 1e-12, RelTol: 1e-10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +37,13 @@ func TestDormandPrinceAccuracy(t *testing.T) {
 
 func TestDormandPrinceAdaptsStepSize(t *testing.T) {
 	// A stiff-ish transition: derivative large near t=0 then tiny. The
-	// adaptive integrator should use far fewer evals than fixed RK4 at
-	// the accuracy it achieves.
+	// adaptive integrator should take large steps once the transient is
+	// gone.
 	fast := func(t float64, y, dydt []float64) error {
 		dydt[0] = -50 * (y[0] - math.Cos(t))
 		return nil
 	}
-	res, err := DormandPrince(fast, []float64{0}, 0, 10, AdaptiveOptions{AbsTol: 1e-8, RelTol: 1e-8})
+	res, err := dormandPrince(fast, []float64{0}, 10, AdaptiveOptions{AbsTol: 1e-8, RelTol: 1e-8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,27 +56,12 @@ func TestDormandPrinceAdaptsStepSize(t *testing.T) {
 }
 
 func TestDormandPrinceHarmonicLongRun(t *testing.T) {
-	res, err := DormandPrince(harmonic, []float64{1, 0}, 0, 20*math.Pi, AdaptiveOptions{AbsTol: 1e-10, RelTol: 1e-10})
+	res, err := dormandPrince(harmonic, []float64{1, 0}, 20*math.Pi, AdaptiveOptions{AbsTol: 1e-10, RelTol: 1e-10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(res.Y[0]-1) > 1e-6 || math.Abs(res.Y[1]) > 1e-6 {
 		t.Fatalf("after 10 periods: y = %v, want (1, 0)", res.Y)
-	}
-}
-
-func TestObserverEarlyStop(t *testing.T) {
-	stopAt := 0.5
-	obs := func(tm float64, y []float64) bool { return tm < stopAt }
-	res, err := RK4(expDecay, []float64{1}, 0, 10, FixedOptions{Dt: 0.01, Observer: obs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stopped {
-		t.Fatal("observer stop not recorded")
-	}
-	if res.T > stopAt+0.02 {
-		t.Fatalf("stopped at t=%g, want ≈ %g", res.T, stopAt)
 	}
 }
 
@@ -147,29 +74,23 @@ func TestSystemErrorPropagates(t *testing.T) {
 		dydt[0] = 1
 		return nil
 	}
-	_, err := RK4(f, []float64{0}, 0, 1, FixedOptions{Dt: 0.1})
-	if !errors.Is(err, boom) {
-		t.Fatalf("expected propagated error, got %v", err)
-	}
-	_, err = DormandPrince(f, []float64{0}, 0, 1, AdaptiveOptions{})
+	_, err := dormandPrince(f, []float64{0}, 1, AdaptiveOptions{}, nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("expected propagated error from DP, got %v", err)
 	}
 	// The settle test evaluates nothing itself, so every error comes from a
-	// stage: armed at the first accepted step, the second step's first new
-	// stage fails, and IntegrateToSteadyState surfaces it after one step.
-	armed := false
+	// stage: the first step is the initial evaluation plus six stages, so
+	// failing from the eighth call on fails the second step's first new
+	// stage, and IntegrateToSteadyState surfaces it after one step.
+	calls := 0
 	g := func(tm float64, y, dydt []float64) error {
-		if armed {
+		if calls++; calls > 7 {
 			return boom
 		}
 		dydt[0] = -y[0]
 		return nil
 	}
-	sr, err := IntegrateToSteadyState(g, []float64{1}, SteadyStateOptions{
-		TMax:     10,
-		Adaptive: AdaptiveOptions{Observer: func(float64, []float64) bool { armed = true; return true }},
-	})
+	sr, err := IntegrateToSteadyState(g, []float64{1}, SteadyStateOptions{TMax: 10})
 	if !errors.Is(err, boom) || sr.Steps != 1 {
 		t.Fatalf("expected the second step's stage error after 1 step, got %d steps, err=%v", sr.Steps, err)
 	}
@@ -206,8 +127,9 @@ func TestSteadyStateEvaluatesOnlyStages(t *testing.T) {
 
 // TestAcceptedStepDerivativeIsExact checks the FSAL stage at every accepted
 // step: the last evaluation before the observer runs is at the accepted
-// (t, y) bit for bit, and its derivative, which the settle test judges and
-// the next step starts from, equals a fresh f(t, y).
+// (t, y) bit for bit, and the derivative the observer gets, which the settle
+// test judges and the next step starts from, equals a fresh f(t, y). The
+// settled run ends on such a step.
 func TestAcceptedStepDerivativeIsExact(t *testing.T) {
 	var lastT float64
 	lastY, lastD, fresh := make([]float64, 3), make([]float64, 3), make([]float64, 3)
@@ -227,28 +149,35 @@ func TestAcceptedStepDerivativeIsExact(t *testing.T) {
 		return true
 	}
 	steps := 0
-	obs := func(tm float64, y []float64) bool {
+	obs := func(tm float64, y, dydt []float64) bool {
 		steps++
 		if err := coupled(tm, y, fresh); err != nil {
 			t.Fatal(err)
 		}
-		if lastT != tm || !same(lastY, y) || !same(lastD, fresh) {
-			t.Fatalf("step %d: last evaluation at t=%v y=%v gave %v; accepted t=%v y=%v, f there %v",
-				steps, lastT, lastY, lastD, tm, y, fresh)
+		if lastT != tm || !same(lastY, y) || !same(lastD, fresh) || !same(dydt, fresh) {
+			t.Fatalf("step %d: last evaluation at t=%v y=%v gave %v, observer got %v; accepted t=%v y=%v, f there %v",
+				steps, lastT, lastY, lastD, dydt, tm, y, fresh)
 		}
 		return true
 	}
 	y0 := []float64{0.2, -1, 2}
-	if _, err := DormandPrince(f, y0, 0, 20, AdaptiveOptions{Observer: obs}); err != nil {
-		t.Fatal(err)
-	}
-	dpSteps := steps
-	res, err := IntegrateToSteadyState(f, y0, SteadyStateOptions{TMax: 100, DerivTol: 1e-6, Adaptive: AdaptiveOptions{Observer: obs}})
+	res, err := dormandPrince(f, y0, 20, AdaptiveOptions{}, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dpSteps < 10 || steps-dpSteps != res.Steps {
-		t.Fatalf("observer saw %d and %d steps; want ≥ 10 and Result.Steps = %d", dpSteps, steps-dpSteps, res.Steps)
+	if steps < 10 || steps != res.Steps {
+		t.Fatalf("observer saw %d steps; want ≥ 10 and Result.Steps = %d", steps, res.Steps)
+	}
+	sr, err := IntegrateToSteadyState(f, y0, SteadyStateOptions{TMax: 100, DerivTol: 1e-6})
+	if err != nil || !sr.Settled {
+		t.Fatalf("settled=%v, err=%v", sr.Settled, err)
+	}
+	if err := coupled(sr.T, sr.Y, fresh); err != nil {
+		t.Fatal(err)
+	}
+	if lastT != sr.T || !same(lastY, sr.Y) || !same(lastD, fresh) {
+		t.Fatalf("settled run: last evaluation at t=%v y=%v gave %v; final t=%v y=%v, f there %v",
+			lastT, lastY, lastD, sr.T, sr.Y, fresh)
 	}
 }
 
@@ -257,7 +186,7 @@ func TestNonFiniteStateDetected(t *testing.T) {
 		dydt[0] = math.Inf(1)
 		return nil
 	}
-	if _, err := Euler(f, []float64{0}, 0, 1, FixedOptions{Dt: 0.1}); err == nil {
+	if _, err := dormandPrince(f, []float64{0}, 1, AdaptiveOptions{}, nil); err == nil {
 		t.Fatal("expected error for non-finite state")
 	}
 }
@@ -278,6 +207,10 @@ func TestIntegrateToSteadyState(t *testing.T) {
 	}
 	if !res.Settled {
 		t.Fatal("system should settle")
+	}
+	// The settle test stops the integration; it does not run on to TMax.
+	if res.T >= 100 {
+		t.Fatalf("integration ran to t=%g after settling at %g", res.T, res.SettleTime)
 	}
 	if math.Abs(res.Y[0]-3) > 1e-5 {
 		t.Fatalf("settled value %g, want 3", res.Y[0])
@@ -301,17 +234,8 @@ func TestSteadyStateNeverSettles(t *testing.T) {
 	}
 }
 
-func TestFixedStepValidation(t *testing.T) {
-	if _, err := Euler(expDecay, []float64{1}, 0, 1, FixedOptions{}); err == nil {
-		t.Fatal("expected error for missing Dt")
-	}
-	if _, err := Euler(expDecay, []float64{1}, 1, 0, FixedOptions{Dt: 0.1}); err == nil {
-		t.Fatal("expected error for reversed time span")
-	}
-}
-
 func TestDormandPrinceStepBudget(t *testing.T) {
-	_, err := DormandPrince(harmonic, []float64{1, 0}, 0, 1e9, AdaptiveOptions{MaxSteps: 10, MaxDt: 0.001})
+	_, err := dormandPrince(harmonic, []float64{1, 0}, 1e9, AdaptiveOptions{MaxSteps: 10}, nil)
 	if !errors.Is(err, ErrTooManySteps) {
 		t.Fatalf("expected ErrTooManySteps, got %v", err)
 	}

@@ -516,25 +516,3 @@ var (
 	_ problem.SparseSystem = (*Burgers)(nil)
 	_ problem.Decomposable = (*Burgers)(nil)
 )
-
-// SemiDiscreteRHS returns the method-of-lines form of the problem: the
-// space-discretised ODE system dw/dt = RHS − A(w) that old-style hybrid
-// computers integrated directly in analog (§4.3). The unknown layout
-// matches the step system (interleaved u, v per node); boundaries and
-// forcing are taken from the receiver.
-func (b *Burgers) SemiDiscreteRHS() func(t float64, w, dwdt []float64) error {
-	return func(t float64, w, dwdt []float64) error {
-		if len(w) != b.Dim() || len(dwdt) != b.Dim() {
-			return fmt.Errorf("pde: SemiDiscreteRHS dimension mismatch")
-		}
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < b.N; j++ {
-				k := b.idx(i, j)
-				node := i*b.N + j
-				dwdt[k] = b.RHS0[node] - b.advDiff(w, 0, i, j)
-				dwdt[k+1] = b.RHS1[node] - b.advDiff(w, 1, i, j)
-			}
-		}
-		return nil
-	}
-}

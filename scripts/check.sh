@@ -2,8 +2,8 @@
 # Full verification gate: build, vet, pdevet, formatting, the test suite
 # under the race detector (the parallel red-black Gauss-Seidel sweep must
 # stay race-clean), the fuzz smoke, the experiment transcripts, an arm64
-# cross-build that must hold no fused multiply-add in band.go, cholesky.go
-# or dopri.go, and the bench module. Run from the repository root; also
+# cross-build that must hold no fused multiply-add in band.go, cholesky.go,
+# dopri.go or ode.go, and the bench module. Run from the repository root; also
 # available as `make check`.
 set -eu
 
@@ -56,14 +56,16 @@ done
 
 # The Go spec lets a compiler fuse x*y+z, and arm64 does; amd64 does not.
 # Every multiply-add in the band-LU and band-Cholesky kernels and in the
-# Dormand–Prince integrator is written float64(x*y)+z, which forbids fusion,
-# so their bits match across architectures. A cross-built arm64 binary must
-# show no fused instruction attributed to band.go, cholesky.go or dopri.go.
-echo "== no fused multiply-add in band.go, cholesky.go, dopri.go (GOARCH=arm64 go tool objdump)"
+# ode package (dopri.go and ode.go) is written float64(x*y)+z, which forbids
+# fusion, so their bits match across architectures. A cross-built arm64
+# binary must show no fused instruction attributed to band.go, cholesky.go,
+# dopri.go or ode.go. The awk matches the basename exactly, so a file such
+# as decode.go or node.go does not count as ode.go.
+echo "== no fused multiply-add in band.go, cholesky.go, dopri.go, ode.go (GOARCH=arm64 go tool objdump)"
 GOARCH=arm64 go build -o "$transcripts/hybridpde-arm64" ./cmd/hybridpde
-fused=$(go tool objdump "$transcripts/hybridpde-arm64" | grep -E '(band|cholesky|dopri)\.go:' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
+fused=$(go tool objdump "$transcripts/hybridpde-arm64" | awk '$1 ~ /^(band|cholesky|dopri|ode)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
 if [ "$fused" -ne 0 ]; then
-	echo "band.go, cholesky.go and dopri.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
+	echo "band.go, cholesky.go, dopri.go and ode.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
 	exit 1
 fi
 
