@@ -43,7 +43,7 @@ func BenchmarkAblationDampingSchedule(b *testing.B) {
 	var autoIters, armijoIters int
 	for i := 0; i < b.N; i++ {
 		prob, _, u0 := ablationProblem(b, 8, 2.0, 2.4, 77)
-		res, err := nonlin.NewtonSparse(nil, prob, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, AutoDamp: true, MaxIter: 400})
+		res, err := new(nonlin.SparseSolver).Solve(nil, prob, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, AutoDamp: true, MaxIter: 400})
 		if err == nil {
 			autoIters = res.TotalIters
 		}
@@ -136,7 +136,7 @@ func BenchmarkAblationStencilOrder(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := nonlin.NewtonSparse(nil, prob, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, AutoDamp: true, MaxIter: 300})
+			res, err := new(nonlin.SparseSolver).Solve(nil, prob, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, AutoDamp: true, MaxIter: 300})
 			if err != nil {
 				continue
 			}

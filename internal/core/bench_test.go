@@ -31,7 +31,7 @@ func BenchmarkNewtonSparseSteadyStep(b *testing.B) {
 	for i := range root {
 		u0[i] = root[i] + 0.05*(2*rng.Float64()-1)
 	}
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	opts := nonlin.NewtonOptions{Tol: 1e-12, MaxIter: 60}
 	if _, err := solver.Solve(nil, steady, u0, opts); err != nil {
 		b.Fatal(err)

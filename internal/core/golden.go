@@ -15,7 +15,8 @@ import (
 // Newton solver taking deliberately small steps, whose result is verified
 // to satisfy the nonlinear system before being returned. ctx may be nil.
 func GoldenSolve(ctx context.Context, sys nonlin.SparseSystem, u0 []float64) ([]float64, error) {
-	res, err := nonlin.NewtonSparse(ctx, sys, u0, nonlin.NewtonOptions{
+	var ns nonlin.SparseSolver
+	res, err := ns.Solve(ctx, sys, u0, nonlin.NewtonOptions{
 		Tol:      1e-12,
 		MaxIter:  3000,
 		Damping:  0.2,
@@ -23,7 +24,7 @@ func GoldenSolve(ctx context.Context, sys nonlin.SparseSystem, u0 []float64) ([]
 	})
 	if err != nil {
 		// Retry with the full auto-damping schedule before giving up.
-		res, err = nonlin.NewtonSparse(ctx, sys, u0, nonlin.NewtonOptions{
+		res, err = ns.Solve(ctx, sys, u0, nonlin.NewtonOptions{
 			Tol:      1e-12,
 			MaxIter:  1000,
 			AutoDamp: true,

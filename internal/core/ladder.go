@@ -75,8 +75,6 @@ type LadderOptions struct {
 	// ‖F(seed)‖ ≤ GateFactor·‖F(start)‖. Default 1 — accept any seed that
 	// does not make the start worse.
 	GateFactor float64
-	// DisableHomotopy removes the homotopy rung entirely.
-	DisableHomotopy bool
 }
 
 func (o *LadderOptions) defaults() {
@@ -211,12 +209,6 @@ func (l *Ladder) finish(rep Report, spentSeconds, spentEnergy float64) Report {
 	rep.TotalEnergyJ += spentEnergy
 	rep.Fallback = &l.fb
 	return rep
-}
-
-// factorOpsDense is the ~n³/3 LU cost used to price homotopy correctors.
-func factorOpsDense(n int) int64 {
-	nn := int64(n)
-	return nn * nn * nn / 3
 }
 
 func errString(err error) string {

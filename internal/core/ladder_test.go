@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"hybridpde/internal/analog"
 	"hybridpde/internal/fault"
+	"hybridpde/internal/la"
 	"hybridpde/internal/nonlin"
+	"hybridpde/internal/pde"
 )
 
 // faultyPrototype builds a prototype accelerator with the given fault spec
@@ -224,6 +227,64 @@ func TestLadderHomotopyLastResort(t *testing.T) {
 	}
 }
 
+// plantedBurgers is a Burgers step problem (Re 0.5) with a planted root
+// and a cold start, both uniform in [−1, 1].
+func plantedBurgers(t *testing.T, n int, seed int64) (*pde.Burgers, []float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	b, err := pde.RandomBurgers(n, 0.5, 1.0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := make([]float64, b.Dim())
+	u0 := make([]float64, b.Dim())
+	for i := range root {
+		root[i] = 2*rng.Float64() - 1
+		u0[i] = 2*rng.Float64() - 1
+	}
+	if err := b.SetRHSForRoot(root); err != nil {
+		t.Fatal(err)
+	}
+	return b, u0
+}
+
+// crippledOptions limits the digital polish to two full Newton steps from
+// u0, so only the homotopy rung, with its own corrector, can converge.
+func crippledOptions(u0 []float64, procs int) Options {
+	return Options{
+		SkipAnalog:      true,
+		Newton:          nonlin.NewtonOptions{MaxIter: 2, Damping: 1},
+		DisableAutoDamp: true,
+		InitialGuess:    u0,
+		Procs:           procs,
+	}
+}
+
+// TestLadderHomotopySweep serves crippled ladders on planted-root Burgers
+// problems from the homotopy rung alone and checks every answer against
+// GoldenSolve from the same start.
+func TestLadderHomotopySweep(t *testing.T) {
+	l := NewLadderRungs(DefaultRungs()...)
+	for _, n := range []int{2, 4, 8} {
+		for seed := int64(1); seed <= 20; seed++ {
+			b, u0 := plantedBurgers(t, n, seed)
+			rep, err := l.Solve(nil, b, crippledOptions(u0, 0), LadderOptions{})
+			if err != nil || rep.Fallback.Final != RungHomotopy {
+				t.Fatalf("n=%d seed=%d: want the homotopy rung to serve, got %+v, %v", n, seed, rep.Fallback, err)
+			}
+			golden, err := GoldenSolve(nil, b, u0)
+			if err != nil {
+				t.Fatalf("n=%d seed=%d: %v", n, seed, err)
+			}
+			diff := la.Copy(rep.U)
+			la.Axpy(-1, golden, diff)
+			if la.Norm2(diff) > 1e-6*la.Norm2(golden) {
+				t.Fatalf("n=%d seed=%d: ‖u − golden‖ = %g, ‖golden‖ = %g", n, seed, la.Norm2(diff), la.Norm2(golden))
+			}
+		}
+	}
+}
+
 func TestLadderExhausted(t *testing.T) {
 	b := mustRandomBurgers(t, 2, 0.5, 61)
 	opts := Options{
@@ -231,8 +292,8 @@ func TestLadderExhausted(t *testing.T) {
 		Newton:          nonlin.NewtonOptions{MaxIter: 2, Damping: 1},
 		DisableAutoDamp: true,
 	}
-	l := NewLadderRungs(DefaultRungs()...)
-	rep, err := l.Solve(nil, b, opts, LadderOptions{DisableHomotopy: true})
+	l := NewLadderRungs(AnalogRung(), DecomposedRung(), DigitalRung())
+	rep, err := l.Solve(nil, b, opts, LadderOptions{})
 	if err == nil {
 		t.Fatal("crippled Newton with no homotopy rung must fail")
 	}

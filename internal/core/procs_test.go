@@ -102,6 +102,33 @@ func TestLadderProcsBitIdenticalFallbackReport(t *testing.T) {
 	}
 }
 
+// TestHomotopyRungProcsBitIdentical: the homotopy rung hands Procs to its
+// own solver and, through it, to the system's pool; at n = 16 the Jacobian
+// assembly fans out. Every worker count must serve the same bits.
+func TestHomotopyRungProcsBitIdentical(t *testing.T) {
+	var ref Report
+	for _, procs := range []int{0, 4} {
+		b, u0 := plantedBurgers(t, 16, 1)
+		rep, err := NewLadderRungs(DefaultRungs()...).Solve(nil, b, crippledOptions(u0, procs), LadderOptions{})
+		if err != nil || rep.Fallback.Final != RungHomotopy {
+			t.Fatalf("procs=%d: want the homotopy rung to serve, got %+v, %v", procs, rep.Fallback, err)
+		}
+		if procs == 0 {
+			ref = rep
+			continue
+		}
+		if rep.Digital.Iterations != ref.Digital.Iterations || rep.Digital.FactorOps != ref.Digital.FactorOps ||
+			rep.FinalResidual != ref.FinalResidual {
+			t.Fatalf("procs=%d: account diverged: %+v vs %+v", procs, rep.Digital, ref.Digital)
+		}
+		for i := range ref.U {
+			if rep.U[i] != ref.U[i] {
+				t.Fatalf("procs=%d: U[%d] = %x, want %x", procs, i, rep.U[i], ref.U[i])
+			}
+		}
+	}
+}
+
 // BenchmarkNewtonSparseSteadyStepParallel is the parallel twin of
 // BenchmarkNewtonSparseSteadyStep: the same planted-root repeated solve
 // with Procs set, pinning that the pooled kernels keep the warm path at
@@ -125,7 +152,7 @@ func BenchmarkNewtonSparseSteadyStepParallel(b *testing.B) {
 	for i := range root {
 		u0[i] = root[i] + 0.05*(2*rng.Float64()-1)
 	}
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	defer solver.Close()
 	opts := nonlin.NewtonOptions{Tol: 1e-12, MaxIter: 60, Procs: 4}
 	if _, err := solver.Solve(nil, steady, u0, opts); err != nil {

@@ -216,61 +216,39 @@ func (digitalRung) Try(ctx context.Context, st *RungState) (Report, bool, error)
 	return rep, false, err
 }
 
-// The homotopy rung takes homotopySteps λ steps and, because its corrector
-// runs on a dense Jacobian, is skipped above maxHomotopyDim unknowns.
-const (
-	homotopySteps  = 30
-	maxHomotopyDim = 512
-)
-
-// HomotopyRung is the last-resort global Newton homotopy on the dense
-// adapter, skipped for problems larger than maxHomotopyDim. Its corrector
-// uses the homotopy's own Newton defaults, not Options.Newton, so a
-// crippled polish configuration cannot drag the last-resort rung down.
+// HomotopyRung is the last-resort global Newton homotopy on the banded
+// Newton loop. Its corrector uses the homotopy's own settings, not
+// Options.Newton (only Procs carries over), so a crippled polish
+// configuration cannot drag the last-resort rung down. It runs on its own
+// solver workspace, so a stream's chord state in Options.Workspace is
+// untouched.
 func HomotopyRung() LadderRung { return homotopyRung{} }
 
 type homotopyRung struct{}
 
 func (homotopyRung) Name() Rung { return RungHomotopy }
 
-// Try runs the homotopy and prices it through the configured perf backend
-// as dense Newton work. Only reached after at least one failed rung, so
-// allocation is acceptable here.
+// Try runs the homotopy and prices its work through the configured perf
+// backend. Only reached after at least one failed rung, so allocation is
+// acceptable here.
 func (homotopyRung) Try(ctx context.Context, st *RungState) (Report, bool, error) {
-	if st.Lopts.DisableHomotopy || st.Dim > maxHomotopyDim {
-		return Report{}, false, nil
-	}
-	hopts := nonlin.HomotopyOptions{Steps: homotopySteps, Predict: true}
-	hr, err := nonlin.NewtonHomotopy(ctx, nonlin.DenseAdapter{S: st.Sys}, st.l.start, hopts)
-	// Synthesise a dense-Newton work profile for the perf model: one
-	// factorisation and one linear solve per corrector iteration.
-	res := nonlin.Result{
-		U: hr.U, Converged: hr.Converged, Residual: hr.Residual,
-		Iterations: hr.NewtonIters, TotalIters: hr.NewtonIters,
-		LinearSolves: hr.NewtonIters, Refactorizations: hr.NewtonIters,
-		FactorOps: int64(hr.NewtonIters) * factorOpsDense(st.Dim),
-		Attempts:  1, DampingUsed: 1,
-	}
+	res, err := nonlin.NewtonHomotopy(ctx, st.Sys, st.l.start, st.Opts.Newton.Procs)
 	rep := Report{
-		U: hr.U, Digital: res, FinalResidual: hr.Residual,
+		U: res.U, Digital: res, FinalResidual: res.Residual,
 		DigitalSeconds: st.Opts.Perf.Time(res, st.Dim),
 		DigitalEnergyJ: st.Opts.Perf.Energy(res, st.Dim),
 	}
 	rep.TotalSeconds = rep.DigitalSeconds
 	rep.TotalEnergyJ = rep.DigitalEnergyJ
-	conv := err == nil && hr.Converged
 	st.Push(RungAttempt{
-		Rung: RungHomotopy, Converged: conv, Iterations: hr.NewtonIters,
+		Rung: RungHomotopy, Converged: res.Converged, Iterations: res.Iterations,
 		Seconds: rep.TotalSeconds, EnergyJ: rep.TotalEnergyJ, Err: errString(err),
 	})
-	if conv {
-		st.conclude(RungHomotopy)
-		return rep, true, nil
+	if err != nil {
+		return rep, false, err
 	}
-	if err == nil {
-		err = nonlin.ErrNoConvergence
-	}
-	return rep, false, err
+	st.conclude(RungHomotopy)
+	return rep, true, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -63,10 +63,11 @@ func Ablations(ctx context.Context, cfg Config) (AblationResult, error) {
 	if err != nil {
 		return out, err
 	}
-	if _, err := nonlin.NewtonSparse(ctx, b, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, MaxIter: 150}); err != nil {
+	var ns nonlin.SparseSolver
+	if _, err := ns.Solve(ctx, b, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, MaxIter: 150}); err != nil {
 		out.ClassicalFails = true
 	}
-	if r, err := nonlin.NewtonSparse(ctx, b, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, AutoDamp: true, MaxIter: 400}); err == nil {
+	if r, err := ns.Solve(ctx, b, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, AutoDamp: true, MaxIter: 400}); err == nil {
 		out.AutoDampIters = r.Iterations
 		out.AutoDampTotal = r.TotalIters
 	}

@@ -68,7 +68,7 @@ func TestChordReusesFactorizationsAcrossSteps(t *testing.T) {
 	opts := nonlin.NewtonOptions{Tol: 1e-10, MaxIter: 60, Chord: true}
 
 	b := transientBurgers(t, 6, 17)
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	defer solver.Close()
 	frames := marchChord(t, b, solver, opts, steps)
 
@@ -102,7 +102,7 @@ func TestChordReusesFactorizationsAcrossSteps(t *testing.T) {
 // preceded by a fresh factorization.
 func TestClassicalNewtonRefactorsEverySolve(t *testing.T) {
 	b := transientBurgers(t, 6, 17)
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	defer solver.Close()
 	frames := marchChord(t, b, solver, nonlin.NewtonOptions{Tol: 1e-10, MaxIter: 60}, 4)
 	for i, f := range frames {
@@ -124,12 +124,12 @@ func TestChordProcsBitIdentical(t *testing.T) {
 	// n = 6 fits the band kernels in one or two chunks; n = 16 (dim 512)
 	// spreads them over many.
 	for _, n := range []int{6, 16} {
-		ref := marchChord(t, transientBurgers(t, n, 23), nonlin.NewSparseSolver(), opts, steps)
+		ref := marchChord(t, transientBurgers(t, n, 23), new(nonlin.SparseSolver), opts, steps)
 
 		for _, procs := range []int{2, 8} {
 			o := opts
 			o.Procs = procs
-			solver := nonlin.NewSparseSolver()
+			solver := new(nonlin.SparseSolver)
 			got := marchChord(t, transientBurgers(t, n, 23), solver, o, steps)
 			for s := range ref {
 				if got[s].iters != ref[s].iters || got[s].linSolves != ref[s].linSolves ||
@@ -157,7 +157,7 @@ func TestChordProcsBitIdentical(t *testing.T) {
 // gate must refresh it rather than iterate uselessly to MaxIter.
 func TestChordStaleFactorizationTriggersRefresh(t *testing.T) {
 	b := transientBurgers(t, 6, 31)
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	defer solver.Close()
 	opts := nonlin.NewtonOptions{Tol: 1e-10, MaxIter: 60, Chord: true}
 
@@ -191,7 +191,7 @@ func TestChordStaleFactorizationTriggersRefresh(t *testing.T) {
 // classical Newton's refactor-per-solve accounting.
 func TestChordMaxAgeForcesRefresh(t *testing.T) {
 	b := transientBurgers(t, 6, 41)
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	defer solver.Close()
 	opts := nonlin.NewtonOptions{Tol: 1e-10, MaxIter: 60, Chord: true, ChordMaxAge: 1}
 	frames := marchChord(t, b, solver, opts, 3)
@@ -223,7 +223,7 @@ func TestResetReuseRestoresColdStartBits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	defer solver.Close()
 
 	fill(b)

@@ -4,276 +4,183 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"hybridpde/internal/la"
+	"hybridpde/internal/par"
 )
 
-// HomotopyOptions configures homotopy continuation.
-type HomotopyOptions struct {
-	// Steps is the number of λ increments from 0 to 1. Default 50.
-	Steps int
-	// Newton configures the corrector at each λ.
-	Newton NewtonOptions
-	// Predict enables the Davidenko tangent predictor dρ/dλ = −G_ρ⁻¹·G_λ
-	// before each corrector. Without it the previous root is reused as the
-	// guess (pure sweep). Default true when constructed via defaults.
-	Predict bool
+// The Newton homotopy's path tracker: homotopySteps base λ steps, halved
+// down to 1/minShrink of the base before a fold is declared, and a damped
+// corrector with target homotopyTol and homotopyMaxIter iterations per
+// damping attempt (hopMaxIter when restarting past a fold). The answer
+// must reach ‖F‖ ≤ 10·homotopyTol.
+const (
+	homotopySteps   = 30
+	minShrink       = 256
+	homotopyTol     = 1e-10
+	homotopyMaxIter = 50
+	hopMaxIter      = 200
+)
+
+// newtonHomotopy is G(u, λ) = F(u) − (1−λ)·F(u₀). Its Jacobian is J_F for
+// every λ, so JacobianCSR is F's own and the corrector runs on F's band.
+type newtonHomotopy struct {
+	SparseSystem
+	f0     []float64
+	lambda float64
 }
 
-func (o *HomotopyOptions) defaults() {
-	if o.Steps <= 0 {
-		o.Steps = 50
-		o.Predict = true
-	}
-	if o.Newton.Tol <= 0 {
-		o.Newton.Tol = 1e-10
-	}
-	if o.Newton.MaxIter <= 0 {
-		o.Newton.MaxIter = 50
-	}
-	// A damped corrector tracks through the near-fold regions where the
-	// combined Jacobian G_ρ loses rank momentarily along the path.
-	o.Newton.AutoDamp = true
-}
-
-// HomotopyResult reports a continuation run.
-type HomotopyResult struct {
-	U           []float64
-	Converged   bool
-	Residual    float64
-	LambdaSteps int
-	NewtonIters int // total corrector iterations across all λ
-	// FoldHops counts path folds where the tracked real root vanished and
-	// the solver hopped to another basin, as the analog dynamics do.
-	FoldHops int
-	// Path records (λ, ‖ρ‖) pairs for diagnostics; one entry per step.
-	Path []PathPoint
-}
-
-// PathPoint is one sample of the continuation path.
-type PathPoint struct {
-	Lambda float64
-	Norm   float64
-}
-
-// homotopySystem is G(ρ; λ) = (1−λ)·S(ρ) + λ·H(ρ).
-type homotopySystem struct {
-	simple, hard System
-	lambda       float64
-	fs, fh       []float64
-	js, jh       *la.Dense
-}
-
-func (g *homotopySystem) Dim() int { return g.hard.Dim() }
-
-func (g *homotopySystem) Eval(u, f []float64) error {
-	if err := g.simple.Eval(u, g.fs); err != nil {
+func (g *newtonHomotopy) Eval(u, f []float64) error {
+	if err := g.SparseSystem.Eval(u, f); err != nil {
 		return err
 	}
-	if err := g.hard.Eval(u, g.fh); err != nil {
-		return err
-	}
+	c := 1 - g.lambda
 	for i := range f {
-		f[i] = (1-g.lambda)*g.fs[i] + g.lambda*g.fh[i]
+		f[i] -= float64(c * g.f0[i])
 	}
 	return nil
 }
 
-func (g *homotopySystem) Jacobian(u []float64, jac *la.Dense) error {
-	if err := g.simple.Jacobian(u, g.js); err != nil {
-		return err
+// SetPool hands the solver's pool on to F when F can use it.
+func (g *newtonHomotopy) SetPool(p *par.Pool) {
+	if pa, ok := g.SparseSystem.(PoolAware); ok {
+		pa.SetPool(p)
 	}
-	if err := g.hard.Jacobian(u, g.jh); err != nil {
-		return err
-	}
-	n := g.Dim()
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			jac.Set(i, j, (1-g.lambda)*g.js.At(i, j)+g.lambda*g.jh.At(i, j))
-		}
-	}
-	return nil
 }
 
-// dLambda writes ∂G/∂λ = H(ρ) − S(ρ) into out.
-func (g *homotopySystem) dLambda(u, out []float64) error {
-	if err := g.simple.Eval(u, g.fs); err != nil {
-		return err
+// NewtonHomotopy runs the global Newton homotopy (§3.2) from u0: G(u, λ) =
+// F(u) − (1−λ)·F(u₀) has the root u₀ at λ = 0, and continuation drags it
+// along a root path to a root of F at λ = 1. Each λ step takes the tangent
+// predictor dρ/dλ = −J⁻¹·F(u₀) (Davidenko's equation) and then a damped
+// banded Newton corrector; a corrector that fails halves the step. It is
+// the degradation ladder's last-resort rung: when damped Newton has
+// diverged from every available seed, path tracking replaces the basin
+// gamble.
+//
+// procs is the corrector's NewtonOptions.Procs. The Result sums the work
+// of every corrector solve (Iterations, TotalIters, Attempts) and adds the
+// tangent solves to LinearSolves, Refactorizations and FactorOps. ctx may
+// be nil; a cancelled context aborts with a wrapped context error.
+func NewtonHomotopy(ctx context.Context, sys SparseSystem, u0 []float64, procs int) (Result, error) {
+	n := sys.Dim()
+	if len(u0) != n {
+		return Result{}, errors.New("nonlin: homotopy start has wrong dimension")
 	}
-	if err := g.hard.Eval(u, g.fh); err != nil {
-		return err
+	g := &newtonHomotopy{SparseSystem: sys, f0: make([]float64, n)}
+	if err := sys.Eval(u0, g.f0); err != nil {
+		return Result{}, err
 	}
-	for i := range out {
-		out[i] = g.fh[i] - g.fs[i]
-	}
-	return nil
-}
+	opts := NewtonOptions{Tol: homotopyTol, MaxIter: homotopyMaxIter, AutoDamp: true, Procs: procs}
+	var s SparseSolver
+	defer s.Close()
+	s.bind(g, opts)
 
-// Homotopy tracks a root of the simple system to a root of the hard system
-// by sweeping λ from 0 to 1 through G(ρ;λ) = (1−λ)S(ρ) + λH(ρ) (§3.2).
-// start must be at (or near) a root of the simple system. ctx may be nil; a
-// cancelled context aborts between corrector solves with a wrapped context
-// error.
-func Homotopy(ctx context.Context, simple, hard System, start []float64, opts HomotopyOptions) (HomotopyResult, error) {
-	if simple.Dim() != hard.Dim() {
-		return HomotopyResult{}, fmt.Errorf("nonlin: homotopy dimension mismatch %d vs %d", simple.Dim(), hard.Dim())
-	}
-	opts.defaults()
-	n := hard.Dim()
-	if len(start) != n {
-		return HomotopyResult{}, errors.New("nonlin: homotopy start has wrong dimension")
-	}
-	g := &homotopySystem{
-		simple: simple, hard: hard,
-		fs: make([]float64, n), fh: make([]float64, n),
-		js: la.NewDense(n, n), jh: la.NewDense(n, n),
-	}
-	u := la.Copy(start)
-	var res HomotopyResult
-	// Correct onto the λ=0 root first, in case start is only approximate.
-	g.lambda = 0
-	nr, err := Newton(ctx, g, u, opts.Newton)
-	if err != nil {
-		return res, fmt.Errorf("nonlin: homotopy failed to settle on simple root: %w", err)
-	}
-	res.NewtonIters += nr.Iterations
-	u = nr.U
-	res.Path = append(res.Path, PathPoint{Lambda: 0, Norm: la.Norm2(u)})
-
-	jac := la.NewDense(n, n)
-	gl := make([]float64, n)
+	var res Result
+	u := la.Copy(u0)
+	uPrev := make([]float64, n)
 	tangent := make([]float64, n)
-	baseDl := 1.0 / float64(opts.Steps)
-	minDl := baseDl / 256
+	const baseDl = 1.0 / homotopySteps
 	dl := baseDl
-	lambda := 0.0
-	uPrev := la.Copy(u)
-	for lambda < 1 {
-		step := dl
-		if lambda+step > 1 {
-			step = 1 - lambda
-		}
+	for lambda := 0.0; lambda < 1; {
+		step := min(dl, 1-lambda)
 		copy(uPrev, u)
-		if opts.Predict {
-			// Tangent predictor at the current (u, λ):
-			// dρ/dλ = −G_ρ⁻¹·G_λ (Davidenko's equation).
-			g.lambda = lambda
-			if err := g.Jacobian(u, jac); err != nil {
-				return res, err
-			}
-			if err := g.dLambda(u, gl); err != nil {
-				return res, err
-			}
-			if lu, ferr := la.FactorLU(jac); ferr == nil {
-				if lu.Solve(tangent, gl) == nil {
-					la.Axpy(-step, tangent, u)
-				}
-			}
-			// Singular tangent systems fall through to the plain corrector.
+		work, err := s.solveStep(u, g.f0, tangent)
+		switch {
+		case err == nil:
+			res.LinearSolves++
+			res.Refactorizations++
+			res.FactorOps += work.ops
+			la.Axpy(-step, tangent, u)
+		case !errors.Is(err, la.ErrSingular):
+			return res, err
 		}
+		// A singular tangent system falls through to the plain corrector.
 		g.lambda = lambda + step
-		nr, err := Newton(ctx, g, u, opts.Newton)
+		r, err := s.Solve(ctx, g, u, opts)
+		addWork(&res, r)
 		if err != nil {
 			if isCtxErr(err) {
 				return res, err
 			}
-			// Corrector failed: shrink the continuation step and retry
-			// from the last accepted point (adaptive path tracking).
+			// Retry a shorter step from the last accepted point.
 			copy(u, uPrev)
 			dl /= 2
-			if dl >= minDl {
+			if dl >= baseDl/minShrink {
 				continue
 			}
-			// The path has hit a genuine fold: the tracked root collides
-			// with another and leaves the real domain. The physical analog
-			// system does not fail here — its state slides off the
-			// vanished root and is captured by another basin of the
-			// current combined system (Figure 3: "all choices of initial
-			// conditions lead to one correct solution or another"). Model
-			// the slide with damped-Newton restarts from deterministic
-			// perturbations of the fold point.
-			hopped, hr := basinHop(ctx, g, uPrev, opts.Newton)
-			if !hopped {
-				res.LambdaSteps++
+			if r, err = basinHop(ctx, &s, g, uPrev, opts, &res); err != nil {
 				return res, fmt.Errorf("nonlin: homotopy fold at λ=%.4f and basin hop failed: %w", g.lambda, err)
 			}
-			nr = hr
-			res.FoldHops++
 			dl = baseDl
 		}
-		res.NewtonIters += nr.Iterations
-		u = nr.U
+		copy(u, r.U)
 		lambda += step
-		res.Path = append(res.Path, PathPoint{Lambda: lambda, Norm: la.Norm2(u)})
-		res.LambdaSteps++
 		if dl < baseDl {
 			dl *= 2 // recover toward the base step after a shrink
 		}
 	}
 	res.U = u
-	f := make([]float64, n)
-	if err := hard.Eval(u, f); err != nil {
+	f := tangent // free once λ reaches 1
+	if err := sys.Eval(u, f); err != nil {
 		return res, err
 	}
 	res.Residual = la.Norm2(f)
-	res.Converged = res.Residual <= opts.Newton.Tol*10
+	res.Converged = res.Residual <= 10*homotopyTol
 	if !res.Converged {
 		return res, ErrNoConvergence
 	}
 	return res, nil
 }
 
-// basinHop tries damped-Newton solves from perturbations of uFold until one
-// converges to a root of sys. Directions and magnitudes are deterministic so
-// homotopy runs are reproducible.
-func basinHop(ctx context.Context, sys System, uFold []float64, newtonOpts NewtonOptions) (bool, Result) {
+// basinHop continues past a fold, where the tracked root collides with
+// another and leaves the real domain. The analog system does not fail
+// there: its state slides off the vanished root into another basin of the
+// current G (Figure 3: "all choices of initial conditions lead to one
+// correct solution or another"). basinHop models the slide with damped
+// Newton restarts from deterministic perturbations of the fold point uFold:
+// ±e₀, ±e₁, …, ±e₍ₙ₋₁₎ and then ±1/√n, scaled by 0.1, 0.3 and 1 times
+// 1+‖uFold‖, until one converges. Each restart's work is added to acc.
+func basinHop(ctx context.Context, s *SparseSolver, g SparseSystem, uFold []float64, opts NewtonOptions, acc *Result) (Result, error) {
 	n := len(uFold)
-	scale := 1 + la.Norm2(uFold)
-	newtonOpts.AutoDamp = true
-	if newtonOpts.MaxIter < 200 {
-		newtonOpts.MaxIter = 200
-	}
-	try := func(dir []float64, mag float64) (bool, Result) {
-		u := la.Copy(uFold)
-		la.Axpy(mag*scale, dir, u)
-		r, err := Newton(ctx, sys, u, newtonOpts)
-		if err == nil && r.Converged {
-			return true, r
-		}
-		return false, Result{}
-	}
-	dirs := make([][]float64, 0, 2*n+2)
-	for k := 0; k < n; k++ {
-		d := make([]float64, n)
-		d[k] = 1
-		dirs = append(dirs, d)
-		dm := make([]float64, n)
-		dm[k] = -1
-		dirs = append(dirs, dm)
-	}
-	ones := make([]float64, n)
-	negOnes := make([]float64, n)
-	for i := range ones {
-		ones[i] = 1 / la.Norm2(onesVec(n))
-		negOnes[i] = -ones[i]
-	}
-	dirs = append(dirs, ones, negOnes)
-	for _, mag := range []float64{0.1, 0.3, 1.0} {
-		for _, d := range dirs {
-			if ok, r := try(d, mag); ok {
-				return true, r
+	opts.MaxIter = hopMaxIter
+	scale := 1 + float64(la.Norm2(uFold))
+	diag := 1 / math.Sqrt(float64(n))
+	u := make([]float64, n)
+	var err error
+	for _, mag := range [...]float64{0.1, 0.3, 1} {
+		for d := 0; d < 2*n+2; d++ {
+			step := mag * scale
+			if d%2 == 1 {
+				step = -step
+			}
+			copy(u, uFold)
+			if k := d / 2; k < n {
+				u[k] += step
+			} else {
+				for i := range u {
+					u[i] += float64(step * diag)
+				}
+			}
+			var r Result
+			r, err = s.Solve(ctx, g, u, opts)
+			addWork(acc, r)
+			if err == nil || isCtxErr(err) {
+				return r, err
 			}
 		}
 	}
-	return false, Result{}
+	return Result{}, err
 }
 
-func onesVec(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
+// addWork adds one corrector solve's work counts to acc.
+func addWork(acc *Result, r Result) {
+	acc.Iterations += r.Iterations
+	acc.TotalIters += r.TotalIters
+	acc.Attempts += r.Attempts
+	acc.LinearSolves += r.LinearSolves
+	acc.Refactorizations += r.Refactorizations
+	acc.FactorOps += r.FactorOps
 }
 
 // SquareRootsSimple returns the paper's trivial homotopy start system
@@ -283,7 +190,7 @@ func SquareRootsSimple(dim int) System {
 		N: dim,
 		F: func(u, f []float64) error {
 			for i := range f {
-				f[i] = u[i]*u[i] - 1
+				f[i] = float64(u[i]*u[i]) - 1
 			}
 			return nil
 		},
@@ -295,35 +202,4 @@ func SquareRootsSimple(dim int) System {
 			return nil
 		},
 	}
-}
-
-// NewtonHomotopy runs the global (Newton) homotopy on a single system: the
-// start system S(u) = F(u) − F(u₀) has the known root u₀ and the same
-// Jacobian as F, so G(u, λ) = F(u) − (1−λ)·F(u₀) drags u₀ along a root path
-// toward a root of F as λ ramps 0 → 1. It is the degradation ladder's
-// last-resort rung: when damped Newton has diverged from every available
-// seed, continuation replaces the basin gamble with path tracking.
-func NewtonHomotopy(ctx context.Context, sys System, u0 []float64, opts HomotopyOptions) (HomotopyResult, error) {
-	n := sys.Dim()
-	if len(u0) != n {
-		return HomotopyResult{}, errors.New("nonlin: homotopy start has wrong dimension")
-	}
-	f0 := make([]float64, n)
-	if err := sys.Eval(u0, f0); err != nil {
-		return HomotopyResult{}, err
-	}
-	simple := FuncSystem{
-		N: n,
-		F: func(u, f []float64) error {
-			if err := sys.Eval(u, f); err != nil {
-				return err
-			}
-			for i := range f {
-				f[i] -= f0[i]
-			}
-			return nil
-		},
-		J: sys.Jacobian,
-	}
-	return Homotopy(ctx, simple, sys, u0, opts)
 }

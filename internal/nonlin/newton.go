@@ -95,14 +95,14 @@ type Result struct {
 	Residual     float64 // final ‖F(u)‖₂
 	Iterations   int     // iterations of the successful (or last) attempt
 	TotalIters   int     // iterations across all damping attempts
-	LinearSolves int     // linear solves (back-substitutions), successful attempt
+	LinearSolves int     // linear solves (back-substitutions), same attempt
 	// Refactorizations counts Jacobian refresh + factorization events of the
-	// successful attempt. Classical Newton refactors every linear solve, so
-	// it equals LinearSolves there; chord mode reuses factorizations, so
+	// same attempt. Classical Newton refactors every linear solve, so it
+	// equals LinearSolves there; chord mode reuses factorizations, so
 	// Refactorizations ≤ LinearSolves and the gap is the reuse win.
 	Refactorizations int
-	FactorOps        int64   // multiply-adds spent factoring (sparse path)
-	DampingUsed      float64 // damping parameter of the successful attempt
+	FactorOps        int64   // multiply-adds spent factoring, same attempt
+	DampingUsed      float64 // damping parameter of the same attempt
 	Attempts         int     // damping attempts tried (AutoDamp)
 }
 
@@ -207,15 +207,23 @@ type SparseSolver struct {
 	chordMaxAge int
 }
 
-// NewSparseSolver returns an empty workspace. Equivalent to &SparseSolver{}.
-func NewSparseSolver() *SparseSolver { return &SparseSolver{} }
-
 // Solve runs the damped Newton iteration on sys from u0, reusing the
 // workspace buffers. ctx may be nil; a cancelled context aborts between
 // iterations with an error wrapping the context's error.
 //
 //pdevet:noalloc
 func (w *SparseSolver) Solve(ctx context.Context, sys SparseSystem, u0 []float64, opts NewtonOptions) (Result, error) {
+	opts.defaults()
+	w.bind(sys, opts)
+	return newtonLoop(ctx, w, u0, opts, w.u, w.f, w.delta)
+}
+
+// bind points the workspace at sys: it sizes the buffers, installs the
+// worker pool and chord settings opts ask for, and drops a factorization
+// left by a different system.
+//
+//pdevet:noalloc
+func (w *SparseSolver) bind(sys SparseSystem, opts NewtonOptions) {
 	n := sys.Dim()
 	if len(w.u) != n {
 		// Grow-on-first-use: buffers are sized once per system shape and
@@ -229,7 +237,6 @@ func (w *SparseSolver) Solve(ctx context.Context, sys SparseSystem, u0 []float64
 	if pa, ok := sys.(PoolAware); ok {
 		pa.SetPool(w.pool)
 	}
-	opts.defaults()
 	w.chordOn = opts.Chord
 	w.chordMaxAge = opts.ChordMaxAge
 	if w.sys != sys {
@@ -239,7 +246,6 @@ func (w *SparseSolver) Solve(ctx context.Context, sys SparseSystem, u0 []float64
 		w.chordValid = false
 	}
 	w.sys = sys
-	return newtonLoop(ctx, w, u0, opts, w.u, w.f, w.delta)
 }
 
 // setProcs installs the worker pool matching the requested per-solve
@@ -371,67 +377,35 @@ func Newton(ctx context.Context, sys System, u0 []float64, opts NewtonOptions) (
 	return newtonLoop(ctx, s, u0, opts, make([]float64, n), make([]float64, n), make([]float64, n))
 }
 
-// NewtonSparse is Newton for sparse-Jacobian systems; each step solves the
-// banded linear system directly, the digital stand-in for the paper's GPU
-// sparse QR kernel. For repeated solves of same-shaped systems use a
-// SparseSolver workspace, which this function allocates fresh per call.
-func NewtonSparse(ctx context.Context, sys SparseSystem, u0 []float64, opts NewtonOptions) (Result, error) {
-	return NewSparseSolver().Solve(ctx, sys, u0, opts)
-}
-
+// newtonLoop runs damping attempts from u0 until one converges or the
+// schedule is spent. Every exit reports its last attempt's counts, so a
+// failed solve is priced with the work it really did.
+//
 //pdevet:noalloc
 func newtonLoop(ctx context.Context, s jacSolver, u0 []float64, opts NewtonOptions, u, f, delta []float64) (Result, error) {
 	opts.defaults()
-	n := s.dim()
-	if len(u0) != n {
+	if len(u0) != s.dim() {
 		return Result{}, errors.New("nonlin: initial guess has wrong dimension")
 	}
-	var res Result
 	h := opts.Damping
 	if opts.AutoDamp {
 		h = 1.0
 	}
-	var lastErr error
+	attempts, totalIters := 0, 0
 	for {
-		res.Attempts++
-		att, err := newtonAttempt(ctx, s, u0, h, opts, u, f, delta)
-		res.TotalIters += att.Iterations
-		if err == nil && att.Converged {
-			res.U = att.U
-			res.Converged = true
-			res.Residual = att.Residual
-			res.Iterations = att.Iterations
-			res.LinearSolves = att.LinearSolves
-			res.Refactorizations = att.Refactorizations
-			res.FactorOps = att.FactorOps
+		attempts++
+		res, err := newtonAttempt(ctx, s, u0, h, opts, u, f, delta)
+		totalIters += res.Iterations
+		if res.Converged || !opts.AutoDamp || isCtxErr(err) || h/2 < minDamping {
+			res.TotalIters = totalIters
+			res.Attempts = attempts
 			res.DampingUsed = h
-			return res, nil
-		}
-		lastErr = err
-		if !opts.AutoDamp || isCtxErr(err) {
-			res.U = att.U
-			res.Residual = att.Residual
-			res.Iterations = att.Iterations
-			res.LinearSolves = att.LinearSolves
-			res.Refactorizations = att.Refactorizations
-			res.FactorOps = att.FactorOps
-			res.DampingUsed = h
-			if err == nil {
+			if !res.Converged && err == nil {
 				err = ErrNoConvergence
 			}
 			return res, err
 		}
 		h /= 2
-		if h < minDamping {
-			res.U = att.U
-			res.Residual = att.Residual
-			res.Iterations = att.Iterations
-			res.DampingUsed = h * 2
-			if lastErr == nil {
-				lastErr = ErrNoConvergence
-			}
-			return res, lastErr
-		}
 	}
 }
 
@@ -439,27 +413,22 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-type attempt struct {
-	U                []float64
-	Converged        bool
-	Residual         float64
-	Iterations       int
-	LinearSolves     int
-	Refactorizations int
-	FactorOps        int64
-}
-
+// newtonAttempt runs one damping attempt at step fraction h. It fills the
+// per-attempt fields of Result; newtonLoop adds the schedule's.
+//
 //pdevet:noalloc
-func newtonAttempt(ctx context.Context, s jacSolver, u0 []float64, h float64, opts NewtonOptions, u, f, delta []float64) (attempt, error) {
+func newtonAttempt(ctx context.Context, s jacSolver, u0 []float64, h float64, opts NewtonOptions, u, f, delta []float64) (Result, error) {
 	copy(u, u0)
-	att := attempt{U: u}
+	att := Result{U: u}
 	if p, ok := s.(attemptPrep); ok {
 		p.beginAttempt()
 	}
 	if err := s.eval(u, f); err != nil {
 		return att, err
 	}
-	r0 := la.Norm2(f)
+	// Norm2 ends in a product; rounding it keeps arm64 from fusing that
+	// product into the divergence test's r0+1.
+	r0 := float64(la.Norm2(f))
 	att.Residual = r0
 	target := opts.Tol
 	if opts.RelTol > 0 && opts.RelTol*r0 > target {
@@ -569,7 +538,7 @@ func NewtonArmijo(ctx context.Context, sys System, u0 []float64, opts NewtonOpti
 			if err := sys.Eval(utrial, f); err != nil {
 				return res, err
 			}
-			if finite(f) && la.Norm2(f) <= (1-alpha*lambda)*r {
+			if finite(f) && la.Norm2(f) <= (1-float64(alpha*lambda))*r {
 				break
 			}
 			lambda /= 2

@@ -210,7 +210,7 @@ func TestNewtonSparseMatchesDense(t *testing.T) {
 	}
 	sys := &sparseQuadratic{n: n, rhs: rhs}
 	u0 := make([]float64, n)
-	resS, err := NewtonSparse(nil, sys, u0, NewtonOptions{Tol: 1e-12})
+	resS, err := new(SparseSolver).Solve(nil, sys, u0, NewtonOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +225,23 @@ func TestNewtonSparseMatchesDense(t *testing.T) {
 	}
 	if resS.FactorOps <= 0 {
 		t.Fatal("sparse path should report factorization work")
+	}
+}
+
+// TestAutoDampExhaustedReportsWork pins that a damping schedule run to
+// minDamping reports its last attempt's work like every other exit: a
+// failed digital rung is priced from these counts.
+func TestAutoDampExhaustedReportsWork(t *testing.T) {
+	sys := &sparseQuadratic{n: 8, rhs: []float64{1, 2, 3, 4, 5, 6, 7, 8}}
+	res, err := new(SparseSolver).Solve(nil, sys, make([]float64, 8), NewtonOptions{MaxIter: 1, AutoDamp: true})
+	if !errors.Is(err, ErrNoConvergence) || res.Converged {
+		t.Fatalf("one iteration per attempt cannot converge: %+v, %v", res, err)
+	}
+	if res.Attempts != 11 || res.TotalIters != 11 || res.DampingUsed != minDamping {
+		t.Fatalf("schedule not run to minDamping: %+v", res)
+	}
+	if res.Iterations != 1 || res.LinearSolves != 1 || res.Refactorizations != 1 || res.FactorOps <= 0 {
+		t.Fatalf("exhausted schedule under-reports its last attempt: %+v", res)
 	}
 }
 

@@ -42,7 +42,7 @@ func TestSparseSolverProcsBitIdentical(t *testing.T) {
 	for _, n := range []int{6, 10} {
 		steady, u0 := plantedSteady(t, n)
 		opts := nonlin.NewtonOptions{Tol: 1e-12, MaxIter: 60}
-		solver := nonlin.NewSparseSolver()
+		solver := new(nonlin.SparseSolver)
 		ref, err := solver.Solve(nil, steady, u0, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -55,7 +55,7 @@ func TestSparseSolverProcsBitIdentical(t *testing.T) {
 		for _, procs := range []int{1, 2, 3, 8} {
 			// Fresh solver per procs count: equal results must not depend
 			// on warm state left by another configuration.
-			s := nonlin.NewSparseSolver()
+			s := new(nonlin.SparseSolver)
 			o := opts
 			o.Procs = procs
 			res, err := s.Solve(nil, steady, u0, o)
@@ -86,7 +86,7 @@ func TestSparseSolverProcsBitIdentical(t *testing.T) {
 func TestSparseSolverProcsSwitching(t *testing.T) {
 	steady, u0 := plantedSteady(t, 8)
 	opts := nonlin.NewtonOptions{Tol: 1e-12, MaxIter: 60}
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	defer solver.Close()
 	var refU []float64
 	var refRes nonlin.Result
@@ -120,7 +120,7 @@ func TestSparseSolverProcsSwitching(t *testing.T) {
 func TestSparseSolverWarmParallelSolveAllocFree(t *testing.T) {
 	steady, u0 := plantedSteady(t, 8)
 	opts := nonlin.NewtonOptions{Tol: 1e-12, MaxIter: 60, Procs: 4}
-	solver := nonlin.NewSparseSolver()
+	solver := new(nonlin.SparseSolver)
 	defer solver.Close()
 	if _, err := solver.Solve(nil, steady, u0, opts); err != nil {
 		t.Fatal(err)

@@ -3,11 +3,12 @@
 //
 //   - the classical and damped Newton methods (§2.1), including the
 //     halve-until-converged damping schedule of the paper's baseline solver
-//     (§6.1), dense (Newton) and banded-sparse with chord reuse
-//     (NewtonSparse, SparseSolver);
-//   - homotopy continuation (§3.2), which drags the roots of a trivial
-//     system to the roots of the hard one, and its Newton-homotopy form,
-//     the degradation ladder's last rung;
+//     (§6.1), dense (Newton) and banded-sparse with chord reuse (a
+//     SparseSolver value; its zero value is ready to use);
+//   - the global Newton homotopy (§3.2) on the same banded loop
+//     (NewtonHomotopy), the degradation ladder's last rung, and the
+//     trivial start system of the paper's homotopy figure
+//     (SquareRootsSimple), which the analog chip's continuation mode uses;
 //   - the Armijo line-search and dogleg trust-region globalisations, used
 //     only by the ablation experiment.
 //

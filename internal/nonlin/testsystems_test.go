@@ -91,3 +91,22 @@ func atanScalar() System {
 		},
 	}
 }
+
+// csrSystem serves a small dense test System through the SparseSystem
+// interface, Jacobian stored in full, so the banded solvers can run it.
+type csrSystem struct{ System }
+
+func (s csrSystem) JacobianCSR(u []float64) (*la.CSR, error) {
+	n := s.Dim()
+	jac := la.NewDense(n, n)
+	if err := s.Jacobian(u, jac); err != nil {
+		return nil, err
+	}
+	b := la.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			b.Append(i, j, jac.At(i, j))
+		}
+	}
+	return b.ToCSR(), nil
+}

@@ -83,7 +83,7 @@ func TestBurgers1DNewtonSolve(t *testing.T) {
 	if err := b.SetRHSForRoot(root); err != nil {
 		t.Fatal(err)
 	}
-	res, err := nonlin.NewtonSparse(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-11, AutoDamp: true, MaxIter: 200})
+	res, err := new(nonlin.SparseSolver).Solve(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-11, AutoDamp: true, MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestBurgers1DTimeMarchDecay(t *testing.T) {
 	}
 	initial := la.Norm2(b.UPrev)
 	for s := 0; s < 3; s++ {
-		res, err := nonlin.NewtonSparse(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-10, AutoDamp: true})
+		res, err := new(nonlin.SparseSolver).Solve(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-10, AutoDamp: true})
 		if err != nil {
 			t.Fatal(err)
 		}

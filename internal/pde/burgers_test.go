@@ -104,7 +104,7 @@ func TestBurgersNewtonSolvesManufacturedProblem(t *testing.T) {
 		wTarget[i] = 1.5 * (2*rng.Float64() - 1)
 	}
 	manufactureRoot(t, b, wTarget)
-	res, err := nonlin.NewtonSparse(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-11, AutoDamp: true, MaxIter: 200})
+	res, err := new(nonlin.SparseSolver).Solve(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-11, AutoDamp: true, MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestBurgersTimeMarchDiffusionDecays(t *testing.T) {
 	}
 	initial := la.Norm2(b.UPrev)
 	for step := 0; step < 3; step++ {
-		res, err := nonlin.NewtonSparse(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-10, AutoDamp: true})
+		res, err := new(nonlin.SparseSolver).Solve(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-10, AutoDamp: true})
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -389,7 +389,7 @@ func TestFourthOrderNewtonSolve(t *testing.T) {
 	if err := b.SetRHSForRoot(wTarget); err != nil {
 		t.Fatal(err)
 	}
-	res, err := nonlin.NewtonSparse(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-10, AutoDamp: true, MaxIter: 300})
+	res, err := new(nonlin.SparseSolver).Solve(nil, b, b.InitialGuess(), nonlin.NewtonOptions{Tol: 1e-10, AutoDamp: true, MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
