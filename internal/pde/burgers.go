@@ -163,27 +163,55 @@ func RandomBurgers(n int, re float64, bound float64, rng *rand.Rand) (*Burgers, 
 	if err != nil {
 		return nil, err
 	}
-	u := func() float64 { return bound * (2*rng.Float64() - 1) }
+	u := func() float64 { return bound * (2*float64(rng.Float64()) - 1) }
 	for i := range b.UPrev {
 		b.UPrev[i] = u()
 		b.VPrev[i] = u()
 		b.RHS0[i] = u()
 		b.RHS1[i] = u()
 	}
-	// Random but fixed boundary ring.
-	bu := make(map[[2]int]float64)
-	bv := make(map[[2]int]float64)
+	// Random but fixed boundary ring, corners included. The loop visits
+	// each corner twice; the last draw stays, as MaxField reads it.
+	bu := make([]float64, 4*n+4)
+	bv := make([]float64, 4*n+4)
 	for i := -1; i <= n; i++ {
 		for _, j := range []int{-1, n} {
-			bu[[2]int{i, j}] = u()
-			bv[[2]int{i, j}] = u()
-			bu[[2]int{j, i}] = u()
-			bv[[2]int{j, i}] = u()
+			bu[ghostSlot(n, i, j)] = u()
+			bv[ghostSlot(n, i, j)] = u()
+			bu[ghostSlot(n, j, i)] = u()
+			bv[ghostSlot(n, j, i)] = u()
 		}
 	}
-	b.BoundaryU = func(i, j int) float64 { return bu[[2]int{i, j}] }
-	b.BoundaryV = func(i, j int) float64 { return bv[[2]int{i, j}] }
+	b.BoundaryU = func(i, j int) float64 { return ghostAt(bu, n, i, j) }
+	b.BoundaryV = func(i, j int) float64 { return ghostAt(bv, n, i, j) }
 	return b, nil
+}
+
+// ghostSlot maps a ghost-ring coordinate of an n×n grid (i or j equal to −1
+// or n, corners included) to its slot in a ring of 4n+4 values, or −1 when
+// (i, j) is not on the ring.
+func ghostSlot(n, i, j int) int {
+	switch {
+	case i < -1 || i > n || j < -1 || j > n:
+		return -1
+	case j == -1:
+		return i + 1
+	case j == n:
+		return n + 3 + i
+	case i == -1:
+		return 2*n + 4 + j
+	case i == n:
+		return 3*n + 4 + j
+	}
+	return -1
+}
+
+// ghostAt reads ring at ghost coordinate (i, j); off the ring it is zero.
+func ghostAt(ring []float64, n, i, j int) float64 {
+	if s := ghostSlot(n, i, j); s >= 0 {
+		return ring[s]
+	}
+	return 0
 }
 
 // Dim returns the number of unknowns: two fields on N×N nodes.
@@ -196,36 +224,29 @@ func (b *Burgers) PolynomialDegree() int { return 2 }
 // idx maps node (i, j) to the unknown index of its u component; +1 is v.
 func (b *Burgers) idx(i, j int) int { return 2 * (i*b.N + j) }
 
-// fieldAt reads component c (0 = u, 1 = v) at node (i, j) from the unknown
-// vector w, falling back to boundary values off-grid.
-func (b *Burgers) fieldAt(w []float64, c, i, j int) float64 {
-	if i < 0 || i >= b.N || j < 0 || j >= b.N {
-		if c == 0 {
-			return b.BoundaryU(i, j)
-		}
-		return b.BoundaryV(i, j)
-	}
-	return w[b.idx(i, j)+c]
-}
-
-// stateAt reads component c at node (i, j) from w, or from the
-// previous-time fields when w is nil, with the boundary fallback. The nil
+// stateAt reads component c (0 = u, 1 = v) at node (i, j) from w, or from
+// the previous-time fields when w is nil, with the boundary fallback. The nil
 // convention (instead of an accessor closure) keeps the residual and
 // Jacobian hot paths free of per-call closure allocations.
 func (b *Burgers) stateAt(w []float64, c, i, j int) float64 {
-	if i < 0 || i >= b.N || j < 0 || j >= b.N {
-		if c == 0 {
-			return b.BoundaryU(i, j)
-		}
-		return b.BoundaryV(i, j)
+	u, v := b.pairAt(w, i, j)
+	if c == 0 {
+		return u
+	}
+	return v
+}
+
+// pairAt is stateAt for both components at once.
+func (b *Burgers) pairAt(w []float64, i, j int) (u, v float64) {
+	n := b.N
+	if i < 0 || i >= n || j < 0 || j >= n {
+		return b.BoundaryU(i, j), b.BoundaryV(i, j)
 	}
 	if w == nil {
-		if c == 0 {
-			return b.UPrev[i*b.N+j]
-		}
-		return b.VPrev[i*b.N+j]
+		return b.UPrev[i*n+j], b.VPrev[i*n+j]
 	}
-	return w[b.idx(i, j)+c]
+	o := 2 * (i*n + j)
+	return w[o], w[o+1]
 }
 
 // inGrid reports whether node (i, j) is an interior unknown.
@@ -240,39 +261,107 @@ var (
 	d2Order4 = [5]float64{-1.0 / 12, 16.0 / 12, -30.0 / 12, 16.0 / 12, -1.0 / 12}
 )
 
-// stencilAt picks the derivative weights for node (i, j): order 4 where the
-// full 5-point stencil fits in both directions, order 2 otherwise.
+// order4At reports whether node (i, j) uses the order-4 stencil: Order is 4
+// and the full 5-point stencil fits in both directions.
+func (b *Burgers) order4At(i, j int) bool {
+	return b.Order == 4 && i >= 2 && i < b.N-2 && j >= 2 && j < b.N-2
+}
+
+// stencilAt picks the derivative weights for node (i, j): order 4 where
+// order4At holds, order 2 otherwise.
 func (b *Burgers) stencilAt(i, j int) (d1, d2 *[5]float64) {
-	if b.Order == 4 && i >= 2 && i < b.N-2 && j >= 2 && j < b.N-2 {
+	if b.order4At(i, j) {
 		return &d1Order4, &d2Order4
 	}
 	return &d1Order2, &d2Order2
 }
 
-// advDiff evaluates the unit-coefficient spatial operator
-// A(c) = u·∂ₓc + v·∂ᵧc − (1/Re)·∇²c at node (i, j) on state w (nil for the
-// previous time level, see stateAt).
-func (b *Burgers) advDiff(w []float64, c, i, j int) float64 {
-	u := b.stateAt(w, 0, i, j)
-	v := b.stateAt(w, 1, i, j)
-	d1, d2 := b.stencilAt(i, j)
+// op2 evaluates both components of the unit-coefficient spatial operator
+// A(c) = u·∂ₓc + v·∂ᵧc − (1/Re)·∇²c at the node at index o of the fields xu
+// and xv, with strides si along i and sj along j. The order-2 weights
+// d1Order2 and d2Order2 are unrolled over k = −1, 0, +1; the products and
+// sums, the 0·c centre terms included, are those of the weight-table loop
+// in that order, so A is bit-identical to it. (Only the products by the
+// unit d2 weights are left out: they are exact.)
+func op2(xu, xv []float64, o, si, sj int, re float64) (au, av float64) {
+	u, uim, uip, ujm, ujp := xu[o], xu[o-si], xu[o+si], xu[o-sj], xu[o+sj]
+	v, vim, vip, vjm, vjp := xv[o], xv[o-si], xv[o+si], xv[o-sj], xv[o+sj]
+	var dxu, dyu, lapu, dxv, dyv, lapv float64
+	dxu += float64(-0.5 * uim)
+	dyu += float64(-0.5 * ujm)
+	lapu += uim + ujm
+	dxv += float64(-0.5 * vim)
+	dyv += float64(-0.5 * vjm)
+	lapv += vim + vjm
+	dxu += float64(0 * u)
+	dyu += float64(0 * u)
+	lapu += float64(-2 * (u + u))
+	dxv += float64(0 * v)
+	dyv += float64(0 * v)
+	lapv += float64(-2 * (v + v))
+	dxu += float64(0.5 * uip)
+	dyu += float64(0.5 * ujp)
+	lapu += uip + ujp
+	dxv += float64(0.5 * vip)
+	dyv += float64(0.5 * vjp)
+	lapv += vip + vjp
+	au = float64(u*dxu) + float64(v*dyu) - lapu/re
+	av = float64(u*dxv) + float64(v*dyv) - lapv/re
+	return au, av
+}
+
+// op4 is op2's order-4 counterpart for one advected component x at
+// advecting velocity (u, v): the weight-table loop over k = −2…+2.
+func op4(u, v float64, x []float64, o, si, sj int, re float64) float64 {
 	var dx, dy, lap float64
 	for k := -2; k <= 2; k++ {
-		w1, w2 := d1[k+2], d2[k+2]
-		if w1 == 0 && w2 == 0 { //pdevet:allow floateq derivative-weight tables hold assigned structural zeros
-			continue
-		}
-		cx := b.stateAt(w, c, i+k, j)
-		cy := b.stateAt(w, c, i, j+k)
-		dx += w1 * cx
-		dy += w1 * cy
-		lap += w2 * (cx + cy)
+		w1, w2 := d1Order4[k+2], d2Order4[k+2]
+		cx := x[o+k*si]
+		cy := x[o+k*sj]
+		dx += float64(w1 * cx)
+		dy += float64(w1 * cy)
+		lap += float64(w2 * (cx + cy))
 	}
-	return u*dx + v*dy - lap/b.Re
+	return float64(u*dx) + float64(v*dy) - lap/re
+}
+
+// nodeOp returns both components of A at node (i, j) on state w, or on the
+// previous time level when w is nil (the stateAt convention). Interior
+// nodes run the kernel on w (strides 2N and 2) or on UPrev/VPrev (strides
+// N and 1) directly. The 4N−4 edge nodes, always order 2, first gather
+// their plus stencils of both fields through pairAt into a 3×3 stack array
+// (strides 3 and 1). Nothing is written outside the stack, so concurrent
+// calls are safe.
+//
+//pdevet:noalloc
+func (b *Burgers) nodeOp(w []float64, i, j int) (au, av float64) {
+	n := b.N
+	if i == 0 || j == 0 || i == n-1 || j == n-1 {
+		var g [2][9]float64 // u then v; the 3×3 corners stay unused
+		g[0][4], g[1][4] = b.pairAt(w, i, j)
+		g[0][1], g[1][1] = b.pairAt(w, i-1, j)
+		g[0][7], g[1][7] = b.pairAt(w, i+1, j)
+		g[0][3], g[1][3] = b.pairAt(w, i, j-1)
+		g[0][5], g[1][5] = b.pairAt(w, i, j+1)
+		return op2(g[0][:], g[1][:], 4, 3, 1, b.Re)
+	}
+	xu, xv, o, si, sj := b.UPrev, b.VPrev, i*n+j, n, 1
+	if w != nil {
+		xu, xv, o, si, sj = w, w[1:], 2*(i*n+j), 2*n, 2
+	}
+	if b.order4At(i, j) {
+		return op4(xu[o], xv[o], xu, o, si, sj, b.Re), op4(xu[o], xv[o], xv, o, si, sj, b.Re)
+	}
+	return op2(xu, xv, o, si, sj, b.Re)
 }
 
 // Eval computes the Crank–Nicolson residual
 // F(w) = w − w_prev + ½[A(w) + A(w_prev)] − RHS.
+//
+// Without a pool, Eval reads the problem and writes only f, so calls with
+// distinct w and f may run concurrently; problem.Sub's concurrent tile
+// solves rely on it. With a pool attached (SetPool), calls must not
+// overlap: the fan-out runner is per problem.
 //
 //pdevet:noalloc
 func (b *Burgers) Eval(w, f []float64) error {
@@ -296,21 +385,15 @@ func (b *Burgers) Eval(w, f []float64) error {
 //
 //pdevet:noalloc
 func (b *Burgers) evalRows(w, f []float64, iLo, iHi int) {
+	n := b.N
 	for i := iLo; i < iHi; i++ {
-		for j := 0; j < b.N; j++ {
-			k := b.idx(i, j)
-			node := i*b.N + j
-			for c := 0; c < 2; c++ {
-				newA := b.advDiff(w, c, i, j)
-				oldA := b.advDiff(nil, c, i, j)
-				rhs := b.RHS0[node]
-				prev := b.UPrev[node]
-				if c == 1 {
-					rhs = b.RHS1[node]
-					prev = b.VPrev[node]
-				}
-				f[k+c] = w[k+c] - prev + 0.5*(newA+oldA) - rhs
-			}
+		for j := 0; j < n; j++ {
+			node := i*n + j
+			k := 2 * node
+			au, av := b.nodeOp(w, i, j)
+			pu, pv := b.nodeOp(nil, i, j)
+			f[k] = w[k] - b.UPrev[node] + float64(0.5*(au+pu)) - b.RHS0[node]
+			f[k+1] = w[k+1] - b.VPrev[node] + float64(0.5*(av+pv)) - b.RHS1[node]
 		}
 	}
 }
@@ -339,11 +422,12 @@ func (b *Burgers) JacobianCSR(w []float64) (*la.CSR, error) {
 	return b.cache.jac, nil
 }
 
-// assembleJacobian walks the stencil in deterministic order, emitting every
-// Jacobian contribution of idW·I + opW·∂A/∂w. Crank–Nicolson stepping uses
-// (idW, opW) = (1, ½); the steady method-of-lines form uses (0, 1). Entries
-// for the same (row, column) may be emitted more than once; consumers must
-// sum them (COO assembly and the zero-then-accumulate refresh both do).
+// assembleJacobianRows walks the stencil of grid rows [iLo, iHi) in
+// deterministic order, emitting every Jacobian contribution of
+// idW·I + opW·∂A/∂w. Crank–Nicolson stepping uses (idW, opW) = (1, ½); the
+// steady method-of-lines form uses (0, 1). Entries for the same (row,
+// column) may be emitted more than once; consumers must sum them (COO
+// assembly and the zero-then-accumulate refresh both do).
 //
 // For the c-component equation at node (i, j),
 // F = idW·c_node + opW·[u·D₁ₓc + v·D₁ᵧc − (D₂ₓc + D₂ᵧc)/Re] + … − RHS:
@@ -353,16 +437,9 @@ func (b *Burgers) JacobianCSR(w []float64) (*la.CSR, error) {
 //	∂F/∂u_{i,j}  += opW·D₁ₓc                    (advecting-velocity terms)
 //	∂F/∂v_{i,j}  += opW·D₁ᵧc
 //
-// plus the time-derivative identity (weight idW) on the node centre.
-//
-//pdevet:noalloc
-func (b *Burgers) assembleJacobian(w []float64, e jacEmitter, idW, opW float64) {
-	b.assembleJacobianRows(w, e, idW, opW, 0, b.N)
-}
-
-// assembleJacobianRows walks grid rows [iLo, iHi) only. Every emission of
-// row i targets matrix rows idx(i, j)+c of that same grid row — the property
-// the parallel refresh's disjoint row-block partition rests on.
+// plus the time-derivative identity (weight idW) on the node centre. Every
+// emission of row i targets matrix rows idx(i, j)+c of that same grid row —
+// the property the parallel refresh's disjoint row-block partition rests on.
 //
 //pdevet:noalloc
 func (b *Burgers) assembleJacobianRows(w []float64, e jacEmitter, idW, opW float64, iLo, iHi int) {
@@ -385,8 +462,8 @@ func (b *Burgers) assembleJacobianRows(w []float64, e jacEmitter, idW, opW float
 					if w1 == 0 && w2 == 0 { //pdevet:allow floateq derivative-weight tables hold assigned structural zeros
 						continue
 					}
-					dx += w1 * b.stateAt(w, c, i+k, j)
-					dy += w1 * b.stateAt(w, c, i, j+k)
+					dx += float64(w1 * b.stateAt(w, c, i+k, j))
+					dy += float64(w1 * b.stateAt(w, c, i, j+k))
 					if k == 0 {
 						// Both directions' centre weights land on the
 						// node itself.
@@ -394,10 +471,10 @@ func (b *Burgers) assembleJacobianRows(w []float64, e jacEmitter, idW, opW float
 						continue
 					}
 					if b.inGrid(i+k, j) {
-						e.emit(row, b.idx(i+k, j)+c, opW*(u*w1-w2/b.Re))
+						e.emit(row, b.idx(i+k, j)+c, opW*(float64(u*w1)-w2/b.Re))
 					}
 					if b.inGrid(i, j+k) {
-						e.emit(row, b.idx(i, j+k)+c, opW*(v*w1-w2/b.Re))
+						e.emit(row, b.idx(i, j+k)+c, opW*(float64(v*w1)-w2/b.Re))
 					}
 				}
 				// Advecting-velocity derivatives: ∂F/∂u_ij and ∂F/∂v_ij.

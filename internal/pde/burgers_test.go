@@ -1,12 +1,15 @@
 package pde
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"hybridpde/internal/la"
 	"hybridpde/internal/nonlin"
+	"hybridpde/internal/par"
 )
 
 // manufactureRoot sets the problem's RHS so that wTarget is an exact root.
@@ -215,6 +218,44 @@ func TestBurgersMaxField(t *testing.T) {
 	b.BoundaryV = func(i, j int) float64 { return 9 }
 	if m := b.MaxField(); m != 9 {
 		t.Fatalf("MaxField with boundary = %g, want 9", m)
+	}
+}
+
+// TestRandomBurgersRingMatchesKeyedDraw pins the boundary ring against the
+// keyed draw it replaced: the same draw order into a map keyed by ghost
+// coordinate, last write winning at the doubly visited corners, and zero
+// off the ring.
+func TestRandomBurgersRingMatchesKeyedDraw(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		b, err := RandomBurgers(n, 1, 3.0, rand.New(rand.NewSource(int64(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(n)))
+		u := func() float64 { return 3.0 * (2*rng.Float64() - 1) }
+		for range 4 * n * n {
+			u()
+		}
+		bu := map[[2]int]float64{}
+		bv := map[[2]int]float64{}
+		for i := -1; i <= n; i++ {
+			for _, j := range []int{-1, n} {
+				bu[[2]int{i, j}] = u()
+				bv[[2]int{i, j}] = u()
+				bu[[2]int{j, i}] = u()
+				bv[[2]int{j, i}] = u()
+			}
+		}
+		for i := -2; i <= n+1; i++ {
+			for j := -2; j <= n+1; j++ {
+				if got, want := b.BoundaryU(i, j), bu[[2]int{i, j}]; got != want {
+					t.Fatalf("n=%d: BoundaryU(%d, %d) = %v, keyed draw %v", n, i, j, got, want)
+				}
+				if got, want := b.BoundaryV(i, j), bv[[2]int{i, j}]; got != want {
+					t.Fatalf("n=%d: BoundaryV(%d, %d) = %v, keyed draw %v", n, i, j, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -450,5 +491,236 @@ func TestJacobianRefreshMatchesFreshAssembly(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// advDiff is the reference operator the production kernel (nodeOp) must
+// match bit for bit: A(c) = u·∂ₓc + v·∂ᵧc − (1/Re)·∇²c at node (i, j) on
+// state w (nil for the previous time level), every read through stateAt and
+// the weight tables walked over k = −2…+2 with structural zeros skipped.
+func (b *Burgers) advDiff(w []float64, c, i, j int) float64 {
+	u := b.stateAt(w, 0, i, j)
+	v := b.stateAt(w, 1, i, j)
+	d1, d2 := b.stencilAt(i, j)
+	var dx, dy, lap float64
+	for k := -2; k <= 2; k++ {
+		w1, w2 := d1[k+2], d2[k+2]
+		if w1 == 0 && w2 == 0 {
+			continue
+		}
+		cx := b.stateAt(w, c, i+k, j)
+		cy := b.stateAt(w, c, i, j+k)
+		dx += float64(w1 * cx)
+		dy += float64(w1 * cy)
+		lap += float64(w2 * (cx + cy))
+	}
+	return float64(u*dx) + float64(v*dy) - lap/b.Re
+}
+
+// refEval is the reference Crank–Nicolson residual built on advDiff.
+func refEval(b *Burgers, w []float64) []float64 {
+	f := make([]float64, b.Dim())
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < b.N; j++ {
+			k := b.idx(i, j)
+			node := i*b.N + j
+			for c := 0; c < 2; c++ {
+				newA := b.advDiff(w, c, i, j)
+				oldA := b.advDiff(nil, c, i, j)
+				rhs, prev := b.RHS0[node], b.UPrev[node]
+				if c == 1 {
+					rhs, prev = b.RHS1[node], b.VPrev[node]
+				}
+				f[k+c] = w[k+c] - prev + float64(0.5*(newA+oldA)) - rhs
+			}
+		}
+	}
+	return f
+}
+
+// refSteadyEval is the reference steady residual A(w) − RHS.
+func refSteadyEval(b *Burgers, w []float64) []float64 {
+	f := make([]float64, b.Dim())
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < b.N; j++ {
+			k := b.idx(i, j)
+			node := i*b.N + j
+			f[k] = b.advDiff(w, 0, i, j) - b.RHS0[node]
+			f[k+1] = b.advDiff(w, 1, i, j) - b.RHS1[node]
+		}
+	}
+	return f
+}
+
+// firstBitDiff returns the first index where got and want differ in their
+// bits (math.Float64bits, so −0 ≠ +0), or −1 when they are identical. Any
+// two NaNs match: the NaN payload depends on operand order within a
+// commutative add, which the compiler may swap.
+func firstBitDiff(got, want []float64) int {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// randomEvalCase draws a RandomBurgers problem (non-zero boundary ring) and
+// a state w from seed. About one value in eight of w, UPrev and VPrev is a
+// signed zero and one in 64 is ±Inf, so a kernel that drops a 0·c centre
+// term (0·Inf is NaN) or reorders a sum shows up in the residual.
+func randomEvalCase(t testing.TB, n, order int, seed int64) (*Burgers, []float64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	b, err := RandomBurgers(n, 0.25+40*rng.Float64(), 3.0, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Order = order
+	w := make([]float64, b.Dim())
+	for i := range w {
+		w[i] = 2 * rng.NormFloat64()
+	}
+	for _, x := range [][]float64{w, b.UPrev, b.VPrev} {
+		for i := range x {
+			switch rng.Intn(64) {
+			case 0, 1, 2, 3:
+				x[i] = 0
+			case 4, 5, 6, 7:
+				x[i] = math.Copysign(0, -1)
+			case 8:
+				x[i] = math.Inf(1 - 2*rng.Intn(2))
+			}
+		}
+	}
+	return b, w
+}
+
+// checkEvalMatchesReference asserts Burgers.Eval and BurgersSteady.Eval
+// equal refEval and refSteadyEval bit for bit, with pool p attached.
+func checkEvalMatchesReference(t *testing.T, b *Burgers, w []float64, p *par.Pool) {
+	t.Helper()
+	b.SetPool(p)
+	f := make([]float64, b.Dim())
+	if err := b.Eval(w, f); err != nil {
+		t.Fatal(err)
+	}
+	if i := firstBitDiff(f, refEval(b, w)); i >= 0 {
+		t.Fatalf("Burgers.Eval f[%d] = %v, reference %v", i, f[i], refEval(b, w)[i])
+	}
+	if err := NewBurgersSteady(b).Eval(w, f); err != nil {
+		t.Fatal(err)
+	}
+	if i := firstBitDiff(f, refSteadyEval(b, w)); i >= 0 {
+		t.Fatalf("BurgersSteady.Eval f[%d] = %v, reference %v", i, f[i], refSteadyEval(b, w)[i])
+	}
+}
+
+// TestBurgersEvalMatchesReference pins the strided kernel to the stateAt
+// reference bit for bit over grid sizes with no interior (1, 2), a single
+// interior node (3), order-4 interiors (5 and up) and, at 24, a pool that
+// really splits the rows (below that evalGrain keeps one chunk).
+func TestBurgersEvalMatchesReference(t *testing.T) {
+	p := par.NewPool(4)
+	defer p.Close()
+	for _, n := range []int{1, 2, 3, 4, 5, 8, 12, 24} {
+		for _, order := range []int{2, 4} {
+			for _, pool := range []*par.Pool{nil, p} {
+				t.Run(fmt.Sprintf("n=%d/order=%d/procs=%d", n, order, pool.Procs()), func(t *testing.T) {
+					b, w := randomEvalCase(t, n, order, int64(100*n+order))
+					checkEvalMatchesReference(t, b, w, pool)
+				})
+			}
+		}
+	}
+}
+
+func FuzzBurgersEval(f *testing.F) {
+	f.Add(uint8(0), false, int64(1))
+	f.Add(uint8(2), true, int64(2))
+	f.Add(uint8(5), true, int64(3))
+	f.Fuzz(func(t *testing.T, n uint8, order4 bool, seed int64) {
+		order := 2
+		if order4 {
+			order = 4
+		}
+		b, w := randomEvalCase(t, 1+int(n%6), order, seed)
+		checkEvalMatchesReference(t, b, w, nil)
+	})
+}
+
+// TestBurgersEvalConcurrent pins Eval's reentrancy contract: concurrent
+// calls on one problem with distinct w and f (as problem.Sub's tile solves
+// make) each return their serial result. Run under -race it also catches
+// any per-problem scratch the kernel might write.
+func TestBurgersEvalConcurrent(t *testing.T) {
+	const goroutines = 8
+	for _, order := range []int{2, 4} {
+		b, _ := randomEvalCase(t, 7, order, int64(order))
+		s := NewBurgersSteady(b)
+		rng := rand.New(rand.NewSource(9))
+		ws := make([][]float64, goroutines)
+		want := make([][2][]float64, goroutines)
+		for g := range ws {
+			ws[g] = make([]float64, b.Dim())
+			for i := range ws[g] {
+				ws[g][i] = rng.NormFloat64()
+			}
+			want[g] = [2][]float64{make([]float64, b.Dim()), make([]float64, b.Dim())}
+			if err := b.Eval(ws[g], want[g][0]); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Eval(ws[g], want[g][1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				f := make([]float64, b.Dim())
+				for rep := 0; rep < 20; rep++ {
+					if err := b.Eval(ws[g], f); err != nil {
+						t.Error(err)
+						return
+					}
+					if i := firstBitDiff(f, want[g][0]); i >= 0 {
+						t.Errorf("order %d goroutine %d: concurrent Burgers.Eval f[%d] = %v, serial %v", order, g, i, f[i], want[g][0][i])
+						return
+					}
+					if err := s.Eval(ws[g], f); err != nil {
+						t.Error(err)
+						return
+					}
+					if i := firstBitDiff(f, want[g][1]); i >= 0 {
+						t.Errorf("order %d goroutine %d: concurrent BurgersSteady.Eval f[%d] = %v, serial %v", order, g, i, f[i], want[g][1][i])
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+	}
+}
+
+func BenchmarkBurgersEval(b *testing.B) {
+	for _, n := range []int{8, 12, 16} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			p, err := RandomBurgers(n, 1, 3.0, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := p.InitialGuess()
+			f := make([]float64, p.Dim())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.Eval(w, f); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

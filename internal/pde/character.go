@@ -29,7 +29,7 @@ type Character struct {
 // shifting the PDE from parabolic to hyperbolic character (Table 2).
 func CharacterFor(b *Burgers) Character {
 	w := b.InitialGuess()
-	get := func(c, i, j int) float64 { return b.fieldAt(w, c, i, j) }
+	get := func(c, i, j int) float64 { return b.stateAt(w, c, i, j) }
 	var advSq, diffSq float64
 	count := 0
 	for i := 0; i < b.N; i++ {

@@ -47,12 +47,14 @@ func (r *steadyEvalRun) Run(_, lo, hi int) { r.s.evalRows(r.w, r.f, lo, hi) }
 //pdevet:noalloc
 func (s *BurgersSteady) evalRows(w, f []float64, iLo, iHi int) {
 	b := s.B
+	n := b.N
 	for i := iLo; i < iHi; i++ {
-		for j := 0; j < b.N; j++ {
-			k := b.idx(i, j)
-			node := i*b.N + j
-			f[k] = b.advDiff(w, 0, i, j) - b.RHS0[node]
-			f[k+1] = b.advDiff(w, 1, i, j) - b.RHS1[node]
+		for j := 0; j < n; j++ {
+			node := i*n + j
+			k := 2 * node
+			au, av := b.nodeOp(w, i, j)
+			f[k] = au - b.RHS0[node]
+			f[k+1] = av - b.RHS1[node]
 		}
 	}
 }
@@ -66,7 +68,8 @@ func (s *BurgersSteady) Dim() int { return s.B.Dim() }
 // PolynomialDegree reports the quadratic nonlinearity.
 func (s *BurgersSteady) PolynomialDegree() int { return 2 }
 
-// Eval computes F(w) = A(w) − RHS.
+// Eval computes F(w) = A(w) − RHS. Its concurrency contract is
+// Burgers.Eval's: without a pool, calls with distinct w and f may overlap.
 //
 //pdevet:noalloc
 func (s *BurgersSteady) Eval(w, f []float64) error {

@@ -3,8 +3,9 @@
 # under the race detector (the parallel red-black Gauss-Seidel sweep must
 # stay race-clean), the fuzz smoke, the experiment transcripts, an arm64
 # cross-build that must hold no fused multiply-add in band.go, cholesky.go,
-# dopri.go, ode.go, newton.go or homotopy.go, and the bench module. Run from
-# the repository root; also available as `make check`.
+# dopri.go, ode.go, newton.go, homotopy.go, burgers.go or steady.go, and the
+# bench module. Run from the repository root; also available as
+# `make check`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -56,20 +57,22 @@ done
 
 # The Go spec lets a compiler fuse x*y+z, and arm64 does; amd64 does not.
 # Every multiply-add in the band-LU and band-Cholesky kernels, in the ode
-# package (dopri.go and ode.go) and in nonlin's Newton loop and homotopy
-# (newton.go and homotopy.go) is written float64(x*y)+z, which forbids
-# fusion, so their bits match across architectures. A cross-built arm64
-# binary must show no fused instruction attributed to those six files. The
-# awk matches the basename exactly, so a file such as decode.go or node.go
-# does not count as ode.go. Two binaries are searched: hybridpde links the
+# package (dopri.go and ode.go), in nonlin's Newton loop and homotopy
+# (newton.go and homotopy.go) and in the 2-D Burgers residual, Jacobian and
+# problem draw (pde's burgers.go and steady.go) is written float64(x*y)+z,
+# which forbids fusion, so their bits match across architectures. A
+# cross-built arm64 binary must show no fused instruction attributed to
+# those eight files. The awk matches the basename exactly, so a file such as
+# decode.go or node.go does not count as ode.go, nor burgers1d.go as
+# burgers.go. Two binaries are searched: hybridpde links the
 # experiments, and pdeserved links the degradation ladder, whose homotopy
 # rung (NewtonHomotopy) hybridpde never calls.
-echo "== no fused multiply-add in band.go, cholesky.go, dopri.go, ode.go, newton.go, homotopy.go (GOARCH=arm64 go tool objdump)"
+echo "== no fused multiply-add in band.go, cholesky.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, steady.go (GOARCH=arm64 go tool objdump)"
 GOARCH=arm64 go build -o "$transcripts/hybridpde-arm64" ./cmd/hybridpde
 GOARCH=arm64 go build -o "$transcripts/pdeserved-arm64" ./cmd/pdeserved
-fused=$({ go tool objdump "$transcripts/hybridpde-arm64"; go tool objdump "$transcripts/pdeserved-arm64"; } | awk '$1 ~ /^(band|cholesky|dopri|ode|newton|homotopy)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
+fused=$({ go tool objdump "$transcripts/hybridpde-arm64"; go tool objdump "$transcripts/pdeserved-arm64"; } | awk '$1 ~ /^(band|cholesky|dopri|ode|newton|homotopy|burgers|steady)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
 if [ "$fused" -ne 0 ]; then
-	echo "band.go, cholesky.go, dopri.go, ode.go, newton.go and homotopy.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
+	echo "band.go, cholesky.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go and steady.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
 	exit 1
 fi
 
