@@ -52,7 +52,7 @@ func bandedLoop(ss *scaledSystem) quotientLoop {
 			return err
 		}
 		for i, c := range cells {
-			g[i] = (1+c.FuncGain)*g[i] + c.FuncOffset
+			g[i] = float64((1+c.FuncGain)*g[i]) + c.FuncOffset
 			jac.ScaleRow(i, 1+c.JacGain)
 		}
 		if chol == nil {

@@ -105,10 +105,12 @@ func (r *bandUpdateRun) eliminate(lo, hi int) int64 {
 	return ops
 }
 
-// subScaled sets y[t] −= m·x[t] for every t < len(y); len(x) ≥ len(y). The
+// subScaledGo sets y[t] −= m·x[t] for every t < len(y); len(x) ≥ len(y). The
 // explicit conversion rounds each product before the subtraction, which
-// forbids a fused multiply-add, so the bits do not depend on the CPU.
-func subScaled(y, x []float64, m float64) {
+// forbids a fused multiply-add, so the bits do not depend on the CPU. It is
+// subScaled's fallback and the reference its vector kernel is tested
+// against.
+func subScaledGo(y, x []float64, m float64) {
 	for len(y) >= 4 && len(x) >= 4 {
 		y[0] -= float64(m * x[0])
 		y[1] -= float64(m * x[1])

@@ -13,7 +13,8 @@ import (
 // quotient loop's factor on the matrices it meets: for 2-D Burgers
 // Jacobians J on 4×4, 8×8 and 16×16 grids, the band Cholesky of JᵀJ + εI
 // and the general band LU of the same matrix, assembled explicitly and
-// factored with FactorFrom, solve (JᵀJ + εI)·x = Jᵀg to 1e-12 relative.
+// factored with FactorFrom, solve (JᵀJ + εI)·x = Jᵀg to 1e-12 relative,
+// and the Cholesky factor and solve hold the scalar reference's bits.
 func TestBandCholeskyMatchesBandLU(t *testing.T) {
 	const eps = 1e-3 // the quotient loop's gain (analog.QuotientLoopEpsilon)
 	rng := rand.New(rand.NewSource(30))
@@ -44,6 +45,7 @@ func TestBandCholeskyMatchesBandLU(t *testing.T) {
 			}
 			x, xr := make([]float64, dim), make([]float64, dim)
 			jac.MulTransVec(x, g)
+			la.CheckCholeskyRef(t, name, jac, eps, x)
 			copy(xr, x)
 			if err := ch.SolveInto(x); err != nil {
 				t.Fatal(err)

@@ -2,6 +2,7 @@ package la
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,6 +49,117 @@ func checkLoadBits(t *testing.T, ch *BandCholesky, ata *CSR) {
 		for off := 0; off <= min(ch.b, ch.n-1-i); off++ {
 			if g, w := ch.data[i*ch.w+off], ata.At(i, i+off); math.Float64bits(g) != math.Float64bits(w) {
 				t.Fatalf("loaded (%d,%d) = %x, assembled %x", i, i+off, math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// refCholeskyFactor is BandCholesky.factor with each row update written
+// out as a scalar loop, in the style of fullSpanFactor: the bit-exact
+// reference for the package factor, whatever kernel subScaled dispatches
+// to. f must hold a loaded, unfactored matrix.
+func refCholeskyFactor(f *BandCholesky) error {
+	n, w := f.n, f.w
+	data := f.data
+	for k := 0; k < n; k++ {
+		rowK := data[k*w : k*w+min(f.b, n-1-k)+1]
+		d := rowK[0]
+		if !(d > 0) {
+			return ErrSingular
+		}
+		r := math.Sqrt(d)
+		rowK[0] = r
+		for t := 1; t < len(rowK); t++ {
+			rowK[t] /= r
+		}
+		for t := 1; t < len(rowK); t++ {
+			m := rowK[t]
+			if m == 0 {
+				continue
+			}
+			row := data[(k+t)*w:]
+			for j := t; j < len(rowK); j++ {
+				row[j-t] -= float64(m * rowK[j])
+			}
+		}
+	}
+	return nil
+}
+
+// refCholeskySolve is BandCholesky.SolveInto with the forward pass written
+// out as a scalar loop.
+func refCholeskySolve(f *BandCholesky, x []float64) {
+	n, w := f.n, f.w
+	data := f.data
+	for k := 0; k < n; k++ {
+		row := data[k*w : k*w+min(f.b, n-1-k)+1]
+		xk := x[k] / row[0]
+		x[k] = xk
+		if xk == 0 {
+			continue
+		}
+		for j := 1; j < len(row); j++ {
+			x[k+j] -= float64(xk * row[j])
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		row := data[i*w : i*w+min(f.b, n-1-i)+1]
+		s := x[i]
+		for j := 1; j < len(row); j++ {
+			s -= float64(row[j] * x[i+j])
+		}
+		x[i] = s / row[0]
+	}
+}
+
+// checkCholeskyRef factors AᵀA + εI with FactorNormalFrom and with
+// refCholeskyFactor, and fails unless both agree on the error, on every
+// bit of the factor and on every bit of SolveInto's answer for rhs.
+func checkCholeskyRef(t *testing.T, name string, a *CSR, eps float64, rhs []float64) {
+	t.Helper()
+	kl, ku := Bandwidths(a)
+	got, ref := NewBandCholesky(a.Rows(), kl+ku), NewBandCholesky(a.Rows(), kl+ku)
+	gotErr := got.FactorNormalFrom(a, eps)
+	if err := ref.loadNormal(a, eps); err != nil {
+		t.Fatal(err)
+	}
+	if refErr := refCholeskyFactor(ref); !errors.Is(gotErr, refErr) {
+		t.Fatalf("%s: factor error %v, scalar reference %v", name, gotErr, refErr)
+	}
+	if gotErr != nil {
+		return
+	}
+	for q, v := range ref.data {
+		if g := got.data[q]; math.Float64bits(g) != math.Float64bits(v) {
+			t.Fatalf("%s: factor storage [%d] = %x, scalar reference %x", name, q, math.Float64bits(g), math.Float64bits(v))
+		}
+	}
+	x, xr := Copy(rhs), Copy(rhs)
+	if err := got.SolveInto(x); err != nil {
+		t.Fatal(err)
+	}
+	refCholeskySolve(ref, xr)
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(xr[i]) {
+			t.Fatalf("%s: x[%d] = %x, scalar reference %x", name, i, math.Float64bits(x[i]), math.Float64bits(xr[i]))
+		}
+	}
+}
+
+// TestBandCholeskyMatchesScalarRef pins the factor and SolveInto to the
+// scalar reference bit for bit on random bands A, with and without
+// explicit ±0 entries, whose normal equations are wide enough for row
+// updates of 8 and more.
+func TestBandCholeskyMatchesScalarRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	shapes := [][3]int{{1, 0, 0}, {9, 0, 3}, {20, 5, 2}, {33, 6, 6}, {40, 12, 3}, {64, 8, 8}}
+	for _, sh := range shapes {
+		n, kl, ku := sh[0], sh[1], sh[2]
+		for _, zeros := range []bool{false, true} {
+			for _, eps := range []float64{1e-3, 1} {
+				a := swapBanded(rng, n, kl, ku, zeros)
+				name := fmt.Sprintf("n=%d kl=%d ku=%d zeros=%v eps=%g", n, kl, ku, zeros, eps)
+				checkCholeskyRef(t, name, a, eps, randomVec(rng, n))
 			}
 		}
 	}
@@ -134,15 +246,17 @@ func TestBandCholeskySingularMatrix(t *testing.T) {
 // FuzzBandCholesky feeds arbitrary small integer matrices through the
 // normal-equation factor with ε = 1, which bounds every eigenvalue of
 // AᵀA + εI below by 1: the load must hold the assembled matrix's bits, the
-// factor must succeed, the residual must be at rounding level, and the
-// general band LU of the assembled matrix must agree to within the
-// conditioning bound.
+// factor must succeed, the residual must be at rounding level, the general
+// band LU of the assembled matrix must agree to within the conditioning
+// bound, and the factor and solve must hold the scalar reference's bits.
+// n reaches 24, so row updates reach the vector kernel's minimum length.
 func FuzzBandCholesky(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 4, 1, 1, 4, 2, 2, 4, 0, 1, 1, 1, 0, 1})
 	f.Add(uint8(1), []byte{0, 0, 0})
 	f.Add(uint8(5), []byte{0, 4, 127, 4, 0, 128, 2, 2, 0, 1, 3, 7})
+	f.Add(uint8(19), []byte{0, 0, 3, 0, 9, 5, 4, 17, 251, 12, 2, 6, 19, 7, 1, 8, 8, 2, 3, 14, 9})
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
-		n := 1 + int(nRaw)%8
+		n := 1 + int(nRaw)%24
 		a, _ := fuzzCSRFrom(n, data)
 		kl, ku := Bandwidths(a)
 		const eps = 1
@@ -191,5 +305,6 @@ func FuzzBandCholesky(f *testing.F) {
 		if tol := 1e-14 * float64(n*n) * kappa * maxAbs(x); maxAbs(xr) > tol {
 			t.Fatalf("Cholesky and LU solutions differ by %g, bound %g", maxAbs(xr), tol)
 		}
+		checkCholeskyRef(t, "fuzz", a, eps, rhs)
 	})
 }

@@ -107,7 +107,7 @@ func (m *Dense) MulVec(dst, x []float64) {
 		row := m.data[i*m.cols : (i+1)*m.cols]
 		s := 0.0
 		for j, v := range row {
-			s += v * x[j]
+			s += float64(v * x[j])
 		}
 		dst[i] = s
 	}
@@ -168,7 +168,7 @@ func Dot(x, y []float64) float64 {
 	}
 	s := 0.0
 	for i, v := range x {
-		s += v * y[i]
+		s += float64(v * y[i])
 	}
 	return s
 }
@@ -184,11 +184,11 @@ func Norm2(x []float64) float64 {
 		a := math.Abs(v)
 		if scale < a {
 			r := scale / a
-			ssq = 1 + ssq*r*r
+			ssq = 1 + float64(ssq*r*r)
 			scale = a
 		} else {
 			r := a / scale
-			ssq += r * r
+			ssq += float64(r * r)
 		}
 	}
 	return scale * math.Sqrt(ssq)
@@ -200,7 +200,7 @@ func Axpy(a float64, x, y []float64) {
 		panic(fmt.Sprintf("la: Axpy length mismatch %d vs %d", len(x), len(y)))
 	}
 	for i, v := range x {
-		y[i] += a * v
+		y[i] += float64(a * v)
 	}
 }
 

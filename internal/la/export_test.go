@@ -1,5 +1,9 @@
 package la
 
-// NormalEquations exposes the assembled-AᵀA+εI oracle to the package's
-// external tests, which can build PDE Jacobians.
-var NormalEquations = normalEquations
+// NormalEquations and CheckCholeskyRef expose the assembled-AᵀA+εI oracle
+// and the scalar Cholesky reference to the package's external tests, which
+// can build PDE Jacobians.
+var (
+	NormalEquations  = normalEquations
+	CheckCholeskyRef = checkCholeskyRef
+)

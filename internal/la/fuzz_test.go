@@ -1,6 +1,7 @@
 package la
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -45,11 +46,20 @@ func fuzzCSRFrom(n int, data []byte) (*CSR, int) {
 	return coo.ToCSR(), appended
 }
 
+// FuzzBandLU draws n up to 24, so row updates reach the vector kernel's
+// minimum length.
 func FuzzBandLU(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 4, 1, 1, 4, 2, 2, 4, 0, 1, 1, 1, 0, 1})
 	f.Add(uint8(1), []byte{0, 0, 0})
+	// A 20×20 diagonal plus corners far off it: pivoting on row 19 at step
+	// 0 makes every update run across the whole matrix.
+	wide := []byte{0, 12, 5, 15, 1, 9, 19, 0, 7, 6, 18, 3}
+	for i := byte(0); i < 20; i++ {
+		wide = append(wide, i, i, 4)
+	}
+	f.Add(uint8(19), wide)
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
-		n := 1 + int(nRaw)%8
+		n := 1 + int(nRaw)%24
 		m, _ := fuzzCSRFrom(n, data)
 		lu, err := FactorBandLU(m)
 		// The full-span oracle must agree on singularity, and on every bit
@@ -144,6 +154,85 @@ func FuzzCSR(f *testing.F) {
 			}
 			if got[i] != sum {
 				t.Fatalf("row %d: MulVec %g, At-sum %g", i, got[i], sum)
+			}
+		}
+	})
+}
+
+// specialBits are the float64 patterns the row-update fuzzer splices in:
+// ±0, ±Inf, quiet and signalling NaNs with distinct payloads, subnormals,
+// one and the largest finite value.
+var specialBits = [...]uint64{
+	0, 1 << 63,
+	0x7ff0000000000000, 0xfff0000000000000,
+	0x7ff8000000000001, 0xfff80000000abcde, 0x7ff0000000000123, 0xfff4000000000000,
+	1, 0x000fffffffffffff, 0x800123456789abcd,
+	0x3ff0000000000000, 0x7fefffffffffffff,
+}
+
+// fuzzFloats fills dst from data: a selector byte that is a multiple of 4
+// picks a special pattern, any other takes the next eight bytes as raw
+// bits. Once data runs out the values continue from an xorshift of seed.
+func fuzzFloats(dst []float64, data []byte, seed uint64) []byte {
+	for i := range dst {
+		switch {
+		case len(data) > 0 && data[0]%4 == 0:
+			dst[i] = math.Float64frombits(specialBits[int(data[0]/4)%len(specialBits)])
+			data = data[1:]
+		case len(data) >= 9:
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[1:9]))
+			data = data[9:]
+		default:
+			data = nil
+			seed ^= seed << 13
+			seed ^= seed >> 7
+			seed ^= seed << 17
+			dst[i] = math.Float64frombits(seed)
+		}
+	}
+	return data
+}
+
+// FuzzSubScaled checks that the dispatching row update subScaled, which
+// takes the vector kernel where the CPU has one, writes the bits of the
+// scalar reference subScaledGo: for every length 0–67, sub-slice offset
+// and float64 bit pattern, NaN payloads included, and without touching
+// anything past len(y) or any of x.
+func FuzzSubScaled(f *testing.F) {
+	nan := func(sel byte, n int) []byte {
+		d := make([]byte, n)
+		for i := range d {
+			d[i] = sel
+		}
+		return d
+	}
+	f.Add(uint64(0x3fe0000000000000), uint64(1), uint8(13), uint8(1), uint8(2), []byte{})
+	f.Add(uint64(0xbff8000000000000), uint64(7), uint8(67), uint8(3), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 0, 4, 8, 12})
+	// Finite y, every x a NaN with one payload and m a NaN with another:
+	// the surviving payload shows the multiply's operand order.
+	f.Add(specialBits[5], uint64(3), uint8(11), uint8(0), uint8(1), append(nan(44, 14), nan(16, 15)...))
+	f.Add(specialBits[4], uint64(5), uint8(21), uint8(2), uint8(3), append(nan(48, 26), nan(20, 27)...))
+	f.Add(uint64(1), uint64(9), uint8(33), uint8(1), uint8(1), []byte{36, 40, 44, 0, 8, 12, 28, 32, 48})
+	f.Fuzz(func(t *testing.T, mBits, seed uint64, nRaw, yOff, xOff uint8, data []byte) {
+		n, yo, xo := int(nRaw)%68, int(yOff)%4, int(xOff)%4
+		const guard = 3 // words past len(y), and spare length in x
+		ybuf := make([]float64, yo+n+guard)
+		xbuf := make([]float64, xo+n+guard)
+		data = fuzzFloats(ybuf, data, seed|1)
+		fuzzFloats(xbuf, data, ^seed|1)
+		m := math.Float64frombits(mBits)
+		want := append([]float64(nil), ybuf...)
+		xKeep := append([]float64(nil), xbuf...)
+		subScaledGo(want[yo:yo+n], xbuf[xo:], m)
+		subScaled(ybuf[yo:yo+n], xbuf[xo:], m)
+		for i := range ybuf {
+			if g, w := math.Float64bits(ybuf[i]), math.Float64bits(want[i]); g != w {
+				t.Fatalf("n=%d y[%d] = %#x, subScaledGo %#x", n, i-yo, g, w)
+			}
+		}
+		for i := range xbuf {
+			if g, w := math.Float64bits(xbuf[i]), math.Float64bits(xKeep[i]); g != w {
+				t.Fatalf("n=%d x[%d] changed to %#x from %#x", n, i-xo, g, w)
 			}
 		}
 	})

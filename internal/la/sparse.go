@@ -201,7 +201,7 @@ func (m *CSR) MulVec(dst, x []float64) {
 		lo, hi := m.rowPtr[i], m.rowPtr[i+1]
 		s := 0.0
 		for k := lo; k < hi; k++ {
-			s += m.vals[k] * x[m.colIdx[k]]
+			s += float64(m.vals[k] * x[m.colIdx[k]])
 		}
 		dst[i] = s
 	}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -24,6 +25,32 @@ func TestErrDropFixture(t *testing.T)    { testFixture(t, "errdrop") }
 func TestLockNestFixture(t *testing.T)   { testFixture(t, "locknest") }
 func TestGoroutineFixture(t *testing.T)  { testFixture(t, "goroutine") }
 func TestMapRangeFixture(t *testing.T)   { testFixture(t, "maprange") }
+
+// TestLoadHonoursBuildConstraints loads a package whose two files each
+// declare width, one for amd64 by file name and one for every other
+// architecture by //go:build line: only the file the go command builds here
+// may be type-checked, or width is declared twice.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	loader, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.Load(filepath.Join("testdata", "src", "buildtags"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range pkg.Files {
+		names = append(names, filepath.Base(pkg.Fset.File(f.Pos()).Name()))
+	}
+	want := "width_other.go"
+	if runtime.GOARCH == "amd64" {
+		want = "width_amd64.go"
+	}
+	if len(names) != 2 || names[0] != "buildtags.go" || names[1] != want {
+		t.Fatalf("loaded %v, want [buildtags.go %s]", names, want)
+	}
+}
 
 func testFixture(t *testing.T, rule string) {
 	t.Helper()

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -147,7 +148,10 @@ func hasGoFiles(dir string) (bool, error) {
 	return len(names) > 0, err
 }
 
-// goFileNames lists the non-test Go files of dir, sorted.
+// goFileNames lists the non-test Go files of dir that the go command would
+// build for this platform, sorted: a file whose name suffix or //go:build
+// line excludes it is left out, as go build leaves it out, so an
+// architecture-specific pair does not declare its names twice.
 func goFileNames(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -159,7 +163,13 @@ func goFileNames(dir string) ([]string, error) {
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") {
 			continue
 		}
-		names = append(names, n)
+		ok, err := build.Default.MatchFile(dir, n)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			names = append(names, n)
+		}
 	}
 	sort.Strings(names)
 	return names, nil
