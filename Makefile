@@ -32,7 +32,7 @@ lint:
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBandLU -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzBandCholesky -fuzztime 3s ./internal/la/
-	$(GO) test -run '^$$' -fuzz FuzzSubScaled -fuzztime 3s ./internal/la/
+	$(GO) test -run '^$$' -fuzz FuzzSubScaledRows -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzParseNetlist -fuzztime 3s ./internal/analog/
 	$(GO) test -run '^$$' -fuzz FuzzBurgersEval -fuzztime 3s ./internal/pde/

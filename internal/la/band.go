@@ -83,33 +83,100 @@ func (r *bandUpdateRun) Run(chunk, lo, hi int) {
 
 // eliminate stores the multipliers of working rows k+1+lo … k+hi and
 // subtracts their multiples of row k, returning the FactorOps they book:
-// the full band's min(k+ku+kl, n−1)−k per row, not the span touched.
+// the full band's min(k+ku+kl, n−1)−k per row, not the span touched. The
+// multipliers sit in column k, left of every updated range, so all of them
+// are stored before one subScaledRows call updates the rows: working row
+// i's column k is at i·(w−1)+k+kl, one row stride w−1 after row i−1's.
 func (r *bandUpdateRun) eliminate(lo, hi int) int64 {
+	if hi == lo {
+		return 0
+	}
 	f := r.f
 	w, kl, k := f.w, f.kl, r.k
 	data := f.data
-	rowK := data[k*w+kl+1 : k*w+kl+r.span] // columns k+1…reach of row k
 	full := int64(min(k+f.ku+kl, f.n-1) - k)
+	first := (k+1+lo)*(w-1) + k + kl
 	var ops int64
-	for t := lo; t < hi; t++ {
-		i := k + 1 + t
-		base := i*w + k - i + kl
+	for base := first; base < first+(hi-lo)*(w-1); base += w - 1 {
 		m := data[base] / r.pivot
 		data[base] = m
-		if m == 0 {
+		if m != 0 {
+			ops += full
+		}
+	}
+	rowK := data[k*w+kl+1 : k*w+kl+r.span] // columns k+1…reach of row k
+	subScaledRows(data[first+1:], rowK, data[first:], w-1, 0, w-1, r.span-1, 0, hi-lo, 1, 0)
+	return ops
+}
+
+// subScaledRows is one pivot step's row updates in one call: it divides
+// x[t] by d for t < nd, then for each row r < rows whose multiplier
+// m_r = m[r·mstride] is not zero sets y[r·ystride+t] −= m_r·x[r·xstride+t]
+// for t < n0−r·dn. The rows' y ranges may not overlap each other, x or the
+// multipliers. On an amd64 CPU with AVX2 it runs four lanes at a time,
+// with the same roundings in the same order as subScaledRowsGo, so every
+// bit matches it.
+func subScaledRows(y, x, m []float64, ystride, xstride, mstride, n0, dn, rows int, d float64, nd int) {
+	checkRows(len(y), len(x), len(m), ystride, xstride, mstride, n0, dn, rows, nd)
+	if useAVX2 {
+		subScaledRowsAVX2(y, x, m, ystride, xstride, mstride, n0, dn, rows, d, nd)
+		return
+	}
+	subScaledRowsGo(y, x, m, ystride, xstride, mstride, n0, dn, rows, d, nd)
+}
+
+// subScaled is subScaledRows for one row: y[t] −= m·x[t] for every
+// t < len(y) unless m == 0; len(x) ≥ len(y), and y and x do not overlap.
+// Slicing x to len(y) is the whole bounds check, so the call goes to the
+// kernel directly.
+func subScaled(y, x []float64, m float64) {
+	x = x[:len(y)]
+	if useAVX2 {
+		ms := [1]float64{m}
+		subScaledRowsAVX2(y, x, ms[:], 0, 0, 0, len(y), 0, 1, 1, 0)
+		return
+	}
+	if m != 0 {
+		subScaledGo(y, x, m)
+	}
+}
+
+// checkRows panics unless every index subScaledRows may touch lies inside
+// its slices, so the vector kernel never reads or writes past them. The
+// row extents are linear in r, so the first and last rows bound them.
+func checkRows(ny, nx, nm, ystride, xstride, mstride, n0, dn, rows, nd int) {
+	if min(ystride, xstride, mstride, n0, dn, nd) < 0 || nd > nx {
+		panic("la: subScaledRows: negative stride or length, or nd past x")
+	}
+	if rows <= 0 {
+		return
+	}
+	last := rows - 1
+	nLast := n0 - last*dn
+	if nLast < 0 || max(n0, last*ystride+nLast) > ny || max(n0, last*xstride+nLast) > nx || last*mstride >= nm {
+		panic("la: subScaledRows: a row runs past y, x or m")
+	}
+}
+
+// subScaledRowsGo is subScaledRows in Go: the fallback off amd64 or
+// without AVX2, and the reference the vector kernel is tested against.
+func subScaledRowsGo(y, x, m []float64, ystride, xstride, mstride, n0, dn, rows int, d float64, nd int) {
+	for t := range x[:nd] {
+		x[t] /= d
+	}
+	for r := 0; r < rows; r++ {
+		mr := m[r*mstride]
+		if mr == 0 {
 			continue
 		}
-		subScaled(data[base+1:base+r.span], rowK, m)
-		ops += full
+		o, n := r*ystride, n0-r*dn
+		subScaledGo(y[o:o+n], x[r*xstride:], mr)
 	}
-	return ops
 }
 
 // subScaledGo sets y[t] −= m·x[t] for every t < len(y); len(x) ≥ len(y). The
 // explicit conversion rounds each product before the subtraction, which
-// forbids a fused multiply-add, so the bits do not depend on the CPU. It is
-// subScaled's fallback and the reference its vector kernel is tested
-// against.
+// forbids a fused multiply-add, so the bits do not depend on the CPU.
 func subScaledGo(y, x []float64, m float64) {
 	for len(y) >= 4 && len(x) >= 4 {
 		y[0] -= float64(m * x[0])

@@ -48,7 +48,9 @@ func (f *BandCholesky) FactorNormalFrom(a *CSR, eps float64) error {
 
 // loadNormal accumulates the upper band of AᵀA + εI into the cleared
 // workspace: (AᵀA)ij = Σ_k A[k][i]·A[k][j] over the non-zero pairs of each
-// row k of A, in increasing k.
+// row k of A, in increasing k. Columns increase within a CSR row, so every
+// pair row k adds lies in the band when the pair of its first non-zero
+// column and its last column does: one check per row.
 func (f *BandCholesky) loadNormal(a *CSR, eps float64) error {
 	if a.Rows() != f.n || a.Cols() != f.n {
 		return fmt.Errorf("la: band Cholesky workspace is %d×%d, matrix is %d×%d", f.n, f.n, a.Rows(), a.Cols())
@@ -57,18 +59,31 @@ func (f *BandCholesky) loadNormal(a *CSR, eps float64) error {
 	w := f.w
 	for k := 0; k < f.n; k++ {
 		cols, vals := a.RowNNZ(k)
-		for p, i := range cols {
+		p0 := 0
+		for p0 < len(cols) && vals[p0] == 0 {
+			p0++
+		}
+		if p0 == len(cols) {
+			continue
+		}
+		if i := cols[p0]; cols[len(cols)-1]-i > f.b {
+			q := p0
+			for cols[q]-i <= f.b {
+				q++
+			}
+			return fmt.Errorf("la: normal-equation entry (%d,%d) outside band b=%d", i, cols[q], f.b)
+		}
+		for p := p0; p < len(cols); p++ {
 			vi := vals[p]
 			if vi == 0 {
 				continue
 			}
-			// Columns are increasing within a CSR row, so j ≥ i from p on.
-			for q := p; q < len(cols); q++ {
-				off := cols[q] - i
-				if off < 0 || off > f.b {
-					return fmt.Errorf("la: normal-equation entry (%d,%d) outside band b=%d", i, cols[q], f.b)
-				}
-				f.data[i*w+off] += float64(vi * vals[q])
+			// Entry (i, j) of row i sits at data[i·w+j−i] = data[i·(w−1)+j].
+			i := cols[p]
+			row := f.data[i*(w-1):]
+			vq := vals[p:len(cols)]
+			for q, j := range cols[p:] {
+				row[j] += float64(vi * vq[q])
 			}
 		}
 	}
@@ -80,7 +95,8 @@ func (f *BandCholesky) loadNormal(a *CSR, eps float64) error {
 
 // factor overwrites the loaded upper band with U, right-looking: pivot step
 // k scales row k by 1/√d and subtracts U[k][i]·(row k) from each row i it
-// reaches.
+// reaches, all in one subScaledRows call. Row k+1+r, stride w after row
+// k+r, takes columns k+1+r… of row k, one fewer than the row before.
 func (f *BandCholesky) factor() error {
 	n, w := f.n, f.w
 	data := f.data
@@ -92,17 +108,8 @@ func (f *BandCholesky) factor() error {
 		}
 		r := math.Sqrt(d)
 		rowK[0] = r
-		for t := 1; t < len(rowK); t++ {
-			rowK[t] /= r
-		}
-		for t := 1; t < len(rowK); t++ {
-			m := rowK[t]
-			if m == 0 {
-				continue
-			}
-			i := k + t
-			subScaled(data[i*w:i*w+len(rowK)-t], rowK[t:], m)
-		}
+		c := len(rowK) - 1
+		subScaledRows(data[(k+1)*w:], rowK[1:], rowK[1:], w, 1, 1, c, 1, c, r, c)
 	}
 	return nil
 }

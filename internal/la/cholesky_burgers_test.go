@@ -63,3 +63,35 @@ func TestBandCholeskyMatchesBandLU(t *testing.T) {
 		}
 	}
 }
+
+// TestBandCholeskyFabricEvalZeroAlloc pins the quotient loop's per-
+// evaluation cost to no allocation: once its workspace exists, one fabric
+// evaluation's FactorNormalFrom and SolveInto on an 8×8 Burgers Jacobian
+// allocate nothing.
+func TestBandCholeskyFabricEvalZeroAlloc(t *testing.T) {
+	b, err := pde.RandomBurgers(8, 2, 3, rand.New(rand.NewSource(35)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jac, err := b.JacobianCSR(b.InitialGuess())
+	if err != nil {
+		t.Fatal(err)
+	}
+	kl, ku := la.Bandwidths(jac)
+	ch := la.NewBandCholesky(b.Dim(), kl+ku)
+	x := make([]float64, b.Dim())
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := ch.FactorNormalFrom(jac, 1e-3); err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			x[i] = float64(i%7) - 3
+		}
+		if err := ch.SolveInto(x); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("FactorNormalFrom + SolveInto allocate %v per evaluation, want 0", allocs)
+	}
+}

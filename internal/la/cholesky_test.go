@@ -56,8 +56,8 @@ func checkLoadBits(t *testing.T, ch *BandCholesky, ata *CSR) {
 
 // refCholeskyFactor is BandCholesky.factor with each row update written
 // out as a scalar loop, in the style of fullSpanFactor: the bit-exact
-// reference for the package factor, whatever kernel subScaled dispatches
-// to. f must hold a loaded, unfactored matrix.
+// reference for the package factor, whatever kernel subScaledRows
+// dispatches to. f must hold a loaded, unfactored matrix.
 func refCholeskyFactor(f *BandCholesky) error {
 	n, w := f.n, f.w
 	data := f.data
@@ -249,7 +249,8 @@ func TestBandCholeskySingularMatrix(t *testing.T) {
 // factor must succeed, the residual must be at rounding level, the general
 // band LU of the assembled matrix must agree to within the conditioning
 // bound, and the factor and solve must hold the scalar reference's bits.
-// n reaches 24, so row updates reach the vector kernel's minimum length.
+// n reaches 24, so row updates reach the vector kernel's eight-wide loop
+// as well as its masked last block.
 func FuzzBandCholesky(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 4, 1, 1, 4, 2, 2, 4, 0, 1, 1, 1, 0, 1})
 	f.Add(uint8(1), []byte{0, 0, 0})

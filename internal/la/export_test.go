@@ -7,3 +7,20 @@ var (
 	NormalEquations  = normalEquations
 	CheckCholeskyRef = checkCholeskyRef
 )
+
+// BandParGrain is the per-step work above which a pooled band LU fans out.
+const BandParGrain = bandParGrain
+
+// SetVectorRowUpdate turns the AVX2 row update on or off and returns the
+// previous setting. Turning it on where it was off at init would execute
+// AVX2 instructions the CPU may lack, so callers restore what it returned.
+func SetVectorRowUpdate(on bool) (was bool) {
+	was, useAVX2 = useAVX2, on
+	return was
+}
+
+// BandLUStorage and BandCholeskyStorage return the factors' band storage
+// (and the band LU's pivots), for bit-for-bit comparisons.
+func BandLUStorage(f *BandLU) ([]float64, []int) { return f.data, f.piv }
+
+func BandCholeskyStorage(f *BandCholesky) []float64 { return f.data }

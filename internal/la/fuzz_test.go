@@ -47,7 +47,7 @@ func fuzzCSRFrom(n int, data []byte) (*CSR, int) {
 }
 
 // FuzzBandLU draws n up to 24, so row updates reach the vector kernel's
-// minimum length.
+// eight-wide loop as well as its masked last block.
 func FuzzBandLU(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 4, 1, 1, 4, 2, 2, 4, 0, 1, 1, 1, 0, 1})
 	f.Add(uint8(1), []byte{0, 0, 0})
@@ -193,11 +193,12 @@ func fuzzFloats(dst []float64, data []byte, seed uint64) []byte {
 	return data
 }
 
-// FuzzSubScaled checks that the dispatching row update subScaled, which
-// takes the vector kernel where the CPU has one, writes the bits of the
-// scalar reference subScaledGo: for every length 0–67, sub-slice offset
-// and float64 bit pattern, NaN payloads included, and without touching
-// anything past len(y) or any of x.
+// FuzzSubScaled checks that the one-row update subScaled (the band
+// Cholesky forward solve's), which takes the vector kernel where the CPU
+// has one, writes the bits of the scalar reference subScaledGo, skipped
+// when m == 0: for every length 0–67, sub-slice offset and float64 bit
+// pattern, NaN payloads included, and without touching anything past
+// len(y) or any of x.
 func FuzzSubScaled(f *testing.F) {
 	nan := func(sel byte, n int) []byte {
 		d := make([]byte, n)
@@ -223,7 +224,9 @@ func FuzzSubScaled(f *testing.F) {
 		m := math.Float64frombits(mBits)
 		want := append([]float64(nil), ybuf...)
 		xKeep := append([]float64(nil), xbuf...)
-		subScaledGo(want[yo:yo+n], xbuf[xo:], m)
+		if m != 0 {
+			subScaledGo(want[yo:yo+n], xbuf[xo:], m)
+		}
 		subScaled(ybuf[yo:yo+n], xbuf[xo:], m)
 		for i := range ybuf {
 			if g, w := math.Float64bits(ybuf[i]), math.Float64bits(want[i]); g != w {
@@ -233,6 +236,116 @@ func FuzzSubScaled(f *testing.F) {
 		for i := range xbuf {
 			if g, w := math.Float64bits(xbuf[i]), math.Float64bits(xKeep[i]); g != w {
 				t.Fatalf("n=%d x[%d] changed to %#x from %#x", n, i-xo, g, w)
+			}
+		}
+	})
+}
+
+// FuzzSubScaledRows checks that subScaledRows, which takes the vector
+// kernel where the CPU has one, writes the bits of subScaledRowsGo on the
+// shapes both band factors give it, NaN payloads included: the band LU's
+// (each row's multiplier in the word before it, one x row, fixed length)
+// and the band Cholesky's (multipliers and x one slice, each row one
+// shorter, x first divided by d), for 0–40 rows, lengths 0–67 and
+// unaligned offsets. Words between and after the rows and past x start
+// with their own values and must keep them, so a mask that reaches one
+// lane too far fails.
+func FuzzSubScaledRows(f *testing.F) {
+	// sels gives word i of the y buffer, then of the x buffer, the
+	// specialBits selector sel(i, inX).
+	sels := func(ny, nx int, sel func(i int, inX bool) byte) []byte {
+		d := make([]byte, 0, ny+nx)
+		for i := 0; i < ny; i++ {
+			d = append(d, sel(i, false))
+		}
+		for i := 0; i < nx; i++ {
+			d = append(d, sel(i, true))
+		}
+		return d
+	}
+	cycle := func(i int, inX bool) byte {
+		if inX {
+			i += 5
+		}
+		return []byte{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 44, 48, 40}[i%13]
+	}
+	// Band LU, four rows of five (stride 9): finite y, NaN multipliers and
+	// NaN x with other payloads, so the product's operand order shows.
+	f.Add(false, uint8(4), uint8(5), uint8(0), uint64(0), uint64(3), sels(4*9+3, 5+3, func(i int, inX bool) byte {
+		switch {
+		case inX:
+			return 16
+		case i%9 == 0:
+			return 20
+		}
+		return 44
+	}))
+	// Band LU, NaN y and NaN x with finite multipliers: the difference's
+	// operand order shows.
+	f.Add(false, uint8(3), uint8(6), uint8(0), uint64(0), uint64(5), sels(3*10+3, 6+3, func(i int, inX bool) byte {
+		switch {
+		case inX:
+			return 28
+		case i%10 == 0:
+			return 44
+		}
+		return 24
+	}))
+	// Special values everywhere (±0 multipliers are skipped), long rows.
+	f.Add(false, uint8(40), uint8(67), uint8(6), uint64(0), uint64(7), sels(2+40*71+3, 1+67+3, cycle))
+	// Band Cholesky at b = 32 with the division, then NaN x divided by a
+	// NaN d (the quotient's operand order shows), then rows past n0, then
+	// a division whose last block is partial.
+	f.Add(true, uint8(32), uint8(32), uint8(16), uint64(0x3ff8000000000000), uint64(11), []byte{})
+	f.Add(true, uint8(6), uint8(11), uint8(16), specialBits[5], uint64(13), sels(6*14+3, 11+3, func(_ int, inX bool) byte {
+		if inX {
+			return 16
+		}
+		return 44
+	}))
+	f.Add(true, uint8(40), uint8(5), uint8(27), uint64(0x4000000000000000), uint64(17), sels(3+6*8+3, 2+5+3, cycle))
+	f.Add(true, uint8(29), uint8(29), uint8(21), uint64(0x4008000000000000), uint64(19), []byte{})
+	f.Fuzz(func(t *testing.T, chol bool, rowsRaw, nRaw, opts uint8, dBits, seed uint64, data []byte) {
+		const guard = 3
+		n0, rows := int(nRaw)%68, int(rowsRaw)%41
+		yo, xo := int(opts)%4, int(opts>>2)%4
+		var ystride, xstride, mstride, dn, nd int
+		if chol {
+			rows = min(rows, n0+1)
+			ystride, xstride, mstride, dn = n0+guard, 1, 1, 1
+			if opts&16 != 0 {
+				nd = n0
+			}
+		} else {
+			ystride, mstride = n0+1+guard, n0+1+guard
+		}
+		ybuf := make([]float64, yo+rows*ystride+guard)
+		xbuf := make([]float64, xo+n0+guard)
+		data = fuzzFloats(ybuf, data, seed|1)
+		fuzzFloats(xbuf, data, ^seed|1)
+		d := math.Float64frombits(dBits)
+		// views cuts y, x and the multipliers out of the two buffers, with
+		// the aliasing the factor they model has.
+		views := func(yb, xb []float64) (y, x, m []float64) {
+			if chol {
+				return yb[yo:], xb[xo:], xb[xo:]
+			}
+			return yb[yo+1:], xb[xo:], yb[yo:]
+		}
+		wantY := append([]float64(nil), ybuf...)
+		wantX := append([]float64(nil), xbuf...)
+		y, x, m := views(wantY, wantX)
+		subScaledRowsGo(y, x, m, ystride, xstride, mstride, n0, dn, rows, d, nd)
+		y, x, m = views(ybuf, xbuf)
+		subScaledRows(y, x, m, ystride, xstride, mstride, n0, dn, rows, d, nd)
+		for i := range ybuf {
+			if g, w := math.Float64bits(ybuf[i]), math.Float64bits(wantY[i]); g != w {
+				t.Fatalf("rows=%d n0=%d: y word %d (row %d) = %#x, subScaledRowsGo %#x", rows, n0, i-yo, (i-yo)/ystride, g, w)
+			}
+		}
+		for i := range xbuf {
+			if g, w := math.Float64bits(xbuf[i]), math.Float64bits(wantX[i]); g != w {
+				t.Fatalf("rows=%d n0=%d nd=%d: x[%d] = %#x, subScaledRowsGo %#x", rows, n0, nd, i-xo, g, w)
 			}
 		}
 	})

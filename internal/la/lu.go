@@ -63,7 +63,7 @@ func FactorLU(a *Dense) (*LU, error) {
 			}
 			ri, rk := lu.Row(i), lu.Row(k)
 			for j := k + 1; j < n; j++ {
-				ri[j] -= m * rk[j]
+				ri[j] -= float64(m * rk[j])
 			}
 		}
 	}
@@ -86,7 +86,7 @@ func (f *LU) Solve(dst, b []float64) error {
 		row := lu.Row(i)
 		s := x[i]
 		for j := 0; j < i; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		x[i] = s
 	}
@@ -95,7 +95,7 @@ func (f *LU) Solve(dst, b []float64) error {
 		row := lu.Row(i)
 		s := x[i]
 		for j := i + 1; j < f.n; j++ {
-			s -= row[j] * x[j]
+			s -= float64(row[j] * x[j])
 		}
 		d := row[i]
 		if d == 0 {

@@ -2,6 +2,10 @@
 
 package la
 
-// subScaled sets y[t] −= m·x[t] for every t < len(y); len(x) ≥ len(y), and
-// y and x do not overlap.
-func subScaled(y, x []float64, m float64) { subScaledGo(y, x, m) }
+// useAVX2 is false: only amd64 has the vector row update.
+var useAVX2 = false
+
+// subScaledRowsAVX2 is never called: useAVX2 is false off amd64.
+func subScaledRowsAVX2(y, x, m []float64, ystride, xstride, mstride, n0, dn, rows int, d float64, nd int) {
+	panic("la: no vector row update off amd64")
+}
