@@ -8,7 +8,7 @@
 //	          [-queue N] [-max-grid N] [-timeout D] [-max-timeout D]
 //	          [-seed N] [-drain-timeout D] [-chaos] [-chaos-spec SPEC]
 //	          [-retries N] [-seed-gate F] [-cache-size N] [-cache-off]
-//	          [-warm-radius F] [-max-steps N]
+//	          [-max-steps N]
 //
 // The API listener serves POST /v1/solve, POST /v1/stream (NDJSON transient
 // trajectories, one frame line per time step), GET /v1/problems,
@@ -71,7 +71,6 @@ func main() {
 		solveProcs     = flag.Int("solve-procs", 0, "per-solve parallel workers (0 or negative = 1)")
 		cacheSize      = flag.Int("cache-size", 0, "solve-cache entry bound (0 = default 4096)")
 		cacheOff       = flag.Bool("cache-off", false, "disable the content-addressed solve cache")
-		warmRadius     = flag.Float64("warm-radius", 0, "parameter distance within which a cached neighbour warm-starts a solve (0 = default 0.25, negative disables)")
 		maxSteps       = flag.Int("max-steps", 0, "cap on a POST /v1/stream trajectory's step count (0 = default 256)")
 	)
 	flag.Parse()
@@ -109,7 +108,6 @@ func main() {
 		MaxRetries:     *retries,
 		SolveProcs:     *solveProcs,
 		CacheEntries:   cacheEntries,
-		WarmRadius:     *warmRadius,
 		MaxSteps:       *maxSteps,
 	})
 

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"hybridpde/internal/lint"
 )
 
 // The driver fixture (testdata/src/driver) carries exactly two stable
@@ -60,5 +62,22 @@ func TestCleanTree(t *testing.T) {
 	}
 	if out != "" {
 		t.Errorf("clean run printed findings:\n%s", out)
+	}
+}
+
+func TestListAnalyzers(t *testing.T) {
+	code, out, _ := runDriver(t, "-list")
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0\n%s", code, out)
+	}
+	analyzers := lint.Analyzers()
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != len(analyzers) {
+		t.Fatalf("-list printed %d lines for %d analyzers:\n%s", len(lines), len(analyzers), out)
+	}
+	for i, a := range analyzers {
+		if !strings.HasPrefix(lines[i], a.Name+" ") {
+			t.Errorf("line %d = %q, want analyzer %s", i, lines[i], a.Name)
+		}
 	}
 }

@@ -106,7 +106,6 @@ func (b *batcher) submit(ctx context.Context, shape, identity cache.Key, body []
 			close(w.full)
 		}
 		b.mu.Unlock()
-		b.m.coalesced.Inc()
 		select {
 		case r := <-e.done:
 			return r

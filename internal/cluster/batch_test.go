@@ -68,7 +68,8 @@ func TestBatcherDedupsIdenticalIdentity(t *testing.T) {
 	if got := m.batchDeduped.Value(); got != waiters-1 {
 		t.Fatalf("batch_deduped = %d, want %d", got, waiters-1)
 	}
-	if got := m.coalesced.Value(); got != waiters-1 {
+	// Requests that joined an open window: pdegw_batch_size_sum − pdegw_batches_total.
+	if got := uint64(m.batchSize.Sum()) - m.batches.Value(); got != waiters-1 {
 		t.Fatalf("coalesced = %d, want %d", got, waiters-1)
 	}
 	if got := m.batches.Value(); got != 1 {

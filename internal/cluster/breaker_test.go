@@ -30,6 +30,11 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 	if bs.allow("b") {
 		t.Fatal("open breaker admitted a dispatch")
 	}
+	var page strings.Builder
+	bs.m.writeProm(&page)
+	if want := `pdegw_breaker_state{backend="b"} 1` + "\n"; !strings.Contains(page.String(), want) {
+		t.Fatalf("open breaker's gauge: want %q in\n%s", want, page.String())
+	}
 }
 
 func TestBreakerSuccessResetsFailStreak(t *testing.T) {

@@ -134,8 +134,9 @@ type Gateway struct {
 	probeDone chan struct{}
 }
 
-// New builds the gateway and starts its health prober. The prober runs
-// until Close.
+// New builds the gateway, probes every backend once, and starts its health
+// prober, which runs until Close. The first sweep is done before New
+// returns, so the gateway knows its fleet before the first request.
 func New(cfg Config) (*Gateway, error) {
 	cfg.defaults()
 	ring, err := NewRing(cfg.Backends, DefaultVNodes)
@@ -153,9 +154,9 @@ func New(cfg Config) (*Gateway, error) {
 	g.breakers = newBreakerSet(ring.Members(), cfg.BreakerThreshold,
 		cfg.BreakerOpenProbes, breakerMaxProbes, g.m)
 	g.budget = newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetMax)
-	g.m.ringMembers.Set(int64(ring.Len()))
 	ctx, cancel := context.WithCancel(context.Background())
 	g.stopProbe = cancel
+	g.probeSweep(ctx)
 	go g.probeLoop(ctx)
 	return g, nil
 }
@@ -182,12 +183,10 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// probeLoop drives the membership state machine: an immediate sweep so
-// the gateway knows its fleet before the first request, then one sweep
-// per probe interval until ctx is cancelled (Close).
+// probeLoop drives the membership state machine after New's first sweep:
+// one sweep per probe interval until ctx is cancelled (Close).
 func (g *Gateway) probeLoop(ctx context.Context) {
 	defer close(g.probeDone)
-	g.probeSweep(ctx)
 	ticker := time.NewTicker(g.cfg.ProbeInterval)
 	defer ticker.Stop()
 	for {
@@ -213,13 +212,6 @@ func (g *Gateway) probeSweep(ctx context.Context) {
 		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		if probeBackend(pctx, g.cfg.Client, url) {
 			g.observe(url, backendAnswered)
-			if st, ok := scrapeBackend(pctx, g.cfg.Client, url); ok {
-				g.ms.setStats(url, st)
-				g.m.backendDegraded.With(url).Set(int64(st.DegradedTotal))
-				g.m.backendCacheHits.With(url).Set(int64(st.CacheHits))
-				g.m.backendCacheWarm.With(url).Set(int64(st.CacheWarmHits))
-				g.m.backendCacheMiss.With(url).Set(int64(st.CacheMisses))
-			}
 		} else {
 			g.observe(url, backendFailed)
 		}
@@ -354,11 +346,10 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // ClusterMember is one backend's row in the GET /cluster snapshot.
 type ClusterMember struct {
-	URL       string       `json:"url"`
-	State     string       `json:"state"`
-	Evictions uint64       `json:"evictions"`
-	Readds    uint64       `json:"readds"`
-	Stats     BackendStats `json:"stats"`
+	URL       string `json:"url"`
+	State     string `json:"state"`
+	Evictions uint64 `json:"evictions"`
+	Readds    uint64 `json:"readds"`
 }
 
 // ClusterSnapshot is the GET /cluster body: the gateway's current view of
@@ -390,7 +381,6 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 			State:     m.state.String(),
 			Evictions: m.evictions,
 			Readds:    m.readds,
-			Stats:     m.stats,
 		})
 	}
 	serve.WriteJSON(w, http.StatusOK, snap)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -69,27 +70,13 @@ func newTestFleet(t *testing.T, n int, cfg Config) *testFleet {
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 50 * time.Millisecond
 	}
+	// New's first sweep is done when it returns, so a test that breaks a
+	// backend next never races it.
 	gw, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(gw.Close)
-	// New's prober sweeps once immediately, on its own goroutine; wait it
-	// out so a test that breaks a backend next never races that sweep.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		scraped := 0
-		for _, u := range urls {
-			if m, _ := gw.ms.snapshot(u); m.stats.Scraped {
-				scraped++
-			}
-		}
-		if scraped == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the gateway's first probe sweep never finished")
-		}
-	}
 	f.gw = gw
 	f.gwServer = httptest.NewServer(gw.Handler())
 	t.Cleanup(f.gwServer.Close)
@@ -150,6 +137,22 @@ func scrape(t *testing.T, url string) string {
 		t.Fatal(err)
 	}
 	return string(b)
+}
+
+// sample reads one series' value off a /metrics page; a labelled child that
+// was never created reads 0.
+func sample(t *testing.T, page, series string) int {
+	t.Helper()
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatalf("%s: %v", series, err)
+			}
+			return n
+		}
+	}
+	return 0
 }
 
 func clusterSnap(t *testing.T, url string) ClusterSnapshot {
@@ -254,6 +257,7 @@ func TestGatewayFailoverZero5xx(t *testing.T) {
 	// request below must walk the ring past a dead member.
 	f.backends[f.ownerIndex(t, reqs[0])].Close()
 
+	ok := len(reqs) // the warm-up replies
 	for _, r := range reqs {
 		code, _, err := postGwSolve(f.gwServer.URL, r)
 		if err != nil {
@@ -261,6 +265,9 @@ func TestGatewayFailoverZero5xx(t *testing.T) {
 		}
 		if code >= 500 {
 			t.Fatalf("%s surfaced %d after backend kill", r.Problem, code)
+		}
+		if code == http.StatusOK {
+			ok++
 		}
 	}
 
@@ -277,6 +284,19 @@ func TestGatewayFailoverZero5xx(t *testing.T) {
 	}
 	if strings.Contains(page, "pdegw_failovers_total 0\n") {
 		t.Fatalf("no failovers recorded after backend kill:\n%s", page)
+	}
+	// The kill is charged to the dead backend, and every 200 the client saw
+	// is one upstream 200 (the dead backend's were all before the kill).
+	dead := f.backends[f.ownerIndex(t, reqs[0])].URL
+	if n := sample(t, page, `pdegw_backend_failures_total{backend="`+dead+`"}`); n < 1 {
+		t.Fatalf("pdegw_backend_failures_total for the killed backend = %d, want ≥ 1\n%s", n, page)
+	}
+	upstreamOK := 0
+	for _, ts := range f.backends {
+		upstreamOK += sample(t, page, `pdegw_backend_requests_total{backend="`+ts.URL+`",code="200"}`)
+	}
+	if upstreamOK != ok {
+		t.Fatalf("pdegw_backend_requests_total code 200 sums to %d, want the %d replies\n%s", upstreamOK, ok, page)
 	}
 }
 
@@ -380,6 +400,9 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 
 func TestGatewayDrain(t *testing.T) {
 	f := newTestFleet(t, 1, Config{})
+	if code, _, err := postGwSolve(f.gwServer.URL, serve.Request{Problem: serve.KindBurgers2D}); err != nil || code != http.StatusOK {
+		t.Fatalf("solve before drain: code=%d err=%v", code, err)
+	}
 
 	resp, err := http.Get(f.gwServer.URL + "/healthz")
 	if err != nil {
@@ -429,6 +452,27 @@ func TestGatewayDrain(t *testing.T) {
 	defer cancel()
 	if err := f.gw.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+
+	// Drained: the gauges say so, and nothing is left in flight, here or
+	// upstream.
+	page := scrape(t, f.gwServer.URL)
+	for _, want := range []string{"pdegw_draining 1\n", "pdegw_inflight_requests 0\n"} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("metrics missing %q after drain:\n%s", want, page)
+		}
+	}
+	children := 0
+	for _, line := range strings.Split(page, "\n") {
+		if strings.HasPrefix(line, "pdegw_backend_inflight{") {
+			children++
+			if !strings.HasSuffix(line, " 0") {
+				t.Fatalf("upstream request still in flight after drain: %s", line)
+			}
+		}
+	}
+	if children != 1 {
+		t.Fatalf("pdegw_backend_inflight has %d children, want 1:\n%s", children, page)
 	}
 }
 

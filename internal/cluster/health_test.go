@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"io"
 	"net/http"
 	"strconv"
@@ -14,7 +15,7 @@ import (
 )
 
 // scriptedTransport lets a test script what an upstream POST does while
-// health probes and scrapes still reach the real backend.
+// health probes still reach the real backend.
 type scriptedTransport struct {
 	post func(*http.Request) (*http.Response, error)
 }
@@ -130,5 +131,21 @@ func TestGatewayHealthAttribution(t *testing.T) {
 				t.Errorf("%s %s: pdegw_readds_total = %d, want 0", row.name, ep, n)
 			}
 		}
+	}
+}
+
+// TestOpenSpentBudgetNotRouted: an attempt with under 1 ms of its deadline
+// left is refused before it is built, so it is never counted as sent.
+func TestOpenSpentBudgetNotRouted(t *testing.T) {
+	g := &Gateway{m: newGwMetrics()}
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Microsecond)
+	defer cancel()
+	const url = "http://backend.test"
+	resp, o, err := g.open(ctx, url, serve.EndpointSolve, nil)
+	if resp != nil || o != notAttributable || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("open with a spent budget = (%v, %v, %v), want (nil, notAttributable, deadline exceeded)", resp, o, err)
+	}
+	if n := g.m.backendRouted.With(url).Value(); n != 0 {
+		t.Fatalf("pdegw_backend_routed_total{backend=%q} = %d, want 0", url, n)
 	}
 }

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -38,19 +35,6 @@ func (s MemberState) String() string {
 	return "evicted"
 }
 
-// BackendStats is the degradation signal scraped from a backend's own
-// /metrics page: the per-rung ladder and solve-cache counters pdeserved
-// already exports. The gateway re-exports them per backend (and the bench
-// harness reads them as the per-backend cache-hit-rate evidence).
-type BackendStats struct {
-	DegradedTotal uint64 `json:"degraded_total"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheWarmHits uint64 `json:"cache_warm_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	LadderDigital uint64 `json:"ladder_served_digital"`
-	Scraped       bool   `json:"scraped"`
-}
-
 // member is one backend's mutable membership record. All fields are
 // guarded by membership.mu.
 type member struct {
@@ -67,7 +51,6 @@ type member struct {
 	// evictions and readds account the state machine's transitions.
 	evictions uint64
 	readds    uint64
-	stats     BackendStats
 }
 
 // membership tracks the health of a fixed backend set. The set itself is
@@ -188,15 +171,6 @@ func (ms *membership) dueForProbe(url string) bool {
 	return true
 }
 
-// setStats stores the latest scraped backend counters.
-func (ms *membership) setStats(url string, st BackendStats) {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	if m, ok := ms.members[url]; ok {
-		m.stats = st
-	}
-}
-
 // snapshot returns a copy of one member's record.
 func (ms *membership) snapshot(url string) (member, bool) {
 	ms.mu.Lock()
@@ -223,47 +197,4 @@ func probeBackend(ctx context.Context, client *http.Client, url string) bool {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	return resp.StatusCode == http.StatusOK
-}
-
-// scrapeBackend reads the degradation signal off a backend's /metrics
-// page: ladder/cache counters whose movement tells the gateway (and the
-// bench harness) how healthy the backend's solve pipeline is, beyond the
-// binary readiness bit.
-func scrapeBackend(ctx context.Context, client *http.Client, url string) (BackendStats, bool) {
-	var st BackendStats
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/metrics", nil)
-	if err != nil {
-		return st, false
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return st, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return st, false
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		line := sc.Text()
-		for _, f := range []struct {
-			prefix string
-			dst    *uint64
-		}{
-			{"pdeserve_degraded_total ", &st.DegradedTotal},
-			{"pdeserve_cache_hits_total ", &st.CacheHits},
-			{"pdeserve_cache_warm_hits_total ", &st.CacheWarmHits},
-			{"pdeserve_cache_misses_total ", &st.CacheMisses},
-			{`pdeserve_ladder_served_total{rung="digital"} `, &st.LadderDigital},
-		} {
-			if v, ok := strings.CutPrefix(line, f.prefix); ok {
-				if n, err := strconv.ParseUint(strings.TrimSpace(v), 10, 64); err == nil {
-					*f.dst = n
-				}
-			}
-		}
-	}
-	st.Scraped = sc.Err() == nil
-	return st, st.Scraped
 }

@@ -25,7 +25,6 @@ type gwMetrics struct {
 	breakerTransitions *promtext.CounterVec // labels: backend, to — state transitions
 	retryBudgetSpent   promtext.Counter     // failover attempts paid for by the budget
 	retryBudgetDenied  promtext.Counter     // failovers refused (429) on an empty budget
-	ringMembers        promtext.Gauge       // configured ring size
 	healthyBackends    promtext.Gauge       // members currently receiving traffic
 	draining           promtext.Gauge       // 1 while the gateway refuses new work
 	inflight           promtext.Gauge       // requests inside the gateway
@@ -33,7 +32,6 @@ type gwMetrics struct {
 	// Batching plane.
 	batches        promtext.Counter    // windows flushed (or direct dispatches)
 	batchSize      *promtext.Histogram // requests per flushed window
-	coalesced      promtext.Counter    // requests that joined an existing window
 	batchDeduped   promtext.Counter    // requests served by another identical upstream call
 	batchAbandoned promtext.Counter    // followers whose client hung up before the flush
 
@@ -42,13 +40,6 @@ type gwMetrics struct {
 	streamFrames    promtext.Counter // NDJSON lines relayed and flushed
 	streamFailovers promtext.Counter // stream attempts retried before the first byte
 	streamAborts    promtext.Counter // committed streams truncated (client gone or upstream failure)
-
-	// Probe-scraped backend degradation signal (snapshots of remote
-	// counters, hence gauges).
-	backendDegraded  *promtext.GaugeVec // labels: backend
-	backendCacheHits *promtext.GaugeVec // labels: backend
-	backendCacheWarm *promtext.GaugeVec // labels: backend
-	backendCacheMiss *promtext.GaugeVec // labels: backend
 }
 
 func newGwMetrics() *gwMetrics {
@@ -61,11 +52,7 @@ func newGwMetrics() *gwMetrics {
 		breakerState:       promtext.NewGaugeVec("backend"),
 		breakerTransitions: promtext.NewCounterVec("backend", "to"),
 		// Window sizes are small by design; 1 means batching bought nothing.
-		batchSize:        promtext.NewHistogram(1, 2, 4, 8, 16, 32),
-		backendDegraded:  promtext.NewGaugeVec("backend"),
-		backendCacheHits: promtext.NewGaugeVec("backend"),
-		backendCacheWarm: promtext.NewGaugeVec("backend"),
-		backendCacheMiss: promtext.NewGaugeVec("backend"),
+		batchSize: promtext.NewHistogram(1, 2, 4, 8, 16, 32),
 	}
 }
 
@@ -84,21 +71,15 @@ func (m *gwMetrics) writeProm(w io.Writer) {
 	promtext.WriteCounter(w, "pdegw_retry_budget_denied_total", "Failover attempts refused with 429 because the retry budget was exhausted.", &m.retryBudgetDenied)
 	promtext.WriteCounter(w, "pdegw_evictions_total", "Membership transitions from healthy to evicted.", &m.evictions)
 	promtext.WriteCounter(w, "pdegw_readds_total", "Membership transitions from evicted back to healthy.", &m.readds)
-	promtext.WriteGauge(w, "pdegw_ring_members", "Configured consistent-hash ring size (virtual nodes excluded).", &m.ringMembers)
 	promtext.WriteGauge(w, "pdegw_healthy_backends", "Backends currently receiving routed traffic.", &m.healthyBackends)
 	promtext.WriteGauge(w, "pdegw_draining", "1 while the gateway is draining and refusing new work.", &m.draining)
 	promtext.WriteGauge(w, "pdegw_inflight_requests", "Requests currently inside the gateway.", &m.inflight)
 	promtext.WriteCounter(w, "pdegw_batches_total", "Same-shape windows flushed (a direct dispatch counts as a window of one).", &m.batches)
 	promtext.WriteHistogram(w, "pdegw_batch_size", "Requests per flushed same-shape window.", m.batchSize)
-	promtext.WriteCounter(w, "pdegw_batch_coalesced_total", "Requests that joined an already-open same-shape window.", &m.coalesced)
 	promtext.WriteCounter(w, "pdegw_batch_deduped_total", "Requests served by another identical in-batch upstream call.", &m.batchDeduped)
 	promtext.WriteCounter(w, "pdegw_batch_abandoned_total", "Batch followers whose client disconnected before the window flushed.", &m.batchAbandoned)
 	promtext.WriteCounter(w, "pdegw_streams_proxied_total", "Streams committed to a backend and relayed flush-on-write.", &m.streamsProxied)
 	promtext.WriteCounter(w, "pdegw_stream_frames_total", "NDJSON stream lines relayed and flushed to clients.", &m.streamFrames)
 	promtext.WriteCounter(w, "pdegw_stream_failovers_total", "Stream attempts retried on a ring successor before the first byte.", &m.streamFailovers)
 	promtext.WriteCounter(w, "pdegw_stream_aborts_total", "Committed streams truncated by a client disconnect or upstream failure.", &m.streamAborts)
-	promtext.WriteGaugeVec(w, "pdegw_backend_degraded", "Backend pdeserve_degraded_total, as last scraped by the health prober.", m.backendDegraded)
-	promtext.WriteGaugeVec(w, "pdegw_backend_cache_hits", "Backend pdeserve_cache_hits_total, as last scraped by the health prober.", m.backendCacheHits)
-	promtext.WriteGaugeVec(w, "pdegw_backend_cache_warm_hits", "Backend pdeserve_cache_warm_hits_total, as last scraped by the health prober.", m.backendCacheWarm)
-	promtext.WriteGaugeVec(w, "pdegw_backend_cache_misses", "Backend pdeserve_cache_misses_total, as last scraped by the health prober.", m.backendCacheMiss)
 }

@@ -114,7 +114,6 @@ func (g *Gateway) failover(ctx context.Context, shape cache.Key,
 // built, told its deadline budget, sent, and its status classified. The
 // caller consumes and closes a non-nil response.
 func (g *Gateway) open(ctx context.Context, url string, ep serve.Endpoint, body []byte) (*http.Response, outcome, error) {
-	g.m.backendRouted.With(url).Inc()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+string(ep), bytes.NewReader(body))
 	if err != nil {
 		return nil, backendFailed, err
@@ -130,6 +129,7 @@ func (g *Gateway) open(ctx context.Context, url string, ep serve.Endpoint, body 
 		}
 		req.Header.Set(serve.DeadlineBudgetHeader, strconv.FormatInt(ms, 10))
 	}
+	g.m.backendRouted.With(url).Inc()
 	resp, err := g.cfg.Client.Do(req)
 	if err != nil {
 		o, err := g.transportFailure(ctx, url, err)

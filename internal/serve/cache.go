@@ -14,9 +14,9 @@ const (
 	cacheBoundScale = 1e6
 )
 
-// defaultWarmRadius is the parameter-space distance (Euclidean over
-// (re, bound)) within which a cached neighbour may warm-start a solve.
-const defaultWarmRadius = 0.25
+// warmRadius is the parameter-space distance (Euclidean over (re, bound))
+// within which a cached neighbour may warm-start a solve.
+const warmRadius = 0.25
 
 // CacheableKind reports whether a kind's solves are cacheable. Netlist
 // requests are excluded: their fabric state is rebuilt per request and the
@@ -130,7 +130,6 @@ type cacheBinding struct {
 	key    cache.Key
 	bucket cache.Key
 	coords [2]float64
-	radius float64
 	// hit is the exact-hit meta consumed by this request, nil otherwise.
 	hit *cachedSolve
 	on  bool
@@ -140,14 +139,13 @@ type cacheBinding struct {
 // the previous request's state only.
 //
 //pdevet:noalloc
-func (b *cacheBinding) rebind(on bool, key, bucket cache.Key, re, bound, radius float64) {
+func (b *cacheBinding) rebind(on bool, key, bucket cache.Key, re, bound float64) {
 	b.on = on
 	b.hit = nil
 	b.key = key
 	b.bucket = bucket
 	b.coords[0] = re
 	b.coords[1] = bound
-	b.radius = radius
 }
 
 // Lookup implements core.SolveCache: an exact content-address hit.
@@ -171,9 +169,9 @@ func (b *cacheBinding) Lookup(dst []float64) (core.CachedSolve, bool) {
 //
 //pdevet:noalloc
 func (b *cacheBinding) Nearest(dst []float64) bool {
-	if !b.on || b.radius <= 0 {
+	if !b.on {
 		return false
 	}
-	_, _, ok := b.store.Nearest(b.bucket, b.coords[:], b.radius, dst)
+	_, _, ok := b.store.Nearest(b.bucket, b.coords[:], warmRadius, dst)
 	return ok
 }

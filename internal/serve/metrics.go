@@ -21,7 +21,6 @@ type metrics struct {
 	draining        promtext.Gauge         // 1 while the server refuses new work
 	workers         promtext.Gauge         // current worker-pool size (moves under Resize)
 	solveProcsGauge promtext.Gauge         // per-solve parallelism (Config.SolveProcs)
-	gomaxprocs      promtext.Gauge         // runtime.GOMAXPROCS, the ceiling Workers should stay under
 	resizes         *promtext.CounterVec   // labels: direction, reason — pool resizes
 	budgetRejects   promtext.Counter       // 504s: gateway deadline budget already spent
 	budgetClamped   promtext.Counter       // deadlines tightened by the gateway's budget header
@@ -89,7 +88,6 @@ func (m *metrics) writeProm(w io.Writer) {
 	promtext.WriteGauge(w, "pdeserve_draining", "1 while the server is draining and refusing new work.", &m.draining)
 	promtext.WriteGauge(w, "pdeserve_workers", "Current worker-pool size (moves under the autoscaler's Resize).", &m.workers)
 	promtext.WriteGauge(w, "pdeserve_solve_procs", "Per-solve parallelism (-solve-procs; 1 unless set).", &m.solveProcsGauge)
-	promtext.WriteGauge(w, "pdeserve_gomaxprocs", "runtime.GOMAXPROCS, the ceiling the worker count should stay under.", &m.gomaxprocs)
 	promtext.WriteCounterVec(w, "pdeserve_resizes_total", "Worker-pool resizes, by direction and scale-decision reason.", m.resizes)
 	promtext.WriteCounter(w, "pdeserve_deadline_budget_rejects_total", "Requests refused because the gateway's forwarded deadline budget was already spent.", &m.budgetRejects)
 	promtext.WriteCounter(w, "pdeserve_deadline_budget_clamped_total", "Request deadlines tightened by the gateway's X-Pde-Deadline-Budget header.", &m.budgetClamped)

@@ -88,11 +88,6 @@ type Config struct {
 	// not be frozen into replays. Cold solves with the cache enabled are
 	// bit-identical to cache-off solves.
 	CacheEntries int
-	// WarmRadius is the parameter-space distance (Euclidean over
-	// (re, bound)) within which a cached neighbour may warm-start a solve.
-	// Default 0.25; negative disables warm starting while keeping exact
-	// hits.
-	WarmRadius float64
 	// MaxSteps caps the step count of a POST /v1/stream trajectory, so a
 	// hostile body cannot pin a worker for minutes. Default 256.
 	MaxSteps int
@@ -146,9 +141,6 @@ func (c *Config) defaults() {
 	}
 	if c.CacheEntries == 0 {
 		c.CacheEntries = cache.DefaultCapacity
-	}
-	if c.WarmRadius == 0 { //pdevet:allow floateq zero is the config-absent sentinel (never computed)
-		c.WarmRadius = defaultWarmRadius
 	}
 	if c.MaxSteps <= 0 {
 		c.MaxSteps = defaultMaxSteps
@@ -214,7 +206,6 @@ func NewServer(cfg Config) *Server {
 	}
 	s.m.workers.Set(int64(cfg.Workers))
 	s.m.solveProcsGauge.Set(int64(cfg.SolveProcs))
-	s.m.gomaxprocs.Set(int64(runtime.GOMAXPROCS(0)))
 	return s
 }
 

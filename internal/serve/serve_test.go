@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -282,6 +283,47 @@ func TestAnalogSeededSolve(t *testing.T) {
 	if !resp.Converged {
 		t.Fatalf("decomposed solve did not converge: %+v", resp)
 	}
+}
+
+// TestAnalogSeedCounters: an analog-seeded solve moves the seed counters by
+// one (accepted never above total); a digital solve moves neither.
+func TestAnalogSeedCounters(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	seeds := func() (total, accepted uint64) {
+		page := scrapeMetrics(t, ts)
+		return counterValue(t, page, "pdeserve_analog_seeds_total"),
+			counterValue(t, page, "pdeserve_analog_seeds_accepted_total")
+	}
+
+	if code, resp, _ := postSolve(t, ts.URL, Request{Problem: KindBurgers2D, N: 2, Seed: 5}); code != http.StatusOK {
+		t.Fatalf("digital solve: status %d, error %q", code, resp.Error)
+	}
+	if total, accepted := seeds(); total != 0 || accepted != 0 {
+		t.Fatalf("digital solve moved the seed counters: total %d, accepted %d", total, accepted)
+	}
+
+	if code, resp, _ := postSolve(t, ts.URL, Request{Problem: KindBurgers2D, N: 2, Seed: 5, Analog: true}); code != http.StatusOK || !resp.AnalogUsed {
+		t.Fatalf("analog solve: status %d, analog used %v, error %q", code, resp.AnalogUsed, resp.Error)
+	}
+	if total, accepted := seeds(); total != 1 || accepted > total {
+		t.Fatalf("after one seeded solve: total %d, accepted %d; want total 1, accepted ≤ total", total, accepted)
+	}
+}
+
+// counterValue reads an unlabelled counter's sample off a /metrics page.
+func counterValue(t *testing.T, page, name string) uint64 {
+	t.Helper()
+	for _, line := range strings.Split(page, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("%s missing from /metrics", name)
+	return 0
 }
 
 func TestProblemsEndpoint(t *testing.T) {

@@ -244,7 +244,7 @@ func (wk *worker) stream(ctx context.Context, req *Request, emit func(*core.Fram
 	if !ok {
 		return core.TransientReport{}, 0, fmt.Errorf("serve: problem %q cannot march in time", req.Problem)
 	}
-	wk.bind.rebind(false, cache.Key{}, cache.Key{}, 0, 0, 0)
+	wk.bind.rebind(false, cache.Key{}, cache.Key{}, 0, 0)
 	opts.Newton.Chord = true
 	tl := core.TimeLoopOptions{Steps: req.Steps, Dt: req.Dt, Ladder: wk.ladder, Lopts: wk.lopts}
 	rep, err := core.TimeLoop(ctx, ts, opts, tl, emit)

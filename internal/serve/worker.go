@@ -50,10 +50,9 @@ type worker struct {
 	// store is the server-shared solve cache (nil when disabled); bind
 	// adapts it to the ladder's cache rungs one request at a time, and kb
 	// builds content keys without allocating.
-	store  *cache.Store
-	bind   cacheBinding
-	kb     cache.KeyBuilder
-	radius float64
+	store *cache.Store
+	bind  cacheBinding
+	kb    cache.KeyBuilder
 }
 
 // gridKey identifies a cached problem shape. Every field the constructors
@@ -90,7 +89,6 @@ func newWorker(cfg *Config, pool *core.WorkspacePool, seed int64, store *cache.S
 		faults:  cfg.Faults,
 		procs:   cfg.SolveProcs,
 		store:   store,
-		radius:  cfg.WarmRadius,
 	}
 	wk.bind.store = store
 	// The ladder always carries all six rungs; with no cache bound (or a
@@ -262,9 +260,9 @@ func (wk *worker) drawInto(dst []float64, bound float64) {
 //pdevet:noalloc
 func (wk *worker) solveGrid(ctx context.Context, req *Request, e *gridEntry, opts core.Options, resp *Response) error {
 	if on := wk.store != nil && CacheableKind(req.Problem); on {
-		wk.bind.rebind(true, SolveKey(req, &wk.kb), solveCacheBucket(req, &wk.kb), req.Re, req.Bound, wk.radius)
+		wk.bind.rebind(true, SolveKey(req, &wk.kb), solveCacheBucket(req, &wk.kb), req.Re, req.Bound)
 	} else {
-		wk.bind.rebind(false, cache.Key{}, cache.Key{}, 0, 0, 0)
+		wk.bind.rebind(false, cache.Key{}, cache.Key{}, 0, 0)
 	}
 
 	if e.u0 != nil {
