@@ -117,9 +117,15 @@ func TestFig2Quick(t *testing.T) {
 	if r.AnalogRootsFound != 3 {
 		t.Fatalf("chip should reach all 3 cubic roots, found %d", r.AnalogRootsFound)
 	}
-	// The paper's claim: continuous Newton basins are more contiguous.
-	if r.AnalogBoundary > r.DigitalBoundary+0.02 {
-		t.Fatalf("chip basins (boundary %.3f) should not be more fragmented than digital (%.3f)",
+	if r.Failures != 0 {
+		t.Fatalf("%d chip runs settled nowhere or on a wrong result; the paper's chip settles on a root from every start", r.Failures)
+	}
+	// The paper's claim: continuous Newton basins are contiguous, digital
+	// Newton's are fractal. Measured 0.0775 against 0.2004 here (0.0070
+	// against 0.0534 at full scale), so a factor of two leaves room for
+	// a fabric-model change and still fails if the basins interleave.
+	if r.AnalogBoundary > 0.5*r.DigitalBoundary {
+		t.Fatalf("chip basin boundary %.4f should be at most half of digital Newton's %.4f",
 			r.AnalogBoundary, r.DigitalBoundary)
 	}
 }
@@ -132,13 +138,19 @@ func TestFig3Quick(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPPMs(t, r.Paths)
-	if len(r.Roots) < 1 {
-		t.Fatal("no roots discovered on the chip")
+	if len(r.Roots) != 2 {
+		t.Fatalf("the chip should reach both real roots of the Equation-2 instance, reached %d", len(r.Roots))
 	}
 	total := r.Pixels * r.Pixels
-	// Homotopy must eliminate (nearly) all wrong-result pixels.
-	if r.HomotopyWrong > total/20 {
-		t.Fatalf("homotopy wrong pixels %d of %d — should be near zero", r.HomotopyWrong, total)
+	// Homotopy mode ends on a root from every start (Figure 3, far right).
+	if r.HomotopyWrong != 0 {
+		t.Fatalf("homotopy wrong pixels %d of %d, want none", r.HomotopyWrong, total)
+	}
+	// Plain continuous Newton ends wrong on a large share of the plane:
+	// measured 34.0 % here (33.1 % at full scale); 20 % still reads as
+	// the centre-left panel's large pink region.
+	if 5*r.PlainWrong < total {
+		t.Fatalf("plain continuous Newton wrong on %d of %d pixels, want at least 20%%", r.PlainWrong, total)
 	}
 }
 
