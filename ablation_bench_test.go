@@ -4,11 +4,13 @@
 package main
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"hybridpde/internal/analog"
 	"hybridpde/internal/core"
+	"hybridpde/internal/exp"
 	"hybridpde/internal/nonlin"
 	"hybridpde/internal/pde"
 	"hybridpde/internal/stats"
@@ -47,7 +49,7 @@ func BenchmarkAblationDampingSchedule(b *testing.B) {
 		if err == nil {
 			autoIters = res.TotalIters
 		}
-		dres, err := nonlin.NewtonArmijo(nil, nonlin.DenseAdapter{S: prob}, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, MaxIter: 400})
+		dres, err := exp.NewtonArmijo(context.Background(), prob, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, MaxIter: 400})
 		if err == nil {
 			armijoIters = dres.Iterations
 		}

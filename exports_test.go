@@ -14,8 +14,11 @@ import (
 // their own package's tests names and that stay anyway: name → the test that
 // needs it, or why it is not this test's to delete.
 var keptAsOracle = map[string]string{
-	// Dense references the band and CSR kernels are checked against.
-	"SolveDense":   "la: TestBandLUMatchesDenseLU, TestPropertyBandEqualsDense, TestBandCholeskyMatchesDense",
+	// Dense references the band and CSR kernels are checked against; no
+	// binary links them.
+	"NewDense":     "la: the Dense oracle every dense test builds on; pde: fdJacobian's finite-difference reference",
+	"FactorLU":     "la: TestLUSolveKnownSystem, TestLUResidualRandom; nonlin: TestNewtonSparseMatchesDense's dense-LU Newton",
+	"SolveDense":   "la: TestBandLUMatchesDenseLU, TestPropertyBandEqualsDense, TestBandCholeskyMatchesDense; analog: TestSolveSparseMatchesDenseNoiseless",
 	"Mul":          "la: TestBandCholeskyMatchesDense forms the dense JᵀJ with it",
 	"Transpose":    "la: TestBandCholeskyMatchesDense (Dense), TestPropertyTransposeAdjoint and FuzzCSR (CSR)",
 	"Identity":     "la: TestDenseMulIdentity, the reference for Mul",

@@ -135,17 +135,17 @@ func (a *Accelerator) AreaMM2() float64 {
 	return AreaPerVariableMM2 * float64(a.Capacity())
 }
 
-// quotientLoop is the one stage the three root-finding modes differ in: the
-// finite-gain gradient-descent loop of Figure 1's shaded block. Given the
-// saturated state w at circuit time t it writes δ = (JᵀJ + εI)⁻¹·Jᵀg into
-// delta, with g and J the mode's scaled residual and Jacobian as the
-// datapath computes them: through the function and Jacobian gain and offset
-// errors of cells, or exactly when cells is nil (an ideal run). A kernel
-// owns its matrices and its factorisation, the way nonlin's denseSolver and
-// SparseSolver do behind newtonLoop, and nothing else of the run.
+// quotientLoop is the finite-gain gradient-descent loop of Figure 1's
+// shaded block. Given the saturated state w at circuit time t it writes
+// δ = (JᵀJ + εI)⁻¹·Jᵀg into delta, with g and J the mode's scaled residual
+// and Jacobian as the datapath computes them: through the function and
+// Jacobian gain and offset errors of cells, or exactly when cells is nil
+// (an ideal run). bandedLoop is the one kernel; it owns its matrices and
+// its factorisation, and nothing else of the run.
 type quotientLoop func(t float64, w []float64, cells []*NewtonCell, delta []float64) error
 
-// fabricMode is everything one root-finding mode adds to the shared run.
+// fabricMode is everything one root-finding mode (SolveSparse or
+// SolveHomotopy) adds to the shared run.
 type fabricMode struct {
 	loop quotientLoop
 	// start and evolution name the mode's input and its circuit in errors.
@@ -154,19 +154,6 @@ type fabricMode struct {
 	// only the homotopy sets them, to wait out its λ ramp.
 	minHold int
 	minTime float64
-}
-
-// Solve runs the continuous Newton method on the fabric for F(u) = 0 from
-// the initial guess u0 (|u| expected within opts.DynamicRange).
-func (a *Accelerator) Solve(sys nonlin.System, u0 []float64, opts SolveOptions) (Solution, error) {
-	ss, err := newScaledSystem(sys, opts.DynamicRange)
-	if err != nil {
-		return Solution{}, err
-	}
-	return a.run(nil, ss, u0, opts, fabricMode{
-		loop:  denseLoop(ss.Dim(), ss.linearize),
-		start: "initial guess", evolution: "circuit",
-	})
 }
 
 // run is the one pass through the board every root-finding mode makes:
@@ -256,7 +243,7 @@ func (a *Accelerator) run(ctx context.Context, ss *scaledSystem, u0 []float64, o
 	}
 	sol.U = ss.toProblem(wq)
 	f := make([]float64, n)
-	if err := ss.eval(sol.U, f); err != nil {
+	if err := ss.sys.Eval(sol.U, f); err != nil {
 		return sol, err
 	}
 	sol.Residual = la.Norm2(f)
@@ -271,59 +258,34 @@ func (a *Accelerator) run(ctx context.Context, ss *scaledSystem, u0 []float64, o
 	return sol, nil
 }
 
-// denseLoop is the quotient loop of the prototype-scale board, shared by
-// the two dense modes: linearize fills g and J at the saturated state — the
-// scaled system itself for Solve, the λ-blend for SolveHomotopy — and a
-// dense LU solves the regularised normal equations.
-func denseLoop(n int, linearize func(t float64, w, g []float64, jac *la.Dense) error) quotientLoop {
-	g := make([]float64, n)
-	jac := la.NewDense(n, n)
-	jtj := la.NewDense(n, n)
-	jtf := make([]float64, n)
-	return func(t float64, w []float64, cells []*NewtonCell, delta []float64) error {
-		if err := linearize(t, w, g, jac); err != nil {
-			return err
-		}
-		for i, c := range cells {
-			g[i] = (1+c.FuncGain)*g[i] + c.FuncOffset
-			row := jac.Row(i)
-			for j := range row {
-				row[j] *= 1 + c.JacGain
-			}
-		}
-		for i := 0; i < n; i++ {
-			for j := i; j < n; j++ {
-				s := 0.0
-				for k := 0; k < n; k++ {
-					s += jac.At(k, i) * jac.At(k, j)
-				}
-				jtj.Set(i, j, s)
-				jtj.Set(j, i, s)
-			}
-			jtj.Add(i, i, QuotientLoopEpsilon)
-		}
-		for i := 0; i < n; i++ {
-			s := 0.0
-			for k := 0; k < n; k++ {
-				s += jac.At(k, i) * g[k]
-			}
-			jtf[i] = s
-		}
-		lu, err := la.FactorLU(jtj)
-		if err != nil {
-			return fmt.Errorf("analog: quotient loop failed: %w", err)
-		}
-		return lu.Solve(delta, jtf)
-	}
-}
-
-// homotopyBlend evaluates G(w, λ(t)) = (1−λ)S(w) + λH(w) with λ ramping
-// from 0 to 1 over homotopyRampTau time constants — the chip's homotopy mode
-// (§3.2, Figure 3).
+// homotopyBlend is the chip's homotopy mode (§3.2, Figure 3): the
+// programmed system G(w, λ(t)) = (1−λ)S(w) + λH(w), with λ ramping from 0 to
+// 1 over homotopyRampTau time constants, and its Jacobian
+// (1−λ)J_S + λJ_H assembled on the union of the two patterns.
 type homotopyBlend struct {
 	simple, hard *scaledSystem
-	fs, fh       []float64
-	js, jh       *la.Dense
+	fs           []float64
+	jac          *la.CSR // the union of the two patterns, built once per run
+}
+
+// newHomotopyBlend builds the union pattern from one Jacobian evaluation of
+// each system at w; both patterns must stay fixed along the run.
+func newHomotopyBlend(simple, hard *scaledSystem, w []float64) (*homotopyBlend, error) {
+	n := hard.Dim()
+	union := la.NewCOO(n, n)
+	for _, ss := range []*scaledSystem{simple, hard} {
+		j, err := ss.JacobianCSR(w)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < n; i++ {
+			cols, _ := j.RowNNZ(i)
+			for _, c := range cols {
+				union.Append(i, c, 0)
+			}
+		}
+	}
+	return &homotopyBlend{simple: simple, hard: hard, fs: make([]float64, n), jac: union.ToCSR()}, nil
 }
 
 func (b *homotopyBlend) lambda(t float64) float64 {
@@ -333,30 +295,37 @@ func (b *homotopyBlend) lambda(t float64) float64 {
 	return t / homotopyRampTau
 }
 
-func (b *homotopyBlend) eval(t float64, w, g []float64, jac *la.Dense) error {
+// linearize writes G(w, λ(t)) into g and returns its Jacobian. A slot that
+// one system does not store takes an exact +0 from it, so at λ = 0 and
+// λ = 1 the blend reproduces J_S and J_H bit for bit.
+func (b *homotopyBlend) linearize(t float64, w, g []float64) (*la.CSR, error) {
 	l := b.lambda(t)
 	if err := b.simple.Eval(w, b.fs); err != nil {
-		return err
+		return nil, err
 	}
-	if err := b.hard.Eval(w, b.fh); err != nil {
-		return err
+	if err := b.hard.Eval(w, g); err != nil {
+		return nil, err
 	}
 	for i := range g {
-		g[i] = (1-l)*b.fs[i] + l*b.fh[i]
+		g[i] = float64((1-l)*b.fs[i]) + float64(l*g[i])
 	}
-	if err := b.simple.Jacobian(w, b.js); err != nil {
-		return err
-	}
-	if err := b.hard.Jacobian(w, b.jh); err != nil {
-		return err
-	}
-	n := len(g)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			jac.Set(i, j, (1-l)*b.js.At(i, j)+l*b.jh.At(i, j))
+	b.jac.ZeroValues()
+	for _, part := range [...]struct {
+		sys   *scaledSystem
+		scale float64
+	}{{b.simple, 1 - l}, {b.hard, l}} {
+		j, err := part.sys.JacobianCSR(w)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < j.Rows(); i++ {
+			cols, vals := j.RowNNZ(i)
+			for k, c := range cols {
+				b.jac.AddSlotValue(b.jac.Slot(i, c), float64(part.scale*vals[k]))
+			}
 		}
 	}
-	return nil
+	return b.jac, nil
 }
 
 // HomotopyOptions configures SolveHomotopy.
@@ -373,8 +342,9 @@ const homotopyRampTau = 50.0
 // the state on a root (§3.2). Unlike digital path tracking, folds need no
 // special casing — the slew-limited dynamics slide into another basin, so
 // "all choices of initial conditions lead to one correct solution or
-// another" (Figure 3).
-func (a *Accelerator) SolveHomotopy(simple, hard nonlin.System, start []float64, opts HomotopyOptions) (Solution, error) {
+// another" (Figure 3). Both systems are range-scaled with the same
+// DynamicRange, each by its own degree.
+func (a *Accelerator) SolveHomotopy(simple, hard nonlin.SparseSystem, start []float64, opts HomotopyOptions) (Solution, error) {
 	if opts.Solve.MaxSteps <= 0 {
 		// The λ ramp keeps the state off equilibrium for its whole
 		// duration, so homotopy runs need a larger step budget than
@@ -388,24 +358,23 @@ func (a *Accelerator) SolveHomotopy(simple, hard nonlin.System, start []float64,
 	if simple.Dim() != hard.Dim() {
 		return Solution{}, fmt.Errorf("analog: homotopy dimension mismatch %d vs %d", simple.Dim(), hard.Dim())
 	}
-	ssS, err := newScaledSystem(simple, opts.Solve.DynamicRange)
+	ssS, err := newScaledSparse(simple, opts.Solve.DynamicRange)
 	if err != nil {
 		return Solution{}, err
 	}
-	ssH, err := newScaledSystem(hard, opts.Solve.DynamicRange)
+	ssH, err := newScaledSparse(hard, opts.Solve.DynamicRange)
 	if err != nil {
 		return Solution{}, err
 	}
 	n := hard.Dim()
-	blend := &homotopyBlend{
-		simple: ssS, hard: ssH,
-		fs: make([]float64, n), fh: make([]float64, n),
-		js: la.NewDense(n, n), jh: la.NewDense(n, n),
+	blend, err := newHomotopyBlend(ssS, ssH, make([]float64, n))
+	if err != nil {
+		return Solution{}, err
 	}
 	// The state is intentionally away from equilibrium during the ramp, so
 	// only check for settling after λ reaches 1.
 	sol, err := a.run(nil, ssH, start, opts.Solve, fabricMode{
-		loop:  denseLoop(n, blend.eval),
+		loop:  bandedLoop(n, blend.linearize),
 		start: "homotopy start", evolution: "homotopy",
 		minHold: 5, minTime: homotopyRampTau,
 	})

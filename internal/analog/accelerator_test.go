@@ -9,54 +9,69 @@ import (
 	"hybridpde/internal/nonlin"
 )
 
+// smallSystem is a test system given by closures: F, and J written
+// row-major into an n×n slice and served in full CSR storage.
+type smallSystem struct {
+	n int
+	f func(u, f []float64)
+	j func(u, jac []float64)
+}
+
+func (s smallSystem) Dim() int { return s.n }
+
+func (s smallSystem) Eval(u, f []float64) error {
+	s.f(u, f)
+	return nil
+}
+
+func (s smallSystem) JacobianCSR(u []float64) (*la.CSR, error) {
+	jac := make([]float64, s.n*s.n)
+	s.j(u, jac)
+	b := la.NewCOO(s.n, s.n)
+	for k, v := range jac {
+		b.Append(k/s.n, k%s.n, v)
+	}
+	return b.ToCSR(), nil
+}
+
 // cubic returns z³ − 1 = 0 as a 2-D real system, degree 3.
-func cubic() nonlin.System {
+func cubic() PolySystem {
 	return PolySystem{
 		Degree: 3,
-		System: nonlin.FuncSystem{
-			N: 2,
-			F: func(u, f []float64) error {
+		SparseSystem: smallSystem{
+			n: 2,
+			f: func(u, f []float64) {
 				re, im := u[0], u[1]
 				f[0] = re*re*re - 3*re*im*im - 1
 				f[1] = 3*re*re*im - im*im*im
-				return nil
 			},
-			J: func(u []float64, jac *la.Dense) error {
+			j: func(u, jac []float64) {
 				re, im := u[0], u[1]
 				a := 3 * (re*re - im*im)
 				b := 6 * re * im
-				jac.Set(0, 0, a)
-				jac.Set(0, 1, -b)
-				jac.Set(1, 0, b)
-				jac.Set(1, 1, a)
-				return nil
+				copy(jac, []float64{a, -b, b, a})
 			},
 		},
 	}
 }
 
 // quadPair is Equation 2 with the given right-hand sides (degree 2).
-func quadPair(r0, r1 float64) nonlin.System {
-	return nonlin.FuncSystem{
-		N: 2,
-		F: func(u, f []float64) error {
+func quadPair(r0, r1 float64) smallSystem {
+	return smallSystem{
+		n: 2,
+		f: func(u, f []float64) {
 			f[0] = u[0]*u[0] + u[0] + u[1] - r0
 			f[1] = u[1]*u[1] + u[1] - u[0] - r1
-			return nil
 		},
-		J: func(u []float64, jac *la.Dense) error {
-			jac.Set(0, 0, 2*u[0]+1)
-			jac.Set(0, 1, 1)
-			jac.Set(1, 0, -1)
-			jac.Set(1, 1, 2*u[1]+1)
-			return nil
+		j: func(u, jac []float64) {
+			copy(jac, []float64{2*u[0] + 1, 1, -1, 2*u[1] + 1})
 		},
 	}
 }
 
 func TestSolveCubicNoiseless(t *testing.T) {
 	acc := NewPrototype(1)
-	sol, err := acc.Solve(cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2, DisableNoise: true})
+	sol, err := acc.SolveSparse(nil, cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2, DisableNoise: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +88,7 @@ func TestSolveCubicNoiseless(t *testing.T) {
 
 func TestSolveCubicWithHardwareNoise(t *testing.T) {
 	acc := NewPrototype(2)
-	sol, err := acc.Solve(cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2})
+	sol, err := acc.SolveSparse(nil, cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,13 +120,13 @@ func TestSolveErrorIsApproximatelyPaperRMS(t *testing.T) {
 		r1 := p1*p1 + p1 - p0
 		sys := quadPair(r0, r1)
 		root := []float64{p0, p1}
-		sol, err := acc.Solve(sys, root, SolveOptions{DynamicRange: 3})
+		sol, err := acc.SolveSparse(nil, sys, root, SolveOptions{DynamicRange: 3})
 		if err != nil || !sol.Converged {
 			continue
 		}
 		// The digital reference is the exact root nearest the analog
 		// result; polish from the analog answer.
-		dig, err := nonlin.Newton(nil, sys, sol.U, nonlin.NewtonOptions{Tol: 1e-12, AutoDamp: true, MaxIter: 400})
+		dig, err := new(nonlin.SparseSolver).Solve(nil, sys, sol.U, nonlin.NewtonOptions{Tol: 1e-12, AutoDamp: true, MaxIter: 400})
 		if err != nil {
 			continue
 		}
@@ -133,36 +148,22 @@ func TestSolveErrorIsApproximatelyPaperRMS(t *testing.T) {
 func TestSolveRejectsTranscendental(t *testing.T) {
 	sys := PolySystem{
 		Degree: -1,
-		System: nonlin.FuncSystem{
-			N: 1,
-			F: func(u, f []float64) error { f[0] = math.Exp(u[0]) - 2; return nil },
+		SparseSystem: smallSystem{
+			n: 1,
+			f: func(u, f []float64) { f[0] = math.Exp(u[0]) - 2 },
 		},
 	}
 	acc := NewPrototype(4)
-	_, err := acc.Solve(sys, []float64{0}, SolveOptions{})
+	_, err := acc.SolveSparse(nil, sys, []float64{0}, SolveOptions{})
 	if !errors.Is(err, ErrTranscendental) {
 		t.Fatalf("expected ErrTranscendental, got %v", err)
 	}
 }
 
 func TestSolveCapacityExceeded(t *testing.T) {
-	big := nonlin.FuncSystem{
-		N: 9,
-		F: func(u, f []float64) error {
-			for i := range f {
-				f[i] = u[i] - 1
-			}
-			return nil
-		},
-		J: func(u []float64, jac *la.Dense) error {
-			for i := range u {
-				jac.Set(i, i, 1)
-			}
-			return nil
-		},
-	}
+	big := &tridiagonalQuadratic{n: 9}
 	acc := NewPrototype(5)
-	_, err := acc.Solve(big, make([]float64, 9), SolveOptions{})
+	_, err := acc.SolveSparse(nil, big, make([]float64, 9), SolveOptions{})
 	if !errors.Is(err, ErrInsufficientHardware) {
 		t.Fatalf("expected ErrInsufficientHardware, got %v", err)
 	}
@@ -197,20 +198,45 @@ func TestHomotopyOnChipAllStartsLand(t *testing.T) {
 	}
 }
 
+// TestSolveSparseMatchesDenseNoiseless checks the banded quotient loop
+// against an oracle: the same noiseless run with δ solved from a dense LU
+// of JᵀJ + εI.
 func TestSolveSparseMatchesDenseNoiseless(t *testing.T) {
-	// The banded fast path must agree with the dense faithful path when
-	// noise is off and the problem is the same.
 	sys := &tridiagonalQuadratic{n: 6}
 	u0 := make([]float64, 6)
 	for i := range u0 {
 		u0[i] = 0.4
 	}
+	opts := SolveOptions{DynamicRange: 2, DisableNoise: true}
 	acc := NewPrototype(7)
-	dense, err := acc.Solve(nonlin.DenseAdapter{S: sys}, u0, SolveOptions{DynamicRange: 2, DisableNoise: true})
+	sparse, err := acc.SolveSparse(nil, sys, u0, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := acc.SolveSparse(nil, sys, u0, SolveOptions{DynamicRange: 2, DisableNoise: true})
+	ss, err := newScaledSparse(sys, opts.DynamicRange)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := make([]float64, ss.Dim())
+	denseOracle := func(_ float64, w []float64, _ []*NewtonCell, delta []float64) error {
+		if err := ss.Eval(w, g); err != nil {
+			return err
+		}
+		j, err := ss.JacobianCSR(w)
+		if err != nil {
+			return err
+		}
+		jt := j.ToDense().Transpose()
+		jtj := la.Mul(jt, j.ToDense())
+		for i := range g {
+			jtj.Add(i, i, QuotientLoopEpsilon)
+		}
+		jt.MulVec(delta, g)
+		x, err := la.SolveDense(jtj, delta)
+		copy(delta, x)
+		return err
+	}
+	dense, err := acc.run(nil, ss, u0, opts, fabricMode{loop: denseOracle, start: "initial guess", evolution: "circuit"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +320,7 @@ func TestQuantize(t *testing.T) {
 
 func TestScaledSystemPreservesRoots(t *testing.T) {
 	sys := quadPair(1, -1)
-	ss, err := newScaledSystem(sys, 3)
+	ss, err := newScaledSparse(sys, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,19 +332,27 @@ func TestScaledSystemPreservesRoots(t *testing.T) {
 	if la.Norm2(g) > 1e-12 {
 		t.Fatalf("scaled system should vanish at the scaled root, got %g", la.Norm2(g))
 	}
-	// Jacobian consistency with finite differences in w-space.
-	jac := la.NewDense(2, 2)
-	if err := ss.Jacobian([]float64{0.2, -0.1}, jac); err != nil {
+	// Jacobian consistency with forward differences in w-space.
+	w := []float64{0.2, -0.1}
+	csr, err := ss.JacobianCSR(w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fd := la.NewDense(2, 2)
-	if err := nonlin.FiniteDifferenceJacobian(ss, []float64{0.2, -0.1}, fd); err != nil {
+	jac := csr.ToDense()
+	f0, fp := make([]float64, 2), make([]float64, 2)
+	if err := ss.Eval(w, f0); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if math.Abs(jac.At(i, j)-fd.At(i, j)) > 1e-5 {
-				t.Fatalf("scaled Jacobian mismatch at (%d,%d): %g vs %g", i, j, jac.At(i, j), fd.At(i, j))
+	for j := 0; j < 2; j++ {
+		wp := la.Copy(w)
+		h := 1e-7 * (1 + math.Abs(w[j]))
+		wp[j] += h
+		if err := ss.Eval(wp, fp); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if fd := (fp[i] - f0[i]) / h; math.Abs(jac.At(i, j)-fd) > 1e-5 {
+				t.Fatalf("scaled Jacobian mismatch at (%d,%d): %g vs %g", i, j, jac.At(i, j), fd)
 			}
 		}
 	}

@@ -4,6 +4,9 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"hybridpde/internal/la"
+	"hybridpde/internal/nonlin"
 )
 
 func TestFabricCapacity(t *testing.T) {
@@ -117,6 +120,80 @@ func TestHomotopyBlendLambdaRamp(t *testing.T) {
 	if b.lambda(homotopyRampTau) != 1 || b.lambda(10*homotopyRampTau) != 1 {
 		t.Fatal("λ must clamp to 1 after the ramp")
 	}
+
+	// At the ramp's ends the blend on the union pattern is J_S, then J_H,
+	// bit for bit. S = SquareRootsSimple stores only the diagonal; H stores
+	// no (0, 0), so each side leaves a slot the other fills.
+	hard := smallSystem{
+		n: 2,
+		f: func(u, f []float64) {
+			f[0] = u[1]*u[1] - 0.3
+			f[1] = u[0] - 2*u[1]
+		},
+		j: func(u, jac []float64) { copy(jac, []float64{0, 2 * u[1], 1, -2}) },
+	}
+	sparseHard := patternSystem{hard, [][2]int{{0, 1}, {1, 0}, {1, 1}}}
+	ssS, err := newScaledSparse(nonlin.SquareRootsSimple(2), 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ssH, err := newScaledSparse(sparseHard, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := []float64{0.3, -0.7}
+	blend, err := newHomotopyBlend(ssS, ssH, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blend.jac.NNZ() != 4 {
+		t.Fatalf("union pattern holds %d entries, want 4", blend.jac.NNZ())
+	}
+	g, want := make([]float64, 2), make([]float64, 2)
+	for _, end := range []struct {
+		t   float64
+		sys *scaledSystem
+	}{{0, ssS}, {homotopyRampTau, ssH}} {
+		if err := end.sys.Eval(w, want); err != nil {
+			t.Fatal(err)
+		}
+		j, err := end.sys.JacobianCSR(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJ := j.ToDense() // +0 where the side stores nothing
+		got, err := blend.linearize(end.t, w, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if math.Float64bits(g[i]) != math.Float64bits(want[i]) {
+				t.Errorf("t=%v: G[%d] = %v, want %v bit for bit", end.t, i, g[i], want[i])
+			}
+			for k := 0; k < 2; k++ {
+				if math.Float64bits(got.At(i, k)) != math.Float64bits(wantJ.At(i, k)) {
+					t.Errorf("t=%v: J(%d,%d) = %v, want %v bit for bit", end.t, i, k, got.At(i, k), wantJ.At(i, k))
+				}
+			}
+		}
+	}
+}
+
+// patternSystem serves a smallSystem with only the listed Jacobian entries
+// stored.
+type patternSystem struct {
+	smallSystem
+	pattern [][2]int
+}
+
+func (p patternSystem) JacobianCSR(u []float64) (*la.CSR, error) {
+	full := make([]float64, p.n*p.n)
+	p.j(u, full)
+	b := la.NewCOO(p.n, p.n)
+	for _, e := range p.pattern {
+		b.Append(e[0], e[1], full[e[0]*p.n+e[1]])
+	}
+	return b.ToCSR(), nil
 }
 
 func TestAcceleratorAreaPowerAccessors(t *testing.T) {
@@ -134,7 +211,7 @@ func TestPolySystemDegreeReporting(t *testing.T) {
 	if p.PolynomialDegree() != 3 {
 		t.Fatal("PolySystem must report its declared degree")
 	}
-	if _, err := newScaledSystem(PolySystem{Degree: 0}, 1); err == nil {
+	if _, err := newScaledSparse(PolySystem{Degree: 0}, 1); err == nil {
 		t.Fatal("degree-0 systems must be rejected")
 	}
 }
@@ -142,7 +219,7 @@ func TestPolySystemDegreeReporting(t *testing.T) {
 func TestScaledSystemDefaultsToQuadratic(t *testing.T) {
 	// Systems without a DegreeReporter default to the PDE stencil degree.
 	sys := quadPair(1, -1)
-	ss, err := newScaledSystem(sys, 2)
+	ss, err := newScaledSparse(sys, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // configuration is committed before the integrators are released
 // (`fabric->cfgCommit(); fabric->execStart();`).
 //
-// The solve pipelines (Solve, SolveSparse, SolveHomotopy) use this layer
+// The solve fronts (SolveSparse, SolveHomotopy) use this layer
 // implicitly through AllocateCells; it is exposed so that programs can be
 // built and validated the way the paper's C++ sample does, including the
 // routing feasibility checks a real crossbar imposes.

@@ -76,14 +76,17 @@ func pinnedBurgers(t *testing.T) (*pde.Burgers, []float64) {
 	return b, b.InitialGuess()
 }
 
-// TestFabricRunBitsPinned holds the three root-finding modes of the fabric
-// model (Solve, SolveSparse, SolveHomotopy) to golden bits. The values were
-// recorded before the modes were merged onto one run and must never be
-// edited by a refactor: a PR that moves them changes the paper's seed and
-// has to say so. They were re-recorded once on purpose, when the banded
-// loop moved to a Cholesky factor and Dormand–Prince's stage 7 onto the
-// accepted state: U and the residual kept their bits in every case, W and τ
-// moved in their last bits (τ by at most 4e-12 relative).
+// TestFabricRunBitsPinned holds the fabric model's two fronts (SolveSparse
+// and SolveHomotopy) to golden bits. The values were recorded before the
+// modes were merged onto one run and must never be edited by a refactor: a
+// PR that moves them changes the paper's seed and has to say so. They were
+// re-recorded on purpose twice. Once when the banded loop moved to a
+// Cholesky factor and Dormand–Prince's stage 7 onto the accepted state: U
+// and the residual kept their bits in every case, W and τ moved in their
+// last bits (τ by at most 4e-12 relative). Once when the 2×2 cubic and the
+// homotopy corner left the dense LU quotient loop for the banded one: the
+// four cases with a 2×2 system kept U, the residual and Converged, and τ
+// moved by at most 3e-12 relative.
 func TestFabricRunBitsPinned(t *testing.T) {
 	check := func(name string, sol Solution, err error, converged bool, want uint64) {
 		t.Helper()
@@ -98,9 +101,9 @@ func TestFabricRunBitsPinned(t *testing.T) {
 		}
 	}
 
-	// Dense quotient loop with every calibrated non-ideality on.
-	sol, err := NewPrototype(2).Solve(cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2})
-	check("dense cubic", sol, err, true, 0x06e82cc856038227)
+	// The 2×2 tutorial cubic with every calibrated non-ideality on.
+	sol, err := NewPrototype(2).SolveSparse(nil, cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2})
+	check("cubic 2×2", sol, err, true, 0xa986c10fa753c691)
 
 	// Banded quotient loop on the PDE stencil the seeder feeds it.
 	b, u0 := pinnedBurgers(t)
@@ -111,10 +114,10 @@ func TestFabricRunBitsPinned(t *testing.T) {
 	sol, err = acc.SolveSparse(context.Background(), b, u0, SolveOptions{DynamicRange: 1.5})
 	check("sparse burgers 4×4", sol, err, true, 0x204260291a8bd9e3)
 
-	// Homotopy: dense loop fed by the λ-blend, settle gated on the ramp.
+	// Homotopy: the banded loop fed by the λ-blend, settle gated on the ramp.
 	sol, err = NewPrototype(6).SolveHomotopy(nonlin.SquareRootsSimple(2), quadPair(1, -1), []float64{1, -1},
 		HomotopyOptions{Solve: SolveOptions{DynamicRange: 3, TMaxTau: 600}})
-	check("homotopy corner (1,−1)", sol, err, true, 0x12bc1094a7b0485e)
+	check("homotopy corner (1,−1)", sol, err, true, 0xf41cda4df7bbddbc)
 
 	// Every Injector hook, in the order the run consults them.
 	inj := &hookInjector{}
@@ -143,11 +146,11 @@ func TestFabricRunBitsPinned(t *testing.T) {
 	// Step budget exhausted: an unsettled measurement, not an error.
 	sol, err = acc.SolveSparse(nil, b, u0, SolveOptions{DynamicRange: 1.5, MaxSteps: 5})
 	check("sparse MaxSteps=5", sol, err, false, 0xde72c8da721607df)
-	sol, err = NewPrototype(2).Solve(cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2, MaxSteps: 5})
-	check("dense MaxSteps=5", sol, err, false, 0xf3dac68ea3a4004b)
+	sol, err = NewPrototype(2).SolveSparse(nil, cubic(), []float64{1.8, 0.3}, SolveOptions{DynamicRange: 2, MaxSteps: 5})
+	check("cubic MaxSteps=5", sol, err, false, 0x602cc2d7d77d8887)
 	sol, err = NewPrototype(6).SolveHomotopy(nonlin.SquareRootsSimple(2), quadPair(1, -1), []float64{1, -1},
 		HomotopyOptions{Solve: SolveOptions{DynamicRange: 3, MaxSteps: 5}})
-	check("homotopy MaxSteps=5", sol, err, false, 0xb9f8a017551a4e7c)
+	check("homotopy MaxSteps=5", sol, err, false, 0xd692911f29c558b0)
 	if sol.SettleTau != homotopyRampTau {
 		t.Fatalf("homotopy read out mid-ramp reports τ = %v, want the ramp's %v", sol.SettleTau, homotopyRampTau)
 	}

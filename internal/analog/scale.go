@@ -27,7 +27,7 @@ var ErrTranscendental = errors.New("analog: transcendental nonlinearity cannot b
 // PolySystem couples a nonlinear system with an explicit degree, the most
 // convenient way to hand problems to the accelerator.
 type PolySystem struct {
-	nonlin.System
+	nonlin.SparseSystem
 	Degree int
 }
 
@@ -41,41 +41,18 @@ func (p PolySystem) PolynomialDegree() int { return p.Degree }
 // exactly the proportionality rule the paper states. Roots are preserved:
 // G(w) = 0 ⟺ F(s·w) = 0.
 type scaledSystem struct {
-	// The unscaled system: F, and J in the form the system offers it —
-	// dense for Solve and SolveHomotopy, banded for SolveSparse; the other
-	// is nil.
-	eval  func(u, f []float64) error
-	jac   func(u []float64, jac *la.Dense) error
-	csr   func(u []float64) (*la.CSR, error)
-	s     float64 // dynamic range of u
+	sys   nonlin.SparseSystem // the unscaled F
+	s     float64             // dynamic range of u
 	deg   int
 	fNorm float64 // 1/s^deg
 	jNorm float64 // s/s^deg
 	uBuf  []float64
 }
 
-func newScaledSystem(sys nonlin.System, dynamicRange float64) (*scaledSystem, error) {
-	ss, err := newScaling(sys, dynamicRange)
-	if err != nil {
-		return nil, err
-	}
-	ss.eval, ss.jac, ss.uBuf = sys.Eval, sys.Jacobian, make([]float64, sys.Dim())
-	return ss, nil
-}
-
-func newScaledSparse(sys nonlin.SparseSystem, dynamicRange float64) (*scaledSystem, error) {
-	ss, err := newScaling(sys, dynamicRange)
-	if err != nil {
-		return nil, err
-	}
-	ss.eval, ss.csr, ss.uBuf = sys.Eval, sys.JacobianCSR, make([]float64, sys.Dim())
-	return ss, nil
-}
-
-// newScaling resolves the polynomial degree of sys, defaulting to 2 — the
-// degree of every PDE stencil in the paper (Burgers and the semilinear
+// newScaledSparse resolves the polynomial degree of sys, defaulting to 2 —
+// the degree of every PDE stencil in the paper (Burgers and the semilinear
 // reaction systems are quadratic) — and derives the scale factors from it.
-func newScaling(sys any, dynamicRange float64) (*scaledSystem, error) {
+func newScaledSparse(sys nonlin.SparseSystem, dynamicRange float64) (*scaledSystem, error) {
 	deg := 2
 	if d, ok := sys.(DegreeReporter); ok {
 		deg = d.PolynomialDegree()
@@ -90,7 +67,7 @@ func newScaling(sys any, dynamicRange float64) (*scaledSystem, error) {
 		dynamicRange = 1
 	}
 	sp := math.Pow(dynamicRange, float64(deg))
-	return &scaledSystem{s: dynamicRange, deg: deg, fNorm: 1 / sp, jNorm: dynamicRange / sp}, nil
+	return &scaledSystem{sys: sys, s: dynamicRange, deg: deg, fNorm: 1 / sp, jNorm: dynamicRange / sp, uBuf: make([]float64, sys.Dim())}, nil
 }
 
 func (ss *scaledSystem) Dim() int { return len(ss.uBuf) }
@@ -108,7 +85,7 @@ func (ss *scaledSystem) lift(w []float64) []float64 {
 func (ss *scaledSystem) toProblem(w []float64) []float64 { return la.Copy(ss.lift(w)) }
 
 func (ss *scaledSystem) Eval(w, g []float64) error {
-	if err := ss.eval(ss.lift(w), g); err != nil {
+	if err := ss.sys.Eval(ss.lift(w), g); err != nil {
 		return err
 	}
 	for i := range g {
@@ -117,30 +94,13 @@ func (ss *scaledSystem) Eval(w, g []float64) error {
 	return nil
 }
 
-func (ss *scaledSystem) Jacobian(w []float64, jac *la.Dense) error {
-	if err := ss.jac(ss.lift(w), jac); err != nil {
-		return err
-	}
-	jac.Scale(ss.jNorm)
-	return nil
-}
-
 func (ss *scaledSystem) JacobianCSR(w []float64) (*la.CSR, error) {
-	j, err := ss.csr(ss.lift(w))
+	j, err := ss.sys.JacobianCSR(ss.lift(w))
 	if err != nil {
 		return nil, err
 	}
 	j.Scale(ss.jNorm)
 	return j, nil
-}
-
-// linearize fills g and J of the scaled system at w: the dense quotient
-// loop's input when no homotopy blends two systems.
-func (ss *scaledSystem) linearize(_ float64, w, g []float64, jac *la.Dense) error {
-	if err := ss.Eval(w, g); err != nil {
-		return err
-	}
-	return ss.Jacobian(w, jac)
 }
 
 // quantize rounds x onto a signed grid with the given number of bits over

@@ -71,10 +71,10 @@ func Ablations(ctx context.Context, cfg Config) (AblationResult, error) {
 		out.AutoDampIters = r.Iterations
 		out.AutoDampTotal = r.TotalIters
 	}
-	if r, err := nonlin.NewtonArmijo(ctx, nonlin.DenseAdapter{S: b}, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, MaxIter: 400}); err == nil {
+	if r, err := NewtonArmijo(ctx, b, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, MaxIter: 400}); err == nil {
 		out.ArmijoIters = r.Iterations
 	}
-	if r, err := nonlin.TrustRegion(nonlin.DenseAdapter{S: b}, u0, nonlin.TrustRegionOptions{Tol: 1e-7, MaxIter: 500}); err == nil {
+	if r, err := trustRegion(b, u0, trustRegionOptions{Tol: 1e-7, MaxIter: 500}); err == nil {
 		out.TrustRegionIters = r.Iterations
 	}
 

@@ -15,29 +15,35 @@ import (
 
 // cubicSystem returns z³ − 1 = 0 as a 2-D real system with degree 3, the
 // tutorial problem of §2 (Equation 1).
-func cubicSystem() nonlin.System {
-	return analog.PolySystem{
-		Degree: 3,
-		System: nonlin.FuncSystem{
-			N: 2,
-			F: func(u, f []float64) error {
-				re, im := u[0], u[1]
-				f[0] = re*re*re - 3*re*im*im - 1
-				f[1] = 3*re*re*im - im*im*im
-				return nil
-			},
-			J: func(u []float64, jac *la.Dense) error {
-				re, im := u[0], u[1]
-				a := 3 * (re*re - im*im)
-				b := 6 * re * im
-				jac.Set(0, 0, a)
-				jac.Set(0, 1, -b)
-				jac.Set(1, 0, b)
-				jac.Set(1, 1, a)
-				return nil
-			},
-		},
+func cubicSystem() analog.PolySystem {
+	c := la.NewCOO(2, 2)
+	for k := 0; k < 4; k++ {
+		c.Append(k/2, k%2, 0)
 	}
+	return analog.PolySystem{Degree: 3, SparseSystem: cubic{jac: c.ToCSR()}}
+}
+
+// cubic is z³ − 1 in (re, im). Its Jacobian 3z² is the block [[a, −b],
+// [b, a]] with a = 3(re² − im²) and b = 6·re·im, refreshed in place.
+type cubic struct{ jac *la.CSR }
+
+func (cubic) Dim() int { return 2 }
+
+func (cubic) Eval(u, f []float64) error {
+	re, im := u[0], u[1]
+	f[0] = float64(re*re*re) - float64(3*re*im*im) - 1
+	f[1] = float64(3*re*re*im) - float64(im*im*im)
+	return nil
+}
+
+func (c cubic) JacobianCSR(u []float64) (*la.CSR, error) {
+	re, im := u[0], u[1]
+	a := 3 * (float64(re*re) - float64(im*im))
+	b := 6 * re * im
+	for slot, v := range [4]float64{a, -b, b, a} {
+		c.jac.SetSlotValue(slot, v)
+	}
+	return c.jac, nil
 }
 
 var cubicRootList = [3][2]float64{
@@ -86,6 +92,7 @@ func Fig2(ctx context.Context, cfg Config) (Fig2Result, error) {
 	res.Digital = img.New(pixels, pixels)
 	acc := analog.NewPrototype(cfg.Seed)
 	sys := cubicSystem()
+	var digital nonlin.SparseSolver
 	rootsSeen := map[int]bool{}
 	const span = 2.0
 	for py := 0; py < pixels; py++ {
@@ -97,7 +104,7 @@ func Fig2(ctx context.Context, cfg Config) (Fig2Result, error) {
 			real := -span + 2*span*float64(px)/float64(pixels-1)
 			u0 := []float64{real, imag}
 
-			sol, err := acc.Solve(sys, u0, analog.SolveOptions{DynamicRange: span, TMaxTau: 120})
+			sol, err := acc.SolveSparse(ctx, sys, u0, analog.SolveOptions{DynamicRange: span, TMaxTau: 120})
 			var aCol img.Color
 			switch {
 			case err != nil || !sol.Converged:
@@ -115,7 +122,7 @@ func Fig2(ctx context.Context, cfg Config) (Fig2Result, error) {
 			}
 			res.Analog.Set(px, py, aCol)
 
-			dres, derr := nonlin.Newton(ctx, sys, u0, nonlin.NewtonOptions{Tol: 1e-10, MaxIter: 60})
+			dres, derr := digital.Solve(ctx, sys, u0, nonlin.NewtonOptions{Tol: 1e-10, MaxIter: 60})
 			var dCol img.Color
 			if derr != nil || !dres.Converged {
 				dCol = img.NoConverge

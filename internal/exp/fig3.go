@@ -57,8 +57,8 @@ func Fig3(ctx context.Context, cfg Config) (Fig3Result, error) {
 		Roots:    map[[2]int64][2]float64{},
 	}
 	acc := analog.NewPrototype(cfg.Seed)
-	hard := analog.PolySystem{Degree: 2, System: pde.Equation2(fig3RHS0, fig3RHS1)}
-	simple := analog.PolySystem{Degree: 2, System: nonlin.SquareRootsSimple(2)}
+	hard := pde.Equation2(fig3RHS0, fig3RHS1)
+	simple := nonlin.SquareRootsSimple(2) // degree 2, the scaler's default
 
 	// Discover the reference roots digitally (certified by residual).
 	refRoots := findQuadRoots(hard)
@@ -108,7 +108,7 @@ func Fig3(ctx context.Context, cfg Config) (Fig3Result, error) {
 			u0 := []float64{p0, p1}
 
 			// Centre-left panel: plain continuous Newton on the chip.
-			sol, err := acc.Solve(hard, u0, analog.SolveOptions{DynamicRange: 3, TMaxTau: 150})
+			sol, err := acc.SolveSparse(ctx, hard, u0, analog.SolveOptions{DynamicRange: 3, TMaxTau: 150})
 			var col img.Color
 			switch {
 			case err != nil || !sol.Converged:
@@ -172,12 +172,13 @@ func cornersByDistance(corners [][2]int, p0, p1 float64) [][2]int {
 
 // findQuadRoots locates the real roots of the Equation-2 instance by damped
 // Newton from a deterministic grid of starts, deduplicated and certified.
-func findQuadRoots(sys nonlin.System) [][2]float64 {
+func findQuadRoots(sys nonlin.SparseSystem) [][2]float64 {
 	var roots [][2]float64
+	var s nonlin.SparseSolver
 	f := make([]float64, 2)
 	for _, s0 := range []float64{-2.5, -1.5, -0.5, 0.5, 1.5, 2.5} {
 		for _, s1 := range []float64{-2.5, -1.5, -0.5, 0.5, 1.5, 2.5} {
-			r, err := nonlin.Newton(nil, sys, []float64{s0, s1}, nonlin.NewtonOptions{Tol: 1e-12, AutoDamp: true, MaxIter: 300})
+			r, err := s.Solve(nil, sys, []float64{s0, s1}, nonlin.NewtonOptions{Tol: 1e-12, AutoDamp: true, MaxIter: 300})
 			if err != nil || !r.Converged {
 				continue
 			}

@@ -3,12 +3,13 @@
 // assignment or would divide by zero — exactness is the point.
 //pdevet:allow floateq pivot/breakdown/structural zero tests are exact by construction
 
-// Package la provides the dense and sparse linear-algebra substrate used by
-// every other layer of the hybrid solver: dense LU for the small Newton
-// systems that fit on the analog accelerator model, and COO/CSR storage with
-// the banded direct solve of the Newton hot path (BandLU, standing in for
-// the paper's cuSolver sparse-QR offload) and the CG/PCG, BiCGSTAB and SOR
-// kernels of the Table-1 mini-apps.
+// Package la provides the linear-algebra substrate used by every other
+// layer of the hybrid solver: COO/CSR storage with the banded direct
+// solves of the Newton hot path (BandLU, standing in for the paper's
+// cuSolver sparse-QR offload) and of the fabric's quotient loop
+// (BandCholesky), and the CG/PCG, BiCGSTAB and SOR kernels of the Table-1
+// mini-apps. Dense and its partial-pivoting LU are the reference the band
+// and CSR kernels are tested against; no solve path uses them.
 //
 // All code is self-contained and uses only the standard library.
 package la
@@ -81,20 +82,6 @@ func (m *Dense) Clone() *Dense {
 	c := NewDense(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// Zero resets all elements to zero, retaining storage.
-func (m *Dense) Zero() {
-	for i := range m.data {
-		m.data[i] = 0
-	}
-}
-
-// Scale multiplies every element by s in place.
-func (m *Dense) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
 }
 
 // MulVec computes dst = M·x. dst must have length Rows and x length Cols;
@@ -173,7 +160,8 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of x.
+// Norm2 returns the Euclidean norm of x. Its final product is rounded, so
+// a caller's Norm2(x)+c cannot fuse into one multiply-add once inlined.
 func Norm2(x []float64) float64 {
 	// Scaled to avoid overflow for large entries.
 	scale, ssq := 0.0, 1.0
@@ -191,7 +179,7 @@ func Norm2(x []float64) float64 {
 			ssq += float64(r * r)
 		}
 	}
-	return scale * math.Sqrt(ssq)
+	return float64(scale * math.Sqrt(ssq))
 }
 
 // Axpy computes y += a·x in place.

@@ -144,7 +144,7 @@ func NewtonHomotopy(ctx context.Context, sys SparseSystem, u0 []float64, procs i
 func basinHop(ctx context.Context, s *SparseSolver, g SparseSystem, uFold []float64, opts NewtonOptions, acc *Result) (Result, error) {
 	n := len(uFold)
 	opts.MaxIter = hopMaxIter
-	scale := 1 + float64(la.Norm2(uFold))
+	scale := 1 + la.Norm2(uFold)
 	diag := 1 / math.Sqrt(float64(n))
 	u := make([]float64, n)
 	var err error
@@ -184,22 +184,31 @@ func addWork(acc *Result, r Result) {
 }
 
 // SquareRootsSimple returns the paper's trivial homotopy start system
-// S(ρ)ᵢ = ρᵢ² − 1 (Equation 3), whose 2ᵈ roots are ρᵢ = ±1.
-func SquareRootsSimple(dim int) System {
-	return FuncSystem{
-		N: dim,
-		F: func(u, f []float64) error {
-			for i := range f {
-				f[i] = float64(u[i]*u[i]) - 1
-			}
-			return nil
-		},
-		J: func(u []float64, jac *la.Dense) error {
-			jac.Zero()
-			for i := range u {
-				jac.Set(i, i, 2*u[i])
-			}
-			return nil
-		},
+// S(ρ)ᵢ = ρᵢ² − 1 (Equation 3), whose 2ᵈ roots are ρᵢ = ±1. Its Jacobian is
+// the diagonal 2ρ.
+func SquareRootsSimple(dim int) SparseSystem {
+	c := la.NewCOO(dim, dim)
+	for i := 0; i < dim; i++ {
+		c.Append(i, i, 0)
 	}
+	return squareRoots{jac: c.ToCSR()}
+}
+
+type squareRoots struct{ jac *la.CSR }
+
+func (s squareRoots) Dim() int { return s.jac.Rows() }
+
+func (s squareRoots) Eval(u, f []float64) error {
+	for i := range f {
+		f[i] = float64(u[i]*u[i]) - 1
+	}
+	return nil
+}
+
+// JacobianCSR refreshes the diagonal in place: slot i holds entry (i, i).
+func (s squareRoots) JacobianCSR(u []float64) (*la.CSR, error) {
+	for i, v := range u {
+		s.jac.SetSlotValue(i, 2*v)
+	}
+	return s.jac, nil
 }

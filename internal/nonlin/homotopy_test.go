@@ -13,7 +13,7 @@ import (
 // the classic case where undamped Newton diverges from |u₀| ≳ 1.392; the
 // homotopy must still reach the root.
 func TestNewtonHomotopyGlobal(t *testing.T) {
-	res, err := NewtonHomotopy(nil, csrSystem{atanScalar()}, []float64{10}, 1)
+	res, err := NewtonHomotopy(nil, atanScalar(), []float64{10}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestNewtonHomotopyGlobal(t *testing.T) {
 
 func TestNewtonHomotopyCoupledQuadratic(t *testing.T) {
 	hard := coupledQuadratic(1.0, -1.0)
-	res, err := NewtonHomotopy(nil, csrSystem{hard}, []float64{3, -3}, 1)
+	res, err := NewtonHomotopy(nil, hard, []float64{3, -3}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestNewtonHomotopyCoupledQuadratic(t *testing.T) {
 }
 
 func TestNewtonHomotopyDimensionMismatch(t *testing.T) {
-	if _, err := NewtonHomotopy(nil, csrSystem{atanScalar()}, []float64{1, 2}, 1); err == nil {
+	if _, err := NewtonHomotopy(nil, atanScalar(), []float64{1, 2}, 1); err == nil {
 		t.Fatal("expected dimension mismatch error")
 	}
 }
@@ -54,7 +54,7 @@ func TestNewtonHomotopyDimensionMismatch(t *testing.T) {
 // there. Only basinHop's restart reaches the root near (−0.639, −1.769).
 func TestNewtonHomotopyHopsFold(t *testing.T) {
 	hard := coupledQuadratic(-2, 2)
-	res, err := NewtonHomotopy(nil, csrSystem{hard}, []float64{-3, 1}, 1)
+	res, err := NewtonHomotopy(nil, hard, []float64{-3, 1}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,10 +36,9 @@ type NewtonOptions struct {
 	// Jacobian assembly and residual walks fan out across a pool owned by
 	// the SparseSolver. 0 and 1 run serial. Solutions, residuals and
 	// iteration counts are bit-identical at every setting (the kernels
-	// partition into disjoint writes in serial order). The dense Newton path
-	// ignores it.
+	// partition into disjoint writes in serial order).
 	Procs int
-	// Chord enables modified-Newton (chord) iteration on the sparse path:
+	// Chord enables modified-Newton (chord) iteration:
 	// the band-LU factorization is reused — and the sharded Jacobian
 	// refresh skipped entirely — across Newton iterations *and* across
 	// Solve calls of the same system (implicit time stepping, where
@@ -48,7 +47,7 @@ type NewtonOptions struct {
 	// degrades past chordContraction, or the factorization's age exceeds
 	// ChordMaxAge. Gate decisions depend only on residual values, which are
 	// bit-identical across worker counts, so chord solves keep the
-	// cross-procs bit-identity contract. The dense path ignores it.
+	// cross-procs bit-identity contract.
 	Chord bool
 	// ChordMaxAge is the hard bound on factorization reuse: after this many
 	// linear solves the Jacobian is refreshed regardless of contraction.
@@ -127,43 +126,6 @@ type stepWork struct {
 	refactored bool
 }
 
-// jacSolver abstracts the dense and sparse linear-solve kernels so both
-// Newton variants share one iteration loop.
-type jacSolver interface {
-	dim() int
-	eval(u, f []float64) error
-	// solveStep computes delta = J⁻¹ f, returning the factorization work
-	// performed. Chord-capable implementations may reuse a factorization
-	// from an earlier call, in which case work.refactored is false.
-	solveStep(u, f, delta []float64) (stepWork, error)
-}
-
-// attemptPrep is implemented by solvers that keep per-attempt state (the
-// chord refresh gate's residual history); newtonAttempt calls it before the
-// first iteration of every damping attempt.
-type attemptPrep interface {
-	beginAttempt()
-}
-
-type denseSolver struct {
-	sys System
-	jac *la.Dense
-}
-
-func (s *denseSolver) dim() int                  { return s.sys.Dim() }
-func (s *denseSolver) eval(u, f []float64) error { return s.sys.Eval(u, f) }
-func (s *denseSolver) solveStep(u, f, delta []float64) (stepWork, error) {
-	if err := s.sys.Jacobian(u, s.jac); err != nil {
-		return stepWork{}, err
-	}
-	lu, err := la.FactorLU(s.jac)
-	if err != nil {
-		return stepWork{}, err
-	}
-	n := int64(s.sys.Dim())
-	return stepWork{ops: n * n * n / 3, refactored: true}, lu.Solve(delta, f)
-}
-
 // SparseSolver is a reusable workspace for repeated sparse Newton solves of
 // same-shaped systems — the inner loop of implicit time stepping, where a
 // fresh factorization workspace and iterate buffers every step would dominate
@@ -215,7 +177,7 @@ type SparseSolver struct {
 func (w *SparseSolver) Solve(ctx context.Context, sys SparseSystem, u0 []float64, opts NewtonOptions) (Result, error) {
 	opts.defaults()
 	w.bind(sys, opts)
-	return newtonLoop(ctx, w, u0, opts, w.u, w.f, w.delta)
+	return newtonLoop(ctx, w, u0, opts)
 }
 
 // bind points the workspace at sys: it sizes the buffers, installs the
@@ -280,9 +242,6 @@ func (w *SparseSolver) Close() {
 		w.lu.SetPool(nil)
 	}
 }
-
-func (w *SparseSolver) dim() int                  { return w.sys.Dim() }
-func (w *SparseSolver) eval(u, f []float64) error { return w.sys.Eval(u, f) }
 
 // ResetReuse discards the chord-mode factorization state, so the next chord
 // solve refreshes the Jacobian at its own first iterate regardless of what
@@ -368,23 +327,14 @@ func (w *SparseSolver) solveStep(u, f, delta []float64) (stepWork, error) {
 	return work, w.lu.Solve(delta, f)
 }
 
-// Newton solves F(u) = 0 with the (optionally damped) Newton method starting
-// from u0. See NewtonOptions for the damping schedule. ctx may be nil; a
-// cancelled context aborts between iterations with a wrapped context error.
-func Newton(ctx context.Context, sys System, u0 []float64, opts NewtonOptions) (Result, error) {
-	n := sys.Dim()
-	s := &denseSolver{sys: sys, jac: la.NewDense(n, n)}
-	return newtonLoop(ctx, s, u0, opts, make([]float64, n), make([]float64, n), make([]float64, n))
-}
-
 // newtonLoop runs damping attempts from u0 until one converges or the
 // schedule is spent. Every exit reports its last attempt's counts, so a
-// failed solve is priced with the work it really did.
+// failed solve is priced with the work it really did. w must be bound to
+// the system (bind) and opts defaulted.
 //
 //pdevet:noalloc
-func newtonLoop(ctx context.Context, s jacSolver, u0 []float64, opts NewtonOptions, u, f, delta []float64) (Result, error) {
-	opts.defaults()
-	if len(u0) != s.dim() {
+func newtonLoop(ctx context.Context, w *SparseSolver, u0 []float64, opts NewtonOptions) (Result, error) {
+	if len(u0) != w.sys.Dim() {
 		return Result{}, errors.New("nonlin: initial guess has wrong dimension")
 	}
 	h := opts.Damping
@@ -394,7 +344,7 @@ func newtonLoop(ctx context.Context, s jacSolver, u0 []float64, opts NewtonOptio
 	attempts, totalIters := 0, 0
 	for {
 		attempts++
-		res, err := newtonAttempt(ctx, s, u0, h, opts, u, f, delta)
+		res, err := newtonAttempt(ctx, w, u0, h, opts)
 		totalIters += res.Iterations
 		if res.Converged || !opts.AutoDamp || isCtxErr(err) || h/2 < minDamping {
 			res.TotalIters = totalIters
@@ -413,22 +363,20 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// newtonAttempt runs one damping attempt at step fraction h. It fills the
-// per-attempt fields of Result; newtonLoop adds the schedule's.
+// newtonAttempt runs one damping attempt at step fraction h in w's
+// buffers. It fills the per-attempt fields of Result; newtonLoop adds the
+// schedule's.
 //
 //pdevet:noalloc
-func newtonAttempt(ctx context.Context, s jacSolver, u0 []float64, h float64, opts NewtonOptions, u, f, delta []float64) (Result, error) {
+func newtonAttempt(ctx context.Context, w *SparseSolver, u0 []float64, h float64, opts NewtonOptions) (Result, error) {
+	u, f, delta := w.u, w.f, w.delta
 	copy(u, u0)
 	att := Result{U: u}
-	if p, ok := s.(attemptPrep); ok {
-		p.beginAttempt()
-	}
-	if err := s.eval(u, f); err != nil {
+	w.beginAttempt()
+	if err := w.sys.Eval(u, f); err != nil {
 		return att, err
 	}
-	// Norm2 ends in a product; rounding it keeps arm64 from fusing that
-	// product into the divergence test's r0+1.
-	r0 := float64(la.Norm2(f))
+	r0 := la.Norm2(f)
 	att.Residual = r0
 	target := opts.Tol
 	if opts.RelTol > 0 && opts.RelTol*r0 > target {
@@ -442,7 +390,7 @@ func newtonAttempt(ctx context.Context, s jacSolver, u0 []float64, h float64, op
 		if err := ctxErr(ctx); err != nil {
 			return att, err
 		}
-		work, err := s.solveStep(u, f, delta)
+		work, err := w.solveStep(u, f, delta)
 		if err != nil {
 			if errors.Is(err, la.ErrSingular) {
 				// Failure path: the allocation happens once, on abort.
@@ -459,7 +407,7 @@ func newtonAttempt(ctx context.Context, s jacSolver, u0 []float64, h float64, op
 		if !finite(u) {
 			return att, ErrDiverged
 		}
-		if err := s.eval(u, f); err != nil {
+		if err := w.sys.Eval(u, f); err != nil {
 			return att, err
 		}
 		r := la.Norm2(f)
@@ -483,71 +431,4 @@ func finite(x []float64) bool {
 		}
 	}
 	return true
-}
-
-// NewtonArmijo solves F(u) = 0 with a backtracking line search on the merit
-// function ½‖F‖². It is the "more sophisticated, more costly" digital
-// alternative the paper alludes to in §2.2; used in ablation benchmarks.
-func NewtonArmijo(ctx context.Context, sys System, u0 []float64, opts NewtonOptions) (Result, error) {
-	opts.defaults()
-	n := sys.Dim()
-	u := la.Copy(u0)
-	f := make([]float64, n)
-	delta := make([]float64, n)
-	utrial := make([]float64, n)
-	jac := la.NewDense(n, n)
-	var res Result
-	res.U = u
-	res.Attempts = 1
-	res.DampingUsed = 1
-	if err := sys.Eval(u, f); err != nil {
-		return res, err
-	}
-	target := opts.Tol
-	if r0 := la.Norm2(f); opts.RelTol > 0 && opts.RelTol*r0 > target {
-		target = opts.RelTol * r0
-	}
-	for res.Iterations = 0; res.Iterations < opts.MaxIter; res.Iterations++ {
-		r := la.Norm2(f)
-		res.Residual = r
-		if r <= target {
-			res.Converged = true
-			res.TotalIters = res.Iterations
-			return res, nil
-		}
-		if err := ctxErr(ctx); err != nil {
-			return res, err
-		}
-		if err := sys.Jacobian(u, jac); err != nil {
-			return res, err
-		}
-		lu, err := la.FactorLU(jac)
-		if err != nil {
-			return res, &JacobianSingularError{Iteration: res.Iterations, Err: err}
-		}
-		if err := lu.Solve(delta, f); err != nil {
-			return res, &JacobianSingularError{Iteration: res.Iterations, Err: err}
-		}
-		res.LinearSolves++
-		// Backtrack until sufficient decrease: ‖F(u−λδ)‖ ≤ (1−αλ)‖F(u)‖.
-		const alpha = 1e-4
-		lambda := 1.0
-		for {
-			copy(utrial, u)
-			la.Axpy(-lambda, delta, utrial)
-			if err := sys.Eval(utrial, f); err != nil {
-				return res, err
-			}
-			if finite(f) && la.Norm2(f) <= (1-float64(alpha*lambda))*r {
-				break
-			}
-			lambda /= 2
-			if lambda < 1e-12 {
-				return res, ErrDiverged
-			}
-		}
-		copy(u, utrial)
-	}
-	res.TotalIters = res.Iterations
-	return res, ErrNoConvergence
 }

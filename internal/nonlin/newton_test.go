@@ -10,12 +10,12 @@ import (
 )
 
 func TestNewtonScalarCubic(t *testing.T) {
-	sys := FuncSystem{
-		N: 1,
-		F: func(u, f []float64) error { f[0] = u[0]*u[0]*u[0] - 1; return nil },
-		J: func(u []float64, jac *la.Dense) error { jac.Set(0, 0, 3*u[0]*u[0]); return nil },
+	sys := denseSystem{
+		n: 1,
+		f: func(u, f []float64) { f[0] = u[0]*u[0]*u[0] - 1 },
+		j: func(u, jac []float64) { jac[0] = 3 * u[0] * u[0] },
 	}
-	res, err := Newton(nil, sys, []float64{2}, NewtonOptions{Tol: 1e-12})
+	res, err := new(SparseSolver).Solve(nil, sys, []float64{2}, NewtonOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestNewtonComplexCubicAllRoots(t *testing.T) {
 	starts := [][]float64{{2, 0.1}, {-1, 1}, {-1, -1}}
 	wantRoot := []int{0, 1, 2}
 	for k, s := range starts {
-		res, err := Newton(nil, sys, s, NewtonOptions{Tol: 1e-12})
+		res, err := new(SparseSolver).Solve(nil, sys, s, NewtonOptions{Tol: 1e-12})
 		if err != nil {
 			t.Fatalf("start %v: %v", s, err)
 		}
@@ -50,17 +50,17 @@ func TestNewtonQuadraticConvergenceRate(t *testing.T) {
 	sys := complexCubic()
 	u := []float64{1.3, 0.4}
 	f := make([]float64, 2)
-	jac := la.NewDense(2, 2)
 	var resids []float64
 	for i := 0; i < 8; i++ {
 		if err := sys.Eval(u, f); err != nil {
 			t.Fatal(err)
 		}
 		resids = append(resids, la.Norm2(f))
-		if err := sys.Jacobian(u, jac); err != nil {
+		jac, err := sys.JacobianCSR(u)
+		if err != nil {
 			t.Fatal(err)
 		}
-		lu, err := la.FactorLU(jac)
+		lu, err := la.FactorBandLU(jac)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,14 +83,14 @@ func TestNewtonQuadraticConvergenceRate(t *testing.T) {
 }
 
 func TestClassicalNewtonDivergesOnAtan(t *testing.T) {
-	_, err := Newton(nil, atanScalar(), []float64{3}, NewtonOptions{Tol: 1e-12, MaxIter: 50})
+	_, err := new(SparseSolver).Solve(nil, atanScalar(), []float64{3}, NewtonOptions{Tol: 1e-12, MaxIter: 50})
 	if err == nil {
 		t.Fatal("classical Newton should fail from u0=3 on atan")
 	}
 }
 
 func TestAutoDampedNewtonConvergesOnAtan(t *testing.T) {
-	res, err := Newton(nil, atanScalar(), []float64{3}, NewtonOptions{Tol: 1e-12, MaxIter: 300, AutoDamp: true})
+	res, err := new(SparseSolver).Solve(nil, atanScalar(), []float64{3}, NewtonOptions{Tol: 1e-12, MaxIter: 300, AutoDamp: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,34 +108,17 @@ func TestAutoDampedNewtonConvergesOnAtan(t *testing.T) {
 	}
 }
 
-func TestNewtonArmijoConvergesOnAtan(t *testing.T) {
-	res, err := NewtonArmijo(nil, atanScalar(), []float64{3}, NewtonOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.U[0]) > 1e-10 {
-		t.Fatalf("root = %g, want 0", res.U[0])
-	}
-}
-
 func TestNewtonSingularJacobianReported(t *testing.T) {
 	// A rank-deficient Jacobian everywhere, with F ≠ 0 at the start.
-	sys := FuncSystem{
-		N: 2,
-		F: func(u, f []float64) error {
+	sys := denseSystem{
+		n: 2,
+		f: func(u, f []float64) {
 			f[0] = u[0] + u[1] - 1
 			f[1] = 2*u[0] + 2*u[1] - 5
-			return nil
 		},
-		J: func(u []float64, jac *la.Dense) error {
-			jac.Set(0, 0, 1)
-			jac.Set(0, 1, 1)
-			jac.Set(1, 0, 2)
-			jac.Set(1, 1, 2)
-			return nil
-		},
+		j: func(u, jac []float64) { copy(jac, []float64{1, 1, 2, 2}) },
 	}
-	_, err := Newton(nil, sys, []float64{0, 0}, NewtonOptions{Tol: 1e-12})
+	_, err := new(SparseSolver).Solve(nil, sys, []float64{0, 0}, NewtonOptions{Tol: 1e-12})
 	var jse *JacobianSingularError
 	if !errors.As(err, &jse) {
 		t.Fatalf("expected JacobianSingularError, got %v", err)
@@ -145,22 +128,26 @@ func TestNewtonSingularJacobianReported(t *testing.T) {
 	}
 }
 
+// TestFiniteDifferenceJacobianMatchesAnalytic checks the hand-written
+// Jacobian of a test system against forward differences of its F.
 func TestFiniteDifferenceJacobianMatchesAnalytic(t *testing.T) {
 	sys := coupledQuadratic(1, -1)
 	u := []float64{0.7, -0.3}
-	analytic := la.NewDense(2, 2)
-	if err := sys.Jacobian(u, analytic); err != nil {
+	jac, err := sys.JacobianCSR(u)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fd := la.NewDense(2, 2)
-	noJ := FuncSystem{N: 2, F: sys.(FuncSystem).F}
-	if err := noJ.Jacobian(u, fd); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 2; j++ {
-			if math.Abs(analytic.At(i, j)-fd.At(i, j)) > 1e-5 {
-				t.Fatalf("FD Jacobian mismatch at (%d,%d): %g vs %g", i, j, fd.At(i, j), analytic.At(i, j))
+	analytic := jac.ToDense()
+	f0, fp := make([]float64, 2), make([]float64, 2)
+	sys.f(u, f0)
+	for j := 0; j < 2; j++ {
+		up := la.Copy(u)
+		h := 1e-7 * (1 + math.Abs(u[j]))
+		up[j] += h
+		sys.f(up, fp)
+		for i := 0; i < 2; i++ {
+			if fd := (fp[i] - f0[i]) / h; math.Abs(analytic.At(i, j)-fd) > 1e-5 {
+				t.Fatalf("FD Jacobian mismatch at (%d,%d): %g vs %g", i, j, fd, analytic.At(i, j))
 			}
 		}
 	}
@@ -201,6 +188,9 @@ func (s *sparseQuadratic) JacobianCSR(u []float64) (*la.CSR, error) {
 	return b.ToCSR(), nil
 }
 
+// TestNewtonSparseMatchesDense checks the banded Newton loop against an
+// oracle: classical Newton with a dense partial-pivoting LU of the expanded
+// Jacobian.
 func TestNewtonSparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	n := 24
@@ -214,13 +204,33 @@ func TestNewtonSparseMatchesDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resD, err := Newton(nil, DenseAdapter{S: sys}, u0, NewtonOptions{Tol: 1e-12})
-	if err != nil {
-		t.Fatal(err)
+	u, f, delta := la.Copy(u0), make([]float64, n), make([]float64, n)
+	for it := 0; ; it++ {
+		if err := sys.Eval(u, f); err != nil {
+			t.Fatal(err)
+		}
+		if la.Norm2(f) <= 1e-12 {
+			break
+		}
+		if it == 50 {
+			t.Fatal("dense oracle did not converge")
+		}
+		jac, err := sys.JacobianCSR(u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lu, err := la.FactorLU(jac.ToDense())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := lu.Solve(delta, f); err != nil {
+			t.Fatal(err)
+		}
+		la.Axpy(-1, delta, u)
 	}
 	for i := 0; i < n; i++ {
-		if math.Abs(resS.U[i]-resD.U[i]) > 1e-9 {
-			t.Fatalf("sparse/dense mismatch at %d: %g vs %g", i, resS.U[i], resD.U[i])
+		if math.Abs(resS.U[i]-u[i]) > 1e-9 {
+			t.Fatalf("sparse/dense mismatch at %d: %g vs %g", i, resS.U[i], u[i])
 		}
 	}
 	if resS.FactorOps <= 0 {
@@ -252,12 +262,12 @@ func TestNewtonPropertyRandomQuadratics(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 40; trial++ {
 		n := 2 + rng.Intn(6)
-		lin := la.NewDense(n, n)
+		lin := make([]float64, n*n) // row-major
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				lin.Set(i, j, 0.3*rng.NormFloat64())
+				lin[i*n+j] = 0.3 * rng.NormFloat64()
 			}
-			lin.Add(i, i, 4)
+			lin[i*n+i] += 4
 		}
 		q := make([]float64, n)
 		c := make([]float64, n)
@@ -265,26 +275,21 @@ func TestNewtonPropertyRandomQuadratics(t *testing.T) {
 			q[i] = 0.2 * rng.NormFloat64()
 			c[i] = rng.NormFloat64()
 		}
-		sys := FuncSystem{
-			N: n,
-			F: func(u, f []float64) error {
-				lin.MulVec(f, u)
+		sys := denseSystem{
+			n: n,
+			f: func(u, f []float64) {
 				for i := range f {
-					f[i] += q[i]*u[i]*u[i] - c[i]
+					f[i] = la.Dot(lin[i*n:(i+1)*n], u) + q[i]*u[i]*u[i] - c[i]
 				}
-				return nil
 			},
-			J: func(u []float64, jac *la.Dense) error {
+			j: func(u, jac []float64) {
+				copy(jac, lin)
 				for i := 0; i < n; i++ {
-					for j := 0; j < n; j++ {
-						jac.Set(i, j, lin.At(i, j))
-					}
-					jac.Add(i, i, 2*q[i]*u[i])
+					jac[i*n+i] += 2 * q[i] * u[i]
 				}
-				return nil
 			},
 		}
-		res, err := Newton(nil, sys, make([]float64, n), NewtonOptions{Tol: 1e-11})
+		res, err := new(SparseSolver).Solve(nil, sys, make([]float64, n), NewtonOptions{Tol: 1e-11})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

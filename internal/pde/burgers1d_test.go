@@ -33,11 +33,7 @@ func TestBurgers1DJacobianMatchesFD(t *testing.T) {
 		t.Fatal(err)
 	}
 	analytic := jac.ToDense()
-	fd := la.NewDense(7, 7)
-	dense := nonlin.DenseAdapter{S: b}
-	if err := nonlin.FiniteDifferenceJacobian(nonlin.FuncSystem{N: 7, F: dense.Eval}, w, fd); err != nil {
-		t.Fatal(err)
-	}
+	fd := fdJacobian(t, b.Eval, w)
 	for i := 0; i < 7; i++ {
 		for j := 0; j < 7; j++ {
 			if math.Abs(analytic.At(i, j)-fd.At(i, j)) > 2e-5 {

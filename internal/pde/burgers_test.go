@@ -63,6 +63,31 @@ func TestBurgersManufacturedRootIsRoot(t *testing.T) {
 	}
 }
 
+// fdJacobian returns the forward-difference Jacobian of eval at u, the
+// reference the analytic stencil Jacobians are checked against.
+func fdJacobian(t *testing.T, eval func(u, f []float64) error, u []float64) *la.Dense {
+	t.Helper()
+	n := len(u)
+	jac := la.NewDense(n, n)
+	f0, fp := make([]float64, n), make([]float64, n)
+	if err := eval(u, f0); err != nil {
+		t.Fatal(err)
+	}
+	up := la.Copy(u)
+	for j := range u {
+		h := 1e-7 * (1 + math.Abs(u[j]))
+		up[j] = u[j] + h
+		if err := eval(up, fp); err != nil {
+			t.Fatal(err)
+		}
+		up[j] = u[j]
+		for i := range fp {
+			jac.Set(i, j, (fp[i]-f0[i])/h)
+		}
+	}
+	return jac
+}
+
 func TestBurgersJacobianMatchesFiniteDifferences(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	for _, re := range []float64{0.05, 1.0, 5.0} {
@@ -79,12 +104,7 @@ func TestBurgersJacobianMatchesFiniteDifferences(t *testing.T) {
 			t.Fatal(err)
 		}
 		analytic := jac.ToDense()
-		fd := la.NewDense(b.Dim(), b.Dim())
-		dense := nonlin.DenseAdapter{S: b}
-		if err := nonlin.FiniteDifferenceJacobian(
-			nonlin.FuncSystem{N: b.Dim(), F: dense.Eval}, w, fd); err != nil {
-			t.Fatal(err)
-		}
+		fd := fdJacobian(t, b.Eval, w)
 		for i := 0; i < b.Dim(); i++ {
 			for j := 0; j < b.Dim(); j++ {
 				if math.Abs(analytic.At(i, j)-fd.At(i, j)) > 2e-5 {
@@ -276,10 +296,11 @@ func TestSemilinearMatchesEquation2(t *testing.T) {
 	if la.Norm2(f) > 1e-14 {
 		t.Fatalf("(1,−1) should be an exact root, residual %g", la.Norm2(f))
 	}
-	jac := la.NewDense(2, 2)
-	if err := s.Jacobian([]float64{0.3, 0.7}, jac); err != nil {
+	csr, err := s.JacobianCSR([]float64{0.3, 0.7})
+	if err != nil {
 		t.Fatal(err)
 	}
+	jac := csr.ToDense()
 	if jac.At(0, 0) != 1.6 || jac.At(0, 1) != 1 || jac.At(1, 0) != -1 || jac.At(1, 1) != 2.4 {
 		t.Fatalf("Equation 2 Jacobian wrong: %v", jac)
 	}
@@ -291,14 +312,12 @@ func TestSemilinearMatchesEquation2(t *testing.T) {
 func TestSemilinearChainJacobianMatchesFD(t *testing.T) {
 	s := NewSemilinear1D([]float64{0.5, -0.2, 0.8, 0.1})
 	u := []float64{0.1, -0.4, 0.9, -0.6}
-	jac := la.NewDense(4, 4)
-	if err := s.Jacobian(u, jac); err != nil {
+	csr, err := s.JacobianCSR(u)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fd := la.NewDense(4, 4)
-	if err := nonlin.FiniteDifferenceJacobian(nonlin.FuncSystem{N: 4, F: s.Eval}, u, fd); err != nil {
-		t.Fatal(err)
-	}
+	jac := csr.ToDense()
+	fd := fdJacobian(t, s.Eval, u)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if math.Abs(jac.At(i, j)-fd.At(i, j)) > 1e-5 {
@@ -400,12 +419,7 @@ func TestFourthOrderJacobianMatchesFiniteDifferences(t *testing.T) {
 		t.Fatal(err)
 	}
 	analytic := jac.ToDense()
-	dense := nonlin.DenseAdapter{S: b}
-	fd := la.NewDense(b.Dim(), b.Dim())
-	if err := nonlin.FiniteDifferenceJacobian(
-		nonlin.FuncSystem{N: b.Dim(), F: dense.Eval}, w, fd); err != nil {
-		t.Fatal(err)
-	}
+	fd := fdJacobian(t, b.Eval, w)
 	for i := 0; i < b.Dim(); i++ {
 		for j := 0; j < b.Dim(); j++ {
 			if math.Abs(analytic.At(i, j)-fd.At(i, j)) > 3e-5 {

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"hybridpde/internal/la"
-	"hybridpde/internal/nonlin"
 	"hybridpde/internal/problem"
 )
 
@@ -17,8 +16,8 @@ import (
 //	ρᵢ² + ρᵢ + ρ_{i+1} − ρ_{i−1} = RHSᵢ
 //
 // (off-chain neighbours are dropped, reproducing Equation 2 exactly for
-// d = 2). It implements both the dense nonlin.System contract and
-// problem.SparseSystem (tridiagonal Jacobian), and reports degree 2.
+// d = 2). It is a problem.SparseSystem (tridiagonal Jacobian) and reports
+// degree 2.
 type Semilinear1D struct {
 	RHS []float64
 
@@ -49,22 +48,6 @@ func (s *Semilinear1D) Eval(u, f []float64) error {
 		}
 		if i-1 >= 0 {
 			f[i] -= u[i-1]
-		}
-	}
-	return nil
-}
-
-// Jacobian fills the tridiagonal Jacobian.
-func (s *Semilinear1D) Jacobian(u []float64, jac *la.Dense) error {
-	d := s.Dim()
-	jac.Zero()
-	for i := 0; i < d; i++ {
-		jac.Set(i, i, 2*u[i]+1)
-		if i+1 < d {
-			jac.Set(i, i+1, 1)
-		}
-		if i-1 >= 0 {
-			jac.Set(i, i-1, -1)
 		}
 	}
 	return nil
@@ -118,7 +101,4 @@ func Equation2(rhs0, rhs1 float64) *Semilinear1D {
 	return NewSemilinear1D([]float64{rhs0, rhs1})
 }
 
-var (
-	_ nonlin.System        = (*Semilinear1D)(nil)
-	_ problem.SparseSystem = (*Semilinear1D)(nil)
-)
+var _ problem.SparseSystem = (*Semilinear1D)(nil)
