@@ -74,7 +74,7 @@ func Ablations(ctx context.Context, cfg Config) (AblationResult, error) {
 	if r, err := NewtonArmijo(ctx, b, u0, nonlin.NewtonOptions{Tol: 1e-9, RelTol: 1e-13, MaxIter: 400}); err == nil {
 		out.ArmijoIters = r.Iterations
 	}
-	if r, err := trustRegion(b, u0, trustRegionOptions{Tol: 1e-7, MaxIter: 500}); err == nil {
+	if r, err := trustRegion(b, u0, 1e-7, 500); err == nil {
 		out.TrustRegionIters = r.Iterations
 	}
 

@@ -49,7 +49,11 @@ func NewtonArmijo(ctx context.Context, sys nonlin.SparseSystem, u0 []float64, op
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("exp: Armijo solve aborted: %w", err)
 		}
-		lu, err := factorJacobian(sys, u)
+		jac, err := sys.JacobianCSR(u)
+		if err != nil {
+			return res, err
+		}
+		lu, err := la.FactorBandLU(jac)
 		if err == nil {
 			err = lu.Solve(delta, f)
 		}
@@ -80,46 +84,19 @@ func NewtonArmijo(ctx context.Context, sys nonlin.SparseSystem, u0 []float64, op
 	return res, nonlin.ErrNoConvergence
 }
 
-// factorJacobian returns the band LU factor of J(u). It is read before the
-// system's next JacobianCSR call, which may overwrite J.
-func factorJacobian(sys nonlin.SparseSystem, u []float64) (*la.BandLU, error) {
-	jac, err := sys.JacobianCSR(u)
-	if err != nil {
-		return nil, err
-	}
-	return la.FactorBandLU(jac)
-}
-
-// trustRegionOptions configures trustRegion. Zero fields take the defaults.
-type trustRegionOptions struct {
-	Tol           float64 // target on ‖F(u)‖₂; default 1e-10
-	MaxIter       int     // default 200
-	InitialRadius float64 // default 1
-	MaxRadius     float64 // cap on radius growth; default 100
-}
-
-func (o *trustRegionOptions) defaults() {
-	if o.Tol <= 0 {
-		o.Tol = 1e-10
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 200
-	}
-	if o.InitialRadius <= 0 {
-		o.InitialRadius = 1
-	}
-	if o.MaxRadius <= 0 {
-		o.MaxRadius = 100
-	}
-}
+// The dogleg trust region's start radius and the cap on its growth.
+const (
+	trustInitialRadius = 1.0
+	trustMaxRadius     = 100.0
+)
 
 // trustRegion solves F(u) = 0 by minimising the merit function ½‖F(u)‖²
 // with Powell's dogleg step: it blends the steepest-descent (Cauchy)
 // direction with the Newton step inside an adaptive trust radius. It is the
 // modern globally convergent digital baseline, stronger than the paper's
-// damped-Newton schedule on badly scaled problems.
-func trustRegion(sys nonlin.SparseSystem, u0 []float64, opts trustRegionOptions) (nonlin.Result, error) {
-	opts.defaults()
+// damped-Newton schedule on badly scaled problems. It stops when
+// ‖F(u)‖₂ ≤ tol or after maxIter iterations.
+func trustRegion(sys nonlin.SparseSystem, u0 []float64, tol float64, maxIter int) (nonlin.Result, error) {
 	n := sys.Dim()
 	if len(u0) != n {
 		return nonlin.Result{}, errGuessDim
@@ -137,11 +114,11 @@ func trustRegion(sys nonlin.SparseSystem, u0 []float64, opts trustRegionOptions)
 	if err := sys.Eval(u, f); err != nil {
 		return res, err
 	}
-	radius := opts.InitialRadius
-	for res.Iterations = 0; res.Iterations < opts.MaxIter; res.Iterations++ {
+	radius := trustInitialRadius
+	for res.Iterations = 0; res.Iterations < maxIter; res.Iterations++ {
 		r := la.Norm2(f)
 		res.Residual = r
-		if r <= opts.Tol {
+		if r <= tol {
 			res.Converged = true
 			res.TotalIters = res.Iterations
 			return res, nil
@@ -200,7 +177,7 @@ func trustRegion(sys nonlin.SparseSystem, u0 []float64, opts trustRegionOptions)
 		case rho < 0.25:
 			radius = math.Max(0.25*stepNorm, 1e-12)
 		case rho > 0.75 && math.Abs(stepNorm-radius) < 1e-12*radius:
-			radius = math.Min(2*radius, opts.MaxRadius)
+			radius = math.Min(2*radius, trustMaxRadius)
 		}
 		if rho > 1e-4 && finite(fTrial) {
 			copy(u, uTrial)

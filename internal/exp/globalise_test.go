@@ -45,7 +45,7 @@ func TestNewtonArmijoConvergesOnAtan(t *testing.T) {
 
 func TestTrustRegionConvergesOnAtan(t *testing.T) {
 	// The case classical Newton fails: trust region converges globally.
-	res, err := trustRegion(newAtan(), []float64{3}, trustRegionOptions{Tol: 1e-12})
+	res, err := trustRegion(newAtan(), []float64{3}, 1e-12, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTrustRegionMatchesNewtonNearRoot(t *testing.T) {
 	// Close to a root the dogleg takes full Newton steps: iteration counts
 	// should be comparably small.
 	sys := pde.Equation2(1, -1)
-	tr, err := trustRegion(sys, []float64{0.9, -0.9}, trustRegionOptions{Tol: 1e-12})
+	tr, err := trustRegion(sys, []float64{0.9, -0.9}, 1e-12, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestTrustRegionMatchesNewtonNearRoot(t *testing.T) {
 }
 
 func TestTrustRegionCubicFromFar(t *testing.T) {
-	res, err := trustRegion(cubicSystem(), []float64{5, 3}, trustRegionOptions{Tol: 1e-10, MaxIter: 500})
+	res, err := trustRegion(cubicSystem(), []float64{5, 3}, 1e-10, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestTrustRegionSingularJacobianStart(t *testing.T) {
 	// At z = 0 the cubic's Jacobian is singular and z = 0 is a stationary
 	// point of the merit function (JᵀF = 0 there), so start slightly off:
 	// the dogleg falls back to steepest descent and must escape.
-	res, err := trustRegion(cubicSystem(), []float64{1e-3, 1e-3}, trustRegionOptions{Tol: 1e-10, MaxIter: 500})
+	res, err := trustRegion(cubicSystem(), []float64{1e-3, 1e-3}, 1e-10, 500)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTrustRegionSingularJacobianStart(t *testing.T) {
 func TestTrustRegionDimensionMismatch(t *testing.T) {
 	for name, solve := range map[string]func(u0 []float64) error{
 		"trust region": func(u0 []float64) error {
-			_, err := trustRegion(newAtan(), u0, trustRegionOptions{})
+			_, err := trustRegion(newAtan(), u0, 1e-10, 200)
 			return err
 		},
 		"Armijo": func(u0 []float64) error {
