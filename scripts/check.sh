@@ -4,9 +4,11 @@
 # stay race-clean), the fuzz smoke, the experiment transcripts, an arm64
 # cross-build that must hold no fused multiply-add in band.go, cholesky.go,
 # lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go,
-# burgers.go or steady.go, no fused multiply-add instruction in any assembly
-# file under internal/ (la's batched row-update kernel), and the bench
-# module. Run from the repository root; also available as `make check`.
+# burgers.go, steady.go, accelerator.go or globalise.go, no fused
+# multiply-add instruction in any assembly file under internal/ (la's
+# batched row-update kernel), no shipped binary linking la's dense LU, and
+# the bench module. Run from the repository root; also available as
+# `make check`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -58,26 +60,40 @@ done
 
 # The Go spec lets a compiler fuse x*y+z, and arm64 does; amd64 does not.
 # Every multiply-add in the band-LU and band-Cholesky kernels, in la's dense
-# LU (lu.go: the fabric's dense quotient loop, nonlin's dense adapter and
-# TrustRegion factor with it), in la's dense and sparse vector kernels
-# (dense.go and sparse.go; the basename sparse.go also covers the fabric's
-# mismatch line in analog/sparse.go), in the ode package (dopri.go and
-# ode.go), in nonlin's Newton loop and homotopy (newton.go and homotopy.go)
-# and in the 2-D Burgers residual, Jacobian and problem draw (pde's
-# burgers.go and steady.go) is written float64(x*y)+z, which forbids
-# fusion, so their bits match across architectures. A cross-built arm64
-# binary must show no fused instruction attributed to those eleven
-# basenames. The awk matches the basename exactly, so a file such as
-# decode.go or node.go does not count as ode.go, nor burgers1d.go as
-# burgers.go. Two binaries are searched: hybridpde links the
-# experiments, and pdeserved links the degradation ladder, whose homotopy
-# rung (NewtonHomotopy) hybridpde never calls.
-echo "== no fused multiply-add in band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, steady.go (GOARCH=arm64 go tool objdump)"
+# LU (lu.go: only tests factor with it, so no binary holds it today), in
+# la's dense and sparse vector kernels (dense.go and sparse.go; the
+# basename sparse.go also covers the fabric's mismatch line and quotient
+# loop in analog/sparse.go), in the ode package (dopri.go and ode.go), in
+# nonlin's Newton loop and homotopy (newton.go and homotopy.go), in the
+# 2-D Burgers residual, Jacobian and problem draw (pde's burgers.go and
+# steady.go), in the fabric run and its homotopy blend (analog's
+# accelerator.go) and in the ablation's Armijo and dogleg solvers (exp's
+# globalise.go) is written float64(x*y)+z, which forbids fusion, so their
+# bits match across architectures. A cross-built arm64 binary must show no
+# fused instruction attributed to those thirteen basenames. The awk matches
+# the basename exactly, so a file such as decode.go or node.go does not
+# count as ode.go, nor burgers1d.go as burgers.go. Two binaries are
+# searched: hybridpde links the experiments, and pdeserved links the
+# degradation ladder, whose homotopy rung (NewtonHomotopy) hybridpde never
+# calls.
+echo "== no fused multiply-add in band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, steady.go, accelerator.go, globalise.go (GOARCH=arm64 go tool objdump)"
 GOARCH=arm64 go build -o "$transcripts/hybridpde-arm64" ./cmd/hybridpde
 GOARCH=arm64 go build -o "$transcripts/pdeserved-arm64" ./cmd/pdeserved
-fused=$({ go tool objdump "$transcripts/hybridpde-arm64"; go tool objdump "$transcripts/pdeserved-arm64"; } | awk '$1 ~ /^(band|cholesky|lu|dense|sparse|dopri|ode|newton|homotopy|burgers|steady)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
+fused=$({ go tool objdump "$transcripts/hybridpde-arm64"; go tool objdump "$transcripts/pdeserved-arm64"; } | awk '$1 ~ /^(band|cholesky|lu|dense|sparse|dopri|ode|newton|homotopy|burgers|steady|accelerator|globalise)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
 if [ "$fused" -ne 0 ]; then
-	echo "band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go and steady.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
+	echo "band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, steady.go, accelerator.go and globalise.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
+	exit 1
+fi
+
+# Every solve runs on nonlin.SparseSystem and the band factors. la's dense
+# matrix and partial-pivoting LU stay only as the oracles the band and CSR
+# kernels are tested against, so neither shipped binary may link them.
+echo "== neither hybridpde nor pdeserved links la.FactorLU or la.NewDense (go tool nm)"
+go build -o "$transcripts/pdeserved" ./cmd/pdeserved
+dense=$(for b in hybridpde pdeserved; do go tool nm "$transcripts/$b"; done | awk '$NF ~ /internal\/la\.(FactorLU|NewDense)$/')
+if [ -n "$dense" ]; then
+	echo "$dense" >&2
+	echo "a solve path calls la's dense oracle; run it on the band factors instead" >&2
 	exit 1
 fi
 
