@@ -5,9 +5,9 @@
 //
 //	pdegw -backends http://127.0.0.1:18081,http://127.0.0.1:18082 \
 //	      [-addr :8090] [-max-grid N] [-max-steps N]
-//	      [-probe-interval D] [-evict-after N]
+//	      [-probe-interval D]
 //	      [-batch-window D] [-max-batch N] [-drain-timeout D]
-//	      [-breaker-threshold N] [-breaker-open-probes N]
+//	      [-breaker-threshold N]
 //	      [-retry-budget F] [-retry-budget-max F]
 //	      [-timeout D] [-max-timeout D]
 //
@@ -17,17 +17,19 @@
 // before the first byte), GET /v1/problems (proxied
 // to a healthy backend), GET /healthz (readiness: not draining and at
 // least one healthy backend), GET /livez, GET /metrics (the pdegw_*
-// metrics plane) and GET /cluster (membership snapshot). On
+// metrics plane) and GET /cluster (per-backend health snapshot). On
 // SIGINT/SIGTERM the gateway stops admitting work (healthz flips to 503),
 // relays every admitted request to completion, and exits 0; requests
 // still in flight past -drain-timeout are abandoned and the exit code
 // is 1. Backends are never drained by the gateway — kill them directly.
 //
-// Failure isolation: each backend has a circuit breaker (closed → open
-// after -breaker-threshold consecutive failures → half-open trial after
-// -breaker-open-probes prober sweeps), and failover retries draw from a
-// token bucket refilled at -retry-budget tokens per primary dispatch
-// (negative disables refill). An exhausted budget answers 429, never a
+// Failure isolation: each backend has one health record, a circuit
+// breaker (closed → open after -breaker-threshold consecutive failures →
+// half-open trial after 2 prober sweeps, doubling per failed trial up to
+// 16). A backend is healthy while its breaker is closed and it has not
+// failed since its last success; healthy backends are tried first. Failover
+// retries draw from a token bucket refilled at -retry-budget tokens per
+// primary dispatch (negative disables refill). An exhausted budget answers 429, never a
 // 5xx. The remaining request deadline is forwarded to backends per
 // attempt via the X-Pde-Deadline-Budget header.
 package main
@@ -54,17 +56,15 @@ func main() {
 		maxGrid       = flag.Int("max-grid", 12, "largest 2-D grid size a request may ask for (mirror the backends)")
 		maxSteps      = flag.Int("max-steps", 0, "cap on a stream's step count, mirroring the backends (0 = default 256)")
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "health probe period")
-		evictAfter    = flag.Int("evict-after", 1, "consecutive failures that evict a backend")
 		batchWindow   = flag.Duration("batch-window", 2*time.Millisecond, "same-shape coalescing window (negative disables batching)")
 		maxBatch      = flag.Int("max-batch", 8, "largest same-shape batch; a full window flushes early")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 
-		breakerThreshold  = flag.Int("breaker-threshold", 0, "consecutive failures that open a backend's circuit breaker (0 = default 3)")
-		breakerOpenProbes = flag.Int("breaker-open-probes", 0, "prober sweeps an open breaker waits before its half-open trial (0 = default 2)")
-		retryBudget       = flag.Float64("retry-budget", 0, "retry tokens deposited per primary dispatch (0 = default 0.1, negative disables refill)")
-		retryBudgetMax    = flag.Float64("retry-budget-max", 0, "retry token bucket cap and starting balance (0 = default 32)")
-		timeout           = flag.Duration("timeout", 0, "default request deadline when the body carries no deadline_ms (0 = default 5s)")
-		maxTimeout        = flag.Duration("max-timeout", 0, "clamp on client-supplied deadlines (0 = default 30s)")
+		breakerThreshold = flag.Int("breaker-threshold", 0, "consecutive failures that open a backend's circuit breaker (0 = default 3)")
+		retryBudget      = flag.Float64("retry-budget", 0, "retry tokens deposited per primary dispatch (0 = default 0.1, negative disables refill)")
+		retryBudgetMax   = flag.Float64("retry-budget-max", 0, "retry token bucket cap and starting balance (0 = default 32)")
+		timeout          = flag.Duration("timeout", 0, "default request deadline when the body carries no deadline_ms (0 = default 5s)")
+		maxTimeout       = flag.Duration("max-timeout", 0, "clamp on client-supplied deadlines (0 = default 30s)")
 	)
 	flag.Parse()
 
@@ -79,16 +79,14 @@ func main() {
 		MaxGridN:      *maxGrid,
 		MaxSteps:      *maxSteps,
 		ProbeInterval: *probeInterval,
-		EvictAfter:    *evictAfter,
 		BatchWindow:   *batchWindow,
 		MaxBatch:      *maxBatch,
 
-		BreakerThreshold:  *breakerThreshold,
-		BreakerOpenProbes: *breakerOpenProbes,
-		RetryBudgetRatio:  *retryBudget,
-		RetryBudgetMax:    *retryBudgetMax,
-		DefaultTimeout:    *timeout,
-		MaxTimeout:        *maxTimeout,
+		BreakerThreshold: *breakerThreshold,
+		RetryBudgetRatio: *retryBudget,
+		RetryBudgetMax:   *retryBudgetMax,
+		DefaultTimeout:   *timeout,
+		MaxTimeout:       *maxTimeout,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pdegw:", err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -12,103 +13,267 @@ import (
 	"testing"
 	"time"
 
+	"hybridpde/internal/cache"
 	"hybridpde/internal/serve"
 )
 
-// --- breaker state machine, pure unit level ---
+// --- health record, pure unit level ---
+
+// TestHealthStateMachineAtDefaults walks one backend's record through
+// every transition at the default Config (threshold 3, open window 2
+// sweeps, cap 16), one row at a time on the same record: each row acts,
+// then the record's state, its healthy view and both transition counters
+// must read as stated. Backend b is a healthy peer throughout.
+func TestHealthStateMachineAtDefaults(t *testing.T) {
+	var cfg Config
+	cfg.defaults()
+	ring, err := NewRing([]string{"a", "b"}, DefaultVNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &Gateway{cfg: cfg, ring: ring, m: newGwMetrics(), budget: newRetryBudget(-1, 1)}
+	g.health = newHealth(ring.Members(), cfg.BreakerThreshold, g.m)
+	h := g.health
+	fail := func(n int) {
+		for i := 0; i < n; i++ {
+			g.health.observe("a", backendFailed)
+		}
+	}
+	// sweeps ticks until a turns half-open and returns how many sweeps
+	// that took; a must be probed on that sweep and on no earlier one.
+	sweeps := func() int {
+		for n := 1; n <= 2*maxOpenSweeps; n++ {
+			due := h.tick()
+			probed := len(due) == 2
+			if h.state("a") == breakerHalfOpen {
+				if !probed {
+					t.Errorf("a turned half-open but was not probed (due %v)", due)
+				}
+				return n
+			}
+			if probed {
+				t.Errorf("open a probed on sweep %d (due %v)", n, due)
+			}
+		}
+		t.Fatal("a never turned half-open")
+		return 0
+	}
+	// A shape a owns, so that a walk that tried a first would have to
+	// spend the only retry token to reach b.
+	var kb cache.KeyBuilder
+	var shape cache.Key
+	for i := int64(0); ring.Assign(shape) != "a"; i++ {
+		kb.Reset()
+		kb.I64(1, i)
+		shape = kb.Sum()
+	}
+
+	rows := []struct {
+		name              string
+		act               func()
+		state             breakerState
+		healthy           bool
+		evictions, readds uint64
+	}{
+		{name: "first failure evicts", act: func() { fail(1) },
+			state: breakerClosed, evictions: 1},
+		{name: "success re-adds", act: func() { g.health.observe("a", backendAnswered) },
+			state: breakerClosed, healthy: true, evictions: 1, readds: 1},
+		{name: "third consecutive failure opens", act: func() {
+			fail(2)
+			if h.state("a") != breakerClosed {
+				t.Error("opened before the third failure")
+			}
+			fail(1)
+		}, state: breakerOpen, evictions: 2, readds: 1},
+		{name: "open is skipped by the walk with no token spent", act: func() {
+			if order := h.order(ring.Successors(shape)); len(order) != 1 || order[0] != "b" {
+				t.Errorf("walk order %v, want only b", order)
+			}
+			var tried []string
+			g.failover(context.Background(), shape, func(url string, _ int) (dispatchResult, outcome, bool) {
+				tried = append(tried, url)
+				return dispatchResult{status: http.StatusOK}, backendAnswered, false
+			})
+			if len(tried) != 1 || tried[0] != "b" {
+				t.Errorf("walk tried %v, want only b", tried)
+			}
+			if n := g.m.retryBudgetSpent.Value(); n != 0 || !g.budget.withdraw() {
+				t.Errorf("skipping open a spent a token (spent %d)", n)
+			}
+		}, state: breakerOpen, evictions: 2, readds: 1},
+		{name: "half-open after 2 sweeps admits one trial", act: func() {
+			if n := sweeps(); n != 2 {
+				t.Errorf("half-open after %d sweeps, want 2", n)
+			}
+			if !h.allow("a") || h.allow("a") {
+				t.Error("half-open a did not admit exactly one trial")
+			}
+		}, state: breakerHalfOpen, evictions: 2, readds: 1},
+		{name: "failed trial doubles the window up to 16", act: func() {
+			for _, want := range []int{4, 8, 16, 16} {
+				fail(1)
+				if n := sweeps(); n != want {
+					t.Errorf("reopened window %d sweeps, want %d", n, want)
+				}
+			}
+		}, state: breakerHalfOpen, evictions: 2, readds: 1},
+		{name: "close resets the window to 2", act: func() {
+			g.health.observe("a", backendAnswered)
+			fail(3)
+			if n := sweeps(); n != 2 {
+				t.Errorf("window after close: %d sweeps, want 2", n)
+			}
+		}, state: breakerHalfOpen, evictions: 3, readds: 2},
+		{name: "not-attributable books nothing and releases the trial", act: func() {
+			h.allow("a")
+			g.health.observe("a", notAttributable)
+			if !h.allow("a") {
+				t.Error("trial slot not released")
+			}
+		}, state: breakerHalfOpen, evictions: 3, readds: 2},
+	}
+	for _, row := range rows {
+		row.act()
+		rows, healthy := h.members()
+		a := rows[0]
+		if got := h.state("a"); got != row.state || h.healthy("a") != row.healthy {
+			t.Errorf("%s: state %v healthy %v, want %v %v", row.name, got, h.healthy("a"), row.state, row.healthy)
+		}
+		if a.Evictions != row.evictions || a.Readds != row.readds ||
+			g.m.evictions.Value() != row.evictions || g.m.readds.Value() != row.readds {
+			t.Errorf("%s: evictions %d (metric %d), readds %d (metric %d), want %d, %d", row.name,
+				a.Evictions, g.m.evictions.Value(), a.Readds, g.m.readds.Value(), row.evictions, row.readds)
+		}
+		if wantHealthy := map[bool]int{true: 2, false: 1}[row.healthy]; healthy != wantHealthy || !h.healthy("b") {
+			t.Errorf("%s: %d healthy backends, want %d", row.name, healthy, wantHealthy)
+		}
+	}
+}
 
 func TestBreakerOpensAfterThreshold(t *testing.T) {
-	bs := newBreakerSet([]string{"b"}, 2, 2, 8, newGwMetrics())
-	bs.record("b", false)
-	if got := bs.state("b"); got != breakerClosed {
+	h := newHealth([]string{"b"}, 2, newGwMetrics())
+	h.observe("b", backendFailed)
+	if got := h.state("b"); got != breakerClosed {
 		t.Fatalf("after 1 failure: state %v, want closed", got)
 	}
-	bs.record("b", false)
-	if got := bs.state("b"); got != breakerOpen {
+	h.observe("b", backendFailed)
+	if got := h.state("b"); got != breakerOpen {
 		t.Fatalf("after threshold failures: state %v, want open", got)
 	}
-	if bs.allow("b") {
+	if h.allow("b") {
 		t.Fatal("open breaker admitted a dispatch")
 	}
 	var page strings.Builder
-	bs.m.writeProm(&page)
+	h.m.writeProm(&page)
 	if want := `pdegw_breaker_state{backend="b"} 1` + "\n"; !strings.Contains(page.String(), want) {
 		t.Fatalf("open breaker's gauge: want %q in\n%s", want, page.String())
 	}
 }
 
 func TestBreakerSuccessResetsFailStreak(t *testing.T) {
-	bs := newBreakerSet([]string{"b"}, 2, 2, 8, newGwMetrics())
-	bs.record("b", false)
-	bs.record("b", true)
-	bs.record("b", false)
-	if got := bs.state("b"); got != breakerClosed {
+	h := newHealth([]string{"b"}, 2, newGwMetrics())
+	h.observe("b", backendFailed)
+	h.observe("b", backendAnswered)
+	h.observe("b", backendFailed)
+	if got := h.state("b"); got != breakerClosed {
 		t.Fatalf("interleaved success did not reset the streak: state %v", got)
 	}
 }
 
 func TestBreakerHalfOpenSingleTrial(t *testing.T) {
-	bs := newBreakerSet([]string{"b"}, 1, 2, 8, newGwMetrics())
-	bs.record("b", false)
-	bs.tick()
-	if got := bs.state("b"); got != breakerOpen {
-		t.Fatalf("one tick of two: state %v, want still open", got)
+	h := newHealth([]string{"b"}, 1, newGwMetrics())
+	h.observe("b", backendFailed)
+	h.tick()
+	if got := h.state("b"); got != breakerOpen {
+		t.Fatalf("one sweep of two: state %v, want still open", got)
 	}
-	bs.tick()
-	if got := bs.state("b"); got != breakerHalfOpen {
-		t.Fatalf("after openTicks sweeps: state %v, want half-open", got)
+	h.tick()
+	if got := h.state("b"); got != breakerHalfOpen {
+		t.Fatalf("after openSweeps sweeps: state %v, want half-open", got)
 	}
-	if !bs.allow("b") {
+	if !h.allow("b") {
 		t.Fatal("half-open breaker refused the first trial")
 	}
-	if bs.allow("b") {
+	if h.allow("b") {
 		t.Fatal("half-open breaker admitted a second concurrent trial")
 	}
-	bs.record("b", true)
-	if got := bs.state("b"); got != breakerClosed {
+	h.observe("b", backendAnswered)
+	if got := h.state("b"); got != breakerClosed {
 		t.Fatalf("successful trial: state %v, want closed", got)
 	}
-	if !bs.allow("b") {
+	if !h.allow("b") {
 		t.Fatal("closed breaker refused a dispatch")
 	}
 }
 
 func TestBreakerReopenDoublesWindow(t *testing.T) {
-	bs := newBreakerSet([]string{"b"}, 1, 1, 4, newGwMetrics())
+	h := newHealth([]string{"b"}, 1, newGwMetrics())
 	fail := func() {
 		t.Helper()
-		bs.record("b", false)
-		if got := bs.state("b"); got != breakerOpen {
+		h.observe("b", backendFailed)
+		if got := h.state("b"); got != breakerOpen {
 			t.Fatalf("state %v, want open", got)
 		}
 	}
-	toHalfOpen := func(wantTicks int) {
+	toHalfOpen := func(wantSweeps int) {
 		t.Helper()
-		for i := 0; i < wantTicks; i++ {
-			if got := bs.state("b"); got != breakerOpen {
-				t.Fatalf("tick %d/%d: state %v, want still open", i, wantTicks, got)
+		for i := 0; i < wantSweeps; i++ {
+			if got := h.state("b"); got != breakerOpen {
+				t.Fatalf("sweep %d/%d: state %v, want still open", i, wantSweeps, got)
 			}
-			bs.tick()
+			h.tick()
 		}
-		if got := bs.state("b"); got != breakerHalfOpen {
-			t.Fatalf("after %d ticks: state %v, want half-open", wantTicks, got)
+		if got := h.state("b"); got != breakerHalfOpen {
+			t.Fatalf("after %d sweeps: state %v, want half-open", wantSweeps, got)
 		}
-		if !bs.allow("b") {
+		if !h.allow("b") {
 			t.Fatal("half-open trial refused")
 		}
 	}
-	fail()        // open, window 1
-	toHalfOpen(1) //
-	fail()        // reopen, window 2
-	toHalfOpen(2) //
-	fail()        // reopen, window 4 (cap)
-	toHalfOpen(4) //
-	fail()        // reopen, window stays 4
-	toHalfOpen(4) //
-	bs.record("b", true)
+	fail() // open, window 2
+	toHalfOpen(2)
+	for _, window := range []int{4, 8, 16, 16} { // each failed trial doubles, capped
+		fail()
+		toHalfOpen(window)
+	}
+	h.observe("b", backendAnswered)
 	// Closing resets the window to base.
-	bs.record("b", false)
-	toHalfOpen(1)
+	fail()
+	toHalfOpen(2)
+}
+
+// TestMembershipProbeBackoff: the prober probes closed backends every
+// sweep, failed or not, and an open one only on the sweep its window runs
+// out; a backend that recovers is probed every sweep again.
+func TestMembershipProbeBackoff(t *testing.T) {
+	h := newHealth([]string{"a"}, 3, newGwMetrics())
+	probed := func() bool { return len(h.tick()) == 1 }
+	for i := 0; i < 3; i++ {
+		if !probed() {
+			t.Fatal("healthy backend skipped a probe sweep")
+		}
+		h.observe("a", backendFailed) // closed until the third failure
+	}
+	for _, want := range []int{2, 4, 8, 16, 16} {
+		got := 1
+		for !probed() {
+			if got++; got > maxOpenSweeps {
+				t.Fatal("probe never came due")
+			}
+		}
+		if got != want {
+			t.Fatalf("probed on sweep %d of the open window, want %d", got, want)
+		}
+		h.observe("a", backendFailed) // the half-open probe fails
+	}
+	for h.state("a") == breakerOpen {
+		h.tick()
+	}
+	h.observe("a", backendAnswered)
+	if !probed() || !probed() {
+		t.Fatal("recovered backend skipped a probe sweep")
+	}
 }
 
 // --- retry budget, pure unit level ---
@@ -151,15 +316,14 @@ func TestRetryBudgetZeroRatioNeverRefills(t *testing.T) {
 // closed without live traffic having to gamble on it.
 func TestGatewayBreakerOpensAndRecloses(t *testing.T) {
 	f := newTestFleet(t, 2, Config{
-		ProbeInterval:     20 * time.Millisecond,
-		BreakerThreshold:  1,
-		BreakerOpenProbes: 1,
+		ProbeInterval:    20 * time.Millisecond,
+		BreakerThreshold: 1,
 	})
 	url := f.backends[1].URL
 
 	f.servers[1].BeginDrain()
 	deadline := time.Now().Add(5 * time.Second)
-	for f.gw.breakers.state(url) == breakerClosed {
+	for f.gw.health.state(url) == breakerClosed {
 		if time.Now().After(deadline) {
 			t.Fatal("breaker never opened for the draining backend")
 		}
@@ -168,9 +332,9 @@ func TestGatewayBreakerOpensAndRecloses(t *testing.T) {
 
 	fresh := serve.NewServer(serve.Config{Workers: 1, QueueDepth: 16})
 	f.handlers[1].v.Store(fresh.Handler())
-	for f.gw.breakers.state(url) != breakerClosed {
+	for f.gw.health.state(url) != breakerClosed {
 		if time.Now().After(deadline) {
-			t.Fatalf("breaker never reclosed after restart (state %v)", f.gw.breakers.state(url))
+			t.Fatalf("breaker never reclosed after restart (state %v)", f.gw.health.state(url))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -185,25 +349,33 @@ func TestGatewayBreakerOpensAndRecloses(t *testing.T) {
 
 // TestGatewayRetryBudgetDenied: with refill disabled and a one-token
 // bucket, the first failover succeeds and the second is refused with 429
-// backpressure — never a 5xx.
+// backpressure — never a 5xx. The shape's owner is a zombie: its POSTs fail
+// with 503 while its /healthz answers, so the prober re-adds it between
+// the requests and the second request tries it first again.
 func TestGatewayRetryBudgetDenied(t *testing.T) {
+	var zombie string // host of the shape's owner, set once the fleet is up
 	f := newTestFleet(t, 2, Config{
-		ProbeInterval:    time.Hour, // dispatch path only
-		EvictAfter:       1 << 30,   // keep the dead backend "healthy" so every request retries it
-		BreakerThreshold: 1 << 30,   // keep its breaker closed for the same reason
+		ProbeInterval:    time.Hour, // sweeps only where the test calls probeSweep
 		RetryBudgetRatio: -1,        // no refill
 		RetryBudgetMax:   1,
+		Client: &http.Client{Transport: &scriptedTransport{post: func(r *http.Request) (*http.Response, error) {
+			if r.URL.Host == zombie {
+				return cannedResponse(http.StatusServiceUnavailable, strings.NewReader("{}")), nil
+			}
+			return http.DefaultTransport.RoundTrip(r)
+		}}},
 	})
 	req := serve.Request{Problem: serve.KindBurgers2D, N: 5}
-	f.backends[f.ownerIndex(t, req)].Close()
+	zombie = strings.TrimPrefix(f.backends[f.ownerIndex(t, req)].URL, "http://")
 
 	code, _, err := postGwSolve(f.gwServer.URL, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code != http.StatusOK {
-		t.Fatalf("first request after kill: status %d, want 200 via failover", code)
+		t.Fatalf("first request: status %d, want 200 via failover", code)
 	}
+	f.gw.probeSweep(context.Background()) // the zombie's /healthz re-adds it
 
 	body, err := json.Marshal(req)
 	if err != nil {

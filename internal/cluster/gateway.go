@@ -27,10 +27,6 @@ type Config struct {
 	MaxSteps int
 	// ProbeInterval is the health-probe period. Default 500ms.
 	ProbeInterval time.Duration
-	// EvictAfter is how many consecutive failures (probe or dispatch)
-	// evict a healthy backend. Default 1: the first failure does —
-	// failover retries make eviction cheap and re-adds are probed.
-	EvictAfter int
 	// BatchWindow is how long the first request of a shape holds its
 	// batch window open. Default 2ms; negative disables batching.
 	BatchWindow time.Duration
@@ -38,12 +34,9 @@ type Config struct {
 	// immediately. Default 8.
 	MaxBatch int
 	// BreakerThreshold is how many consecutive failures (dispatch or
-	// probe) open a backend's circuit breaker. Default 3.
+	// probe) open a backend's circuit breaker. Default 3. The first
+	// failure already takes a backend out of the healthy view.
 	BreakerThreshold int
-	// BreakerOpenProbes is the initial open window of a tripped breaker,
-	// measured in prober sweeps before the half-open trial; it doubles per
-	// failed trial up to 16 sweeps. Default 2.
-	BreakerOpenProbes int
 	// RetryBudgetRatio is how many retry tokens each primary dispatch
 	// deposits (the Envoy-style budget: failovers stay a bounded fraction
 	// of primary traffic). 0 uses the default 0.1; negative disables
@@ -69,19 +62,11 @@ const (
 	maxUpstreamBytes = 1 << 20
 	// probeTimeout bounds one health-probe round trip.
 	probeTimeout = time.Second
-	// backoffMaxProbes caps an evicted member's re-probe backoff and
-	// breakerMaxProbes an open breaker's window, in prober sweeps (each
-	// doubles 1, 2, 4, ... per failed attempt).
-	backoffMaxProbes = 16
-	breakerMaxProbes = 16
 )
 
 func (c *Config) defaults() {
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.EvictAfter <= 0 {
-		c.EvictAfter = 1
 	}
 	if c.BatchWindow == 0 {
 		c.BatchWindow = 2 * time.Millisecond
@@ -91,9 +76,6 @@ func (c *Config) defaults() {
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 3
-	}
-	if c.BreakerOpenProbes <= 0 {
-		c.BreakerOpenProbes = 2
 	}
 	if c.RetryBudgetRatio == 0 { //pdevet:allow floateq zero is the config-absent sentinel (never computed)
 		c.RetryBudgetRatio = 0.1
@@ -116,19 +98,18 @@ func (c *Config) defaults() {
 }
 
 // Gateway fronts a fleet of pdeserved backends: shape-affine consistent-
-// hash routing, health-checked membership, same-shape batching, and its
-// own metrics plane. Create with New, expose via Handler, stop with
-// Close (or, for graceful shutdown, the embedded gate's BeginDrain + Drain,
-// then Close).
+// hash routing, one health record (a circuit breaker) per backend,
+// same-shape batching, and its own metrics plane. Create with New, expose
+// via Handler, stop with Close (or, for graceful shutdown, the embedded
+// gate's BeginDrain + Drain, then Close).
 type Gateway struct {
 	serve.DrainGate
-	cfg      Config
-	ring     *Ring
-	ms       *membership
-	m        *gwMetrics
-	b        *batcher
-	breakers *breakerSet
-	budget   *retryBudget
+	cfg    Config
+	ring   *Ring
+	health *health
+	m      *gwMetrics
+	b      *batcher
+	budget *retryBudget
 
 	stopProbe context.CancelFunc
 	probeDone chan struct{}
@@ -146,13 +127,11 @@ func New(cfg Config) (*Gateway, error) {
 	g := &Gateway{
 		cfg:       cfg,
 		ring:      ring,
-		ms:        newMembership(ring.Members(), cfg.EvictAfter, backoffMaxProbes),
 		m:         newGwMetrics(),
 		probeDone: make(chan struct{}),
 	}
+	g.health = newHealth(ring.Members(), cfg.BreakerThreshold, g.m)
 	g.b = newBatcher(cfg.BatchWindow, cfg.MaxBatch, g.m)
-	g.breakers = newBreakerSet(ring.Members(), cfg.BreakerThreshold,
-		cfg.BreakerOpenProbes, breakerMaxProbes, g.m)
 	g.budget = newRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetMax)
 	ctx, cancel := context.WithCancel(context.Background())
 	g.stopProbe = cancel
@@ -170,7 +149,7 @@ func (g *Gateway) Close() {
 // Handler returns the gateway mux: POST /v1/solve, POST /v1/stream
 // (flush-through NDJSON proxy), GET /v1/problems (proxied), GET /healthz
 // (readiness), GET /livez (liveness), GET /metrics, GET /cluster
-// (membership snapshot).
+// (per-backend health snapshot).
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+string(serve.EndpointSolve), g.handleSolve)
@@ -183,7 +162,7 @@ func (g *Gateway) Handler() http.Handler {
 	return mux
 }
 
-// probeLoop drives the membership state machine after New's first sweep:
+// probeLoop drives the health records after New's first sweep:
 // one sweep per probe interval until ctx is cancelled (Close).
 func (g *Gateway) probeLoop(ctx context.Context) {
 	defer close(g.probeDone)
@@ -199,21 +178,17 @@ func (g *Gateway) probeLoop(ctx context.Context) {
 	}
 }
 
-// probeSweep probes every due member once. Each sweep is also one tick of
-// the breaker clock, and every probe outcome is observed like a dispatch
-// outcome — so a recovered backend closes its breaker from the prober's
+// probeSweep is one tick of the health clock, then one probe of every
+// backend that is due. Every probe outcome is observed like a dispatch
+// outcome, so a recovered backend closes its breaker from the prober's
 // evidence alone, without live traffic having to gamble on it first.
 func (g *Gateway) probeSweep(ctx context.Context) {
-	g.breakers.tick()
-	for _, url := range g.ring.Members() {
-		if !g.ms.dueForProbe(url) {
-			continue
-		}
+	for _, url := range g.health.tick() {
 		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		if probeBackend(pctx, g.cfg.Client, url) {
-			g.observe(url, backendAnswered)
+			g.health.observe(url, backendAnswered)
 		} else {
-			g.observe(url, backendFailed)
+			g.health.observe(url, backendFailed)
 		}
 		cancel()
 	}
@@ -296,7 +271,7 @@ func (g *Gateway) reply(w http.ResponseWriter, res dispatchResult) {
 // member order (the registry is identical fleet-wide by construction).
 func (g *Gateway) handleProblems(w http.ResponseWriter, r *http.Request) {
 	for _, url := range g.ring.Members() {
-		if !g.ms.healthy(url) {
+		if !g.health.healthy(url) {
 			continue
 		}
 		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url+"/v1/problems", nil)
@@ -325,7 +300,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case g.Draining():
 		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Health{Ready: false, Reason: "draining"})
-	case g.ms.healthyCount() == 0:
+	case g.healthyCount() == 0:
 		serve.WriteJSON(w, http.StatusServiceUnavailable, serve.Health{Ready: false, Reason: "no healthy backend"})
 	default:
 		serve.WriteJSON(w, http.StatusOK, serve.Health{Ready: true})
@@ -336,7 +311,7 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // health and draining gauges are computed at scrape time, so they never lag
 // the state they report.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	g.m.healthyBackends.Set(int64(g.ms.healthyCount()))
+	g.m.healthyBackends.Set(int64(g.healthyCount()))
 	if g.Draining() {
 		g.m.draining.Set(1)
 	}
@@ -362,28 +337,24 @@ type ClusterSnapshot struct {
 	Members     []ClusterMember `json:"members"`
 }
 
-// handleCluster is GET /cluster: a JSON snapshot of membership state, in
-// sorted member order (deterministic bodies; smoke scripts grep them).
+// healthyCount is how many backends are in the healthy view.
+func (g *Gateway) healthyCount() int {
+	_, n := g.health.members()
+	return n
+}
+
+// handleCluster is GET /cluster: a JSON snapshot of the backends' health,
+// in sorted member order (deterministic bodies; smoke scripts grep them).
+// A member is "healthy" or "evicted" (out of the healthy view).
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
-	snap := ClusterSnapshot{
+	members, healthy := g.health.members()
+	serve.WriteJSON(w, http.StatusOK, ClusterSnapshot{
 		RingMembers: g.ring.Len(),
 		VNodes:      DefaultVNodes,
-		Healthy:     g.ms.healthyCount(),
+		Healthy:     healthy,
 		Draining:    g.Draining(),
-	}
-	for _, url := range g.ring.Members() {
-		m, ok := g.ms.snapshot(url)
-		if !ok {
-			continue
-		}
-		snap.Members = append(snap.Members, ClusterMember{
-			URL:       m.url,
-			State:     m.state.String(),
-			Evictions: m.evictions,
-			Readds:    m.readds,
-		})
-	}
-	serve.WriteJSON(w, http.StatusOK, snap)
+		Members:     members,
+	})
 }
 
 // errorBody is the error-only JSON body the gateway originates itself

@@ -84,13 +84,14 @@ func TestGatewayHealthAttribution(t *testing.T) {
 	for _, row := range rows {
 		for i, ep := range []serve.Endpoint{serve.EndpointSolve, serve.EndpointStream} {
 			f := newTestFleet(t, 1, Config{
-				ProbeInterval: time.Hour, BreakerThreshold: 1, BreakerOpenProbes: 1,
+				ProbeInterval: time.Hour, BreakerThreshold: 1,
 				Client: &http.Client{Transport: &scriptedTransport{post: row.post}},
 			})
 			url := f.backends[0].URL
 			if row.suspect {
-				f.gw.observe(url, backendFailed) // evicted, breaker open
-				f.gw.breakers.tick()             // half-open
+				f.gw.health.observe(url, backendFailed) // evicted, breaker open
+				f.gw.health.tick()                      // the open window is 2 sweeps:
+				f.gw.health.tick()                      // half-open
 			}
 
 			body := `{"problem":"burgers2d","n":4`
@@ -121,10 +122,10 @@ func TestGatewayHealthAttribution(t *testing.T) {
 			if status != row.status[i] {
 				t.Errorf("%s %s: status %d, want %d", row.name, ep, status, row.status[i])
 			}
-			if got := f.gw.breakers.state(url); got != row.breaker {
+			if got := f.gw.health.state(url); got != row.breaker {
 				t.Errorf("%s %s: breaker %v, want %v", row.name, ep, got, row.breaker)
 			}
-			if f.gw.ms.healthy(url) {
+			if f.gw.health.healthy(url) {
 				t.Errorf("%s %s: member is healthy, want evicted", row.name, ep)
 			}
 			if n := f.gw.m.readds.Value(); n != 0 {

@@ -16,8 +16,8 @@ type gwMetrics struct {
 	backendFailures *promtext.CounterVec // labels: backend — transport errors + failover-class statuses
 	backendInflight *promtext.GaugeVec   // labels: backend — upstream requests in flight
 	failovers       promtext.Counter     // requests retried on a ring successor
-	evictions       promtext.Counter     // membership healthy→evicted transitions
-	readds          promtext.Counter     // membership evicted→healthy transitions
+	evictions       promtext.Counter     // healthy→unhealthy transitions
+	readds          promtext.Counter     // unhealthy→healthy transitions
 
 	// Failure-isolation plane: per-backend circuit breakers and the
 	// fleet-wide retry budget.
@@ -69,8 +69,8 @@ func (m *gwMetrics) writeProm(w io.Writer) {
 	promtext.WriteCounterVec(w, "pdegw_breaker_transitions_total", "Circuit-breaker state transitions, by backend and target state.", m.breakerTransitions)
 	promtext.WriteCounter(w, "pdegw_retry_budget_spent_total", "Failover attempts paid for by the retry budget.", &m.retryBudgetSpent)
 	promtext.WriteCounter(w, "pdegw_retry_budget_denied_total", "Failover attempts refused with 429 because the retry budget was exhausted.", &m.retryBudgetDenied)
-	promtext.WriteCounter(w, "pdegw_evictions_total", "Membership transitions from healthy to evicted.", &m.evictions)
-	promtext.WriteCounter(w, "pdegw_readds_total", "Membership transitions from evicted back to healthy.", &m.readds)
+	promtext.WriteCounter(w, "pdegw_evictions_total", "Backend transitions from healthy to evicted (a failure since the last success, or an open breaker).", &m.evictions)
+	promtext.WriteCounter(w, "pdegw_readds_total", "Backend transitions from evicted back to healthy (a success with the breaker closed).", &m.readds)
 	promtext.WriteGauge(w, "pdegw_healthy_backends", "Backends currently receiving routed traffic.", &m.healthyBackends)
 	promtext.WriteGauge(w, "pdegw_draining", "1 while the gateway is draining and refusing new work.", &m.draining)
 	promtext.WriteGauge(w, "pdegw_inflight_requests", "Requests currently inside the gateway.", &m.inflight)

@@ -1,7 +1,7 @@
 // Package cluster is the distributed-serving layer of the hybrid
 // pipeline: a consistent-hash ring that pins problem *shapes* to
-// backends, health-checked membership with eviction and backoff re-add,
-// and a same-shape request batcher — the pieces cmd/pdegw composes into a
+// backends, one health record (a circuit breaker) per backend, and a
+// same-shape request batcher — the pieces cmd/pdegw composes into a
 // stdlib-only gateway in front of N pdeserved backends.
 //
 // The routing invariant the whole package serves: a pdeserved backend
@@ -36,7 +36,7 @@ type ringPoint struct {
 // Construction sorts the member list, so rings built from the same set in
 // any order — in any process, at any GOMAXPROCS — assign every key
 // identically. The ring itself is immutable after construction; health is
-// the membership layer's concern, applied by walking Successors.
+// the health records' concern, applied by walking Successors.
 type Ring struct {
 	members []string
 	points  []ringPoint

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 
 	"hybridpde/internal/cache"
@@ -16,7 +15,7 @@ import (
 // outcome is what one upstream exchange — a dispatch attempt or a health
 // probe — says about its backend. Three values, not two: an attempt that
 // ended for the client's reasons is evidence of nothing, and booking it as
-// a success would close breakers and re-add members the backend never earned.
+// a success would close breakers and re-add backends that never earned it.
 type outcome int
 
 const (
@@ -31,54 +30,24 @@ const (
 	notAttributable
 )
 
-// observe is the one place an outcome reaches the two per-backend state
-// machines. A not-attributable attempt only hands back the half-open trial
-// slot it may hold.
-func (g *Gateway) observe(url string, o outcome) {
-	switch o {
-	case backendAnswered:
-		g.breakers.record(url, true)
-		if g.ms.markSuccess(url) {
-			g.m.readds.Inc()
-		}
-	case backendFailed:
-		g.breakers.record(url, false)
-		if g.ms.markFailure(url) {
-			g.m.evictions.Inc()
-		}
-	case notAttributable:
-		g.breakers.release(url)
-	}
-}
-
-// failoverOrder lists the backends a request pinned to shape may try: every
-// ring member in ring-successor order, healthy members first. Probe state
-// is advisory — unhealthy members are still candidates of last resort,
-// because the request is the ground truth.
-func (g *Gateway) failoverOrder(shape cache.Key) []string {
-	order := g.ring.Successors(shape)
-	sort.SliceStable(order, func(i, j int) bool {
-		return g.ms.healthy(order[i]) && !g.ms.healthy(order[j])
-	})
-	return order
-}
-
 // failover is the one failover walk both endpoints take. try runs one
 // attempt (counted from 0) against one backend and returns its buffered
 // result, its outcome, and whether the client has already been answered (a
-// committed stream). The walk owns the rest: backends with an open breaker
-// are skipped outright (no attempt, no token); every attempt after the
-// first must withdraw a retry-budget token, and an empty bucket is an
-// explicit 429 instead of amplified load on a browning-out fleet; every
-// outcome is observed; a failed attempt walks on only while the request
-// still has time. Unless answered, the result is what the client is owed.
+// committed stream). The walk owns the rest: it tries the shape's ring
+// successors in health.order's tiers, and skips backends whose breaker is
+// open (or whose half-open trial is taken) outright, with no attempt and
+// no token; every attempt after the first must withdraw a retry-budget
+// token, and an empty bucket is an explicit 429 instead of amplified load
+// on a browning-out fleet; every outcome is observed; a failed attempt
+// walks on only while the request still has time. Unless answered, the
+// result is what the client is owed.
 func (g *Gateway) failover(ctx context.Context, shape cache.Key,
 	try func(url string, attempt int) (res dispatchResult, o outcome, answered bool)) (dispatchResult, bool) {
 	g.budget.deposit()
 	attempts := 0
 	last := dispatchResult{err: errors.New("no backend available")}
-	for _, url := range g.failoverOrder(shape) {
-		if !g.breakers.allow(url) {
+	for _, url := range g.health.order(g.ring.Successors(shape)) {
+		if !g.health.allow(url) {
 			continue
 		}
 		if attempts > 0 {
@@ -98,7 +67,7 @@ func (g *Gateway) failover(ctx context.Context, shape cache.Key,
 		res, o, answered := try(url, attempts)
 		inflight.Dec()
 		attempts++
-		g.observe(url, o)
+		g.health.observe(url, o)
 		if answered || o != backendFailed {
 			return res, answered
 		}

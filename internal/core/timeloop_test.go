@@ -83,13 +83,11 @@ func TestTimeLoopMatchesManualSolveLoop(t *testing.T) {
 // TestTimeLoopChordWarmWorkspaceBitIdentity pins the perf tentpole's two
 // claims together: a chord trajectory reuses factorizations (the win), and
 // re-running it on an already-warm workspace reproduces the same bits (the
-// contract that lets pooled server workers stream without cold resets).
+// contract that lets server workers, each keeping its Workspace, stream
+// without cold resets).
 func TestTimeLoopChordWarmWorkspaceBitIdentity(t *testing.T) {
 	const steps = 5
-	pool := NewWorkspacePool()
-	ws := pool.Get()
-	defer pool.Put(ws)
-	opts := Options{SkipAnalog: true, Workspace: ws}
+	opts := Options{SkipAnalog: true, Workspace: NewWorkspace()}
 	opts.Newton.Chord = true
 
 	run := func() ([]loopFrame, TransientReport) {

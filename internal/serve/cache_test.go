@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"runtime"
@@ -98,50 +99,79 @@ func TestCacheHitByteIdentical(t *testing.T) {
 // TestCacheWarmStartSweep is the continuation contract: a parameter sweep
 // (same field realisation, nearby re) is served by the warm-start rung in
 // measurably fewer Newton iterations than the cold solve of the same
-// point, and the iteration histogram splits by start source.
+// point, and the iteration histogram splits by start source. Under a
+// strict seed gate the cached neighbour is found and then rejected: the
+// sweep point is counted stale and served, degraded but converged, by
+// digital Newton.
 func TestCacheWarmStartSweep(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	base := Request{Problem: KindBurgersSteady, N: 5, Seed: 11, Re: 1.0}
-	code, cold, _ := postSolve(t, ts.URL, base)
-	if code != http.StatusOK || !cold.Converged {
-		t.Fatalf("cold base solve failed: %d %+v", code, cold)
-	}
-
-	next := base
-	next.Re = 1.01 // within the default warm radius of the cached point
-	// Cold control: the same sweep point on a cache-free server.
-	_, tsOff := newTestServer(t, Config{Workers: 1, CacheEntries: -1})
-	codeOff, coldNext, _ := postSolve(t, tsOff.URL, next)
-	if codeOff != http.StatusOK || !coldNext.Converged {
-		t.Fatalf("cold control solve failed: %d %+v", codeOff, coldNext)
-	}
-
-	code, warm, _ := postSolve(t, ts.URL, next)
-	if code != http.StatusOK || !warm.Converged {
-		t.Fatalf("warm sweep solve failed: %d %+v", code, warm)
-	}
-	if warm.Rung != "warm-start" {
-		t.Fatalf("sweep point served by %q, want the warm-start rung (%+v)", warm.Rung, warm)
-	}
-	if warm.Degraded {
-		t.Fatal("a warm-start serve is the planned first rung, not a degradation")
-	}
-	if warm.Iterations >= coldNext.Iterations {
-		t.Fatalf("warm start took %d Newton iterations, cold control took %d — no continuation win",
-			warm.Iterations, coldNext.Iterations)
-	}
-	if w := s.m.cacheWarmHits.Value(); w != 1 {
-		t.Fatalf("warm hits = %d, want 1", w)
-	}
-	body := scrapeMetrics(t, ts)
-	for _, want := range []string{
-		"pdeserve_cache_warm_hits_total 1",
-		`pdeserve_newton_iterations_count{start="warm"} 1`,
-		`pdeserve_newton_iterations_count{start="cold"} 1`,
-		`pdeserve_ladder_served_total{rung="warm-start"} 1`,
+	for _, tc := range []struct {
+		problem string
+		gate    float64 // Config.SeedGate; 0 is the default, 1
+		rung    string  // the rung that serves the sweep point
+	}{
+		{problem: KindBurgersSteady, rung: "warm-start"},
+		{problem: KindBurgers2D, gate: 1, rung: "warm-start"},
+		{problem: KindBurgers2D, gate: 1e-3, rung: "digital"},
 	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("metrics missing %q:\n%s", want, body)
+		name := fmt.Sprintf("%s gate %g", tc.problem, tc.gate)
+		s, ts := newTestServer(t, Config{Workers: 1, SeedGate: tc.gate})
+		base := Request{Problem: tc.problem, N: 5, Seed: 11, Re: 1.0}
+		code, cold, _ := postSolve(t, ts.URL, base)
+		if code != http.StatusOK || !cold.Converged {
+			t.Fatalf("%s: cold base solve failed: %d %+v", name, code, cold)
+		}
+
+		next := base
+		next.Re = 1.01 // within the default warm radius of the cached point
+		code, warm, _ := postSolve(t, ts.URL, next)
+		if code != http.StatusOK || !warm.Converged {
+			t.Fatalf("%s: sweep solve failed: %d %+v", name, code, warm)
+		}
+		if warm.Rung != tc.rung {
+			t.Fatalf("%s: sweep point served by %q, want %q (%+v)", name, warm.Rung, tc.rung, warm)
+		}
+		body := scrapeMetrics(t, ts)
+		if tc.rung != "warm-start" {
+			// The gate rejected the cached neighbour: a stale candidate,
+			// not a warm hit, and a degradation below the planned rung.
+			if !warm.Degraded {
+				t.Fatalf("%s: a rejected warm start must report degraded (%+v)", name, warm)
+			}
+			if w := s.m.cacheWarmHits.Value(); w != 0 {
+				t.Fatalf("%s: warm hits = %d, want 0", name, w)
+			}
+			if !strings.Contains(body, "pdeserve_cache_stale_total 1\n") {
+				t.Fatalf("%s: metrics missing pdeserve_cache_stale_total 1:\n%s", name, body)
+			}
+			continue
+		}
+
+		// Cold control: the same sweep point on a cache-free server.
+		_, tsOff := newTestServer(t, Config{Workers: 1, CacheEntries: -1, SeedGate: tc.gate})
+		codeOff, coldNext, _ := postSolve(t, tsOff.URL, next)
+		if codeOff != http.StatusOK || !coldNext.Converged {
+			t.Fatalf("%s: cold control solve failed: %d %+v", name, codeOff, coldNext)
+		}
+		if warm.Degraded {
+			t.Fatalf("%s: a warm-start serve is the planned first rung, not a degradation", name)
+		}
+		if warm.Iterations >= coldNext.Iterations {
+			t.Fatalf("%s: warm start took %d Newton iterations, cold control took %d — no continuation win",
+				name, warm.Iterations, coldNext.Iterations)
+		}
+		if w := s.m.cacheWarmHits.Value(); w != 1 {
+			t.Fatalf("%s: warm hits = %d, want 1", name, w)
+		}
+		for _, want := range []string{
+			"pdeserve_cache_warm_hits_total 1",
+			"pdeserve_cache_stale_total 0\n",
+			`pdeserve_newton_iterations_count{start="warm"} 1`,
+			`pdeserve_newton_iterations_count{start="cold"} 1`,
+			`pdeserve_ladder_served_total{rung="warm-start"} 1`,
+		} {
+			if !strings.Contains(body, want) {
+				t.Fatalf("%s: metrics missing %q:\n%s", name, want, body)
+			}
 		}
 	}
 }

@@ -5,7 +5,7 @@
 // (Burgers steady/MOL, the 2-D grid problems, netlist programs) are
 // admitted into a bounded queue with explicit backpressure (429 +
 // Retry-After when full), executed by a worker pool sized to GOMAXPROCS
-// where each worker owns a pooled core.Workspace and per-shape problem
+// where each worker owns a core.Workspace for life and per-shape problem
 // caches so the steady-state request path stays allocation-free, honor
 // per-request deadlines through context, and drain in flight on graceful
 // shutdown. A metrics plane (/metrics in Prometheus text exposition,
@@ -21,7 +21,6 @@ import (
 
 	"hybridpde/internal/adapt"
 	"hybridpde/internal/cache"
-	"hybridpde/internal/core"
 	"hybridpde/internal/fault"
 )
 
@@ -171,7 +170,6 @@ type Server struct {
 	curWorkers int
 	parked     []*worker
 	seedSeq    int64
-	pool       *core.WorkspacePool
 	// cache is the content-addressed solve cache shared by every worker;
 	// nil when disabled (CacheEntries < 0 or chaos mode).
 	cache *cache.Store
@@ -181,7 +179,7 @@ type Server struct {
 }
 
 // NewServer builds the service: the worker fleet is created eagerly (each
-// with its pooled Workspace) so the first request of each worker pays no
+// with its own Workspace) so the first request of each worker pays no
 // setup beyond its problem-shape cache fill.
 func NewServer(cfg Config) *Server {
 	cfg.defaults()
@@ -190,7 +188,6 @@ func NewServer(cfg Config) *Server {
 		m:          newServeMetrics(),
 		workers:    make(chan *worker, cfg.MaxWorkers),
 		queueSlots: make(chan struct{}, cfg.MaxWorkers+cfg.QueueDepth),
-		pool:       core.NewWorkspacePool(),
 		curWorkers: cfg.Workers,
 		seedSeq:    int64(cfg.Workers),
 	}
@@ -198,7 +195,7 @@ func NewServer(cfg Config) *Server {
 		s.cache = cache.New(cfg.CacheEntries)
 	}
 	for i := 0; i < cfg.Workers; i++ {
-		s.workers <- newWorker(&s.cfg, s.pool, cfg.Seed+int64(i), s.cache)
+		s.workers <- newWorker(&s.cfg, cfg.Seed+int64(i), s.cache)
 	}
 	if cfg.Faults != nil {
 		s.transientFaults = cfg.Faults.Transient()
@@ -305,7 +302,7 @@ func (s *Server) reviveWorker() *worker {
 		s.parked = s.parked[:n-1]
 		return wk
 	}
-	wk := newWorker(&s.cfg, s.pool, s.cfg.Seed+s.seedSeq, s.cache)
+	wk := newWorker(&s.cfg, s.cfg.Seed+s.seedSeq, s.cache)
 	s.seedSeq++
 	return wk
 }

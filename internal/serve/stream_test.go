@@ -196,7 +196,7 @@ func TestStreamMatchesOfflineTimeLoop(t *testing.T) {
 	opts.Procs = 1
 	// A workspace is what carries the chord factorization across steps;
 	// without one each Solve would start cold and refactor.
-	opts.Workspace = core.NewWorkspacePool().Get()
+	opts.Workspace = core.NewWorkspace()
 	step := 0
 	_, err = core.TimeLoop(nil, b, opts, core.TimeLoopOptions{Steps: steps}, func(f *core.Frame) error {
 		got := res.frames[step]

@@ -18,8 +18,8 @@ import (
 // a 16×16 grid is the largest direct analog solve).
 var maxAnalogVars = analog.VariablesForGrid(analog.MaxPracticalGrid)
 
-// worker is one execution context of the pool. It owns a pooled
-// core.Workspace, a deterministic RNG, per-shape cached problems, and
+// worker is one execution context of the pool. It owns a core.Workspace
+// for its whole life, a deterministic RNG, per-shape cached problems, and
 // lazily-built analog resources, so the steady-state request path — a
 // same-shaped solve hitting a warm cache — performs no allocation. Workers
 // are checked out of the server's channel for the duration of one request,
@@ -77,9 +77,9 @@ type gridEntry struct {
 	f       []float64          // residual scratch
 }
 
-func newWorker(cfg *Config, pool *core.WorkspacePool, seed int64, store *cache.Store) *worker {
+func newWorker(cfg *Config, seed int64, store *cache.Store) *worker {
 	wk := &worker{
-		ws:      pool.Get(),
+		ws:      core.NewWorkspace(),
 		rng:     rand.New(rand.NewSource(seed)),
 		grid:    map[gridKey]*gridEntry{},
 		seeders: map[int]core.Seeder{},
@@ -116,7 +116,7 @@ func (wk *worker) run(ctx context.Context, req *Request, resp *Response) error {
 // prepare is the front half run and stream share: look up (or build) the
 // cached problem of the request's shape, refill its fields from the request
 // seed, and assemble the solve options every grid request starts from —
-// the worker's pooled Workspace, the priced backend, the per-solve
+// the worker's Workspace, the priced backend, the per-solve
 // parallelism and the analog seeder when the request asks for one.
 func (wk *worker) prepare(req *Request) (*gridEntry, core.Options, error) {
 	opts := core.Options{
@@ -252,7 +252,7 @@ func (wk *worker) drawInto(dst []float64, bound float64) {
 }
 
 // solveGrid is the hot request path: run the hybrid pipeline over the
-// prepared problem with the worker's pooled Workspace, and fill the
+// prepared problem with the worker's Workspace, and fill the
 // response. With a warm per-shape cache this stays at 0 allocs/op — the
 // property that lets the service absorb sustained same-shaped traffic
 // without GC pressure (TestServerSteadyPathZeroAlloc pins it dynamically).

@@ -5,10 +5,13 @@
 # failover and eviction, the killed backend's circuit breaker walking
 # open → half-open → closed around the kill and restart, the ring
 # re-adding the restarted backend, batch metrics moving, warm cache hits
-# on the pinned backends, a bounded retry budget refusing failovers with
-# 429 (never 5xx) once exhausted, and a clean SIGTERM drain of the
-# gateway. Run from the repository root; also available as
-# `make cluster-smoke`.
+# on the pinned backends, and a clean SIGTERM drain of the gateway. The
+# gateway's breakers open on the first failure (-breaker-threshold 1) and
+# wait the fixed 2-sweep window before a half-open probe. The retry
+# budget's 429 denial needs a backend whose solves fail while its
+# readiness probe answers, which a shell script cannot stage;
+# TestGatewayRetryBudgetDenied (internal/cluster) covers it. Run from the
+# repository root; also available as `make cluster-smoke`.
 #
 # Env knobs (defaults are CI-sized):
 #   SMOKE_GW_ADDR    gateway address    (default 127.0.0.1:18090)
@@ -27,13 +30,11 @@ TMP="$(mktemp -d)"
 B1_PORT="$BASE_PORT"
 B2_PORT=$((BASE_PORT + 1))
 B3_PORT=$((BASE_PORT + 2))
-GW2_ADDR="127.0.0.1:$((BASE_PORT + 8))"
-DEAD_URL="http://127.0.0.1:$((BASE_PORT + 9))" # nothing ever listens here
 # Every PID starts empty (set -u) and is killed on its own: an empty PID in
 # a shared kill list makes kill reject the whole list.
-GW_PID="" GW2_PID="" B1_PID="" B2_PID="" B3_PID=""
+GW_PID="" B1_PID="" B2_PID="" B3_PID=""
 cleanup() {
-	for pid in $GW_PID $GW2_PID $B1_PID $B2_PID $B3_PID; do
+	for pid in $GW_PID $B1_PID $B2_PID $B3_PID; do
 		kill "$pid" 2>/dev/null || true
 	done
 	rm -rf "$TMP"
@@ -72,7 +73,7 @@ wait_healthy "http://127.0.0.1:$B3_PORT" "$TMP/b3.log"
 BACKENDS="http://127.0.0.1:$B1_PORT,http://127.0.0.1:$B2_PORT,http://127.0.0.1:$B3_PORT"
 echo "== boot pdegw on $GW_ADDR fronting $BACKENDS"
 "$TMP/pdegw" -addr "$GW_ADDR" -backends "$BACKENDS" \
-	-probe-interval 200ms -breaker-threshold 1 -breaker-open-probes 1 \
+	-probe-interval 200ms -breaker-threshold 1 \
 	>"$TMP/gw.log" 2>&1 &
 GW_PID=$!
 wait_healthy "http://$GW_ADDR" "$TMP/gw.log"
@@ -205,48 +206,6 @@ if [ "$HOT" -lt 1 ]; then
 	exit 1
 fi
 echo "backends with warm caches: $HOT"
-
-echo "== retry budget: an aux gateway fronting a dead backend spends, then denies"
-# Half the shapes pin to the dead URL; each such request burns one failover
-# token. With refill disabled and a two-token bucket, the third dead-pinned
-# request must be refused with 429 backpressure — never a 5xx.
-"$TMP/pdegw" -addr "$GW2_ADDR" \
-	-backends "http://127.0.0.1:$B1_PORT,$DEAD_URL" \
-	-probe-interval 1h -evict-after 1000000 -breaker-threshold 1000000 \
-	-retry-budget -1 -retry-budget-max 2 >"$TMP/gw2.log" 2>&1 &
-GW2_PID=$!
-wait_healthy "http://$GW2_ADDR" "$TMP/gw2.log"
-CODES=""
-for N in 4 5 6 7 8 9 10 11 12; do
-	CODE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST \
-		-H 'Content-Type: application/json' \
-		-d "{\"problem\":\"burgers-steady\",\"n\":$N,\"seed\":2}" \
-		"http://$GW2_ADDR/v1/solve")"
-	CODES="$CODES $CODE"
-	case "$CODE" in
-	200 | 429) ;;
-	*)
-		echo "budget sweep surfaced status $CODE (want only 200/429):$CODES" >&2
-		cat "$TMP/gw2.log" >&2
-		exit 1
-		;;
-	esac
-done
-echo "sweep codes:$CODES"
-GW2_METRICS="$(curl -fsS "http://$GW2_ADDR/metrics")"
-echo "$GW2_METRICS" | grep -q '^pdegw_retry_budget_spent_total [1-9]' || {
-	echo "no retry-budget token was ever spent" >&2
-	echo "$GW2_METRICS" | grep '^pdegw_retry_budget' >&2
-	exit 1
-}
-echo "$GW2_METRICS" | grep -q '^pdegw_retry_budget_denied_total [1-9]' || {
-	echo "the exhausted budget never denied a failover" >&2
-	echo "$GW2_METRICS" | grep '^pdegw_retry_budget' >&2
-	exit 1
-}
-echo "$GW2_METRICS" | grep '^pdegw_retry_budget'
-kill "$GW2_PID" 2>/dev/null || true
-GW2_PID=""
 
 echo "== SIGTERM drain of the gateway"
 kill -TERM "$GW_PID"

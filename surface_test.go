@@ -20,8 +20,6 @@ import (
 // the operator question it answers, so it ends in "?"; a flag's is the
 // deployment resource it bounds, so it starts with "bounds ".
 var unreadSurface = map[string]string{
-	"pdeserve_cache_stale_total": "how often does the warm-start rung find a cached neighbour and then reject it at the residual gate (warm hits lost, not misses)?",
-
 	"/debug/pprof/":        "why is this backend slow: which profiles can I pull from its loopback debug listener?",
 	"/debug/pprof/cmdline": "which command line is this backend process actually running?",
 	"/debug/pprof/profile": "why is this backend slow: where does its CPU time go?",
@@ -41,6 +39,8 @@ var unreadSurface = map[string]string{
 	"pdegw -max-batch":         "bounds the requests one window ships to one backend at once",
 	"pdegw -max-grid":          "bounds the grid size routed to backends (mirrors their -max-grid)",
 	"pdegw -max-timeout":       "bounds how long a client-supplied deadline may hold the gateway and a backend",
+	"pdegw -retry-budget":      "bounds failover amplification: the retry tokens each primary dispatch earns",
+	"pdegw -retry-budget-max":  "bounds a failover burst: the retry tokens the gateway may hold and starts with",
 	"pdegw -timeout":           "bounds how long a request without deadline_ms may hold the gateway and a backend",
 }
 
