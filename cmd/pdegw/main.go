@@ -7,7 +7,6 @@
 //	      [-addr :8090] [-max-grid N] [-max-steps N]
 //	      [-probe-interval D]
 //	      [-batch-window D] [-max-batch N] [-drain-timeout D]
-//	      [-breaker-threshold N]
 //	      [-retry-budget F] [-retry-budget-max F]
 //	      [-timeout D] [-max-timeout D]
 //
@@ -24,7 +23,7 @@
 // is 1. Backends are never drained by the gateway — kill them directly.
 //
 // Failure isolation: each backend has one health record, a circuit
-// breaker (closed → open after -breaker-threshold consecutive failures →
+// breaker (closed → open after 3 consecutive failures →
 // half-open trial after 2 prober sweeps, doubling per failed trial up to
 // 16). A backend is healthy while its breaker is closed and it has not
 // failed since its last success; healthy backends are tried first. Failover
@@ -60,11 +59,10 @@ func main() {
 		maxBatch      = flag.Int("max-batch", 8, "largest same-shape batch; a full window flushes early")
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 
-		breakerThreshold = flag.Int("breaker-threshold", 0, "consecutive failures that open a backend's circuit breaker (0 = default 3)")
-		retryBudget      = flag.Float64("retry-budget", 0, "retry tokens deposited per primary dispatch (0 = default 0.1, negative disables refill)")
-		retryBudgetMax   = flag.Float64("retry-budget-max", 0, "retry token bucket cap and starting balance (0 = default 32)")
-		timeout          = flag.Duration("timeout", 0, "default request deadline when the body carries no deadline_ms (0 = default 5s)")
-		maxTimeout       = flag.Duration("max-timeout", 0, "clamp on client-supplied deadlines (0 = default 30s)")
+		retryBudget    = flag.Float64("retry-budget", 0, "retry tokens deposited per primary dispatch (0 = default 0.1, negative disables refill)")
+		retryBudgetMax = flag.Float64("retry-budget-max", 0, "retry token bucket cap and starting balance (0 = default 32)")
+		timeout        = flag.Duration("timeout", 0, "default request deadline when the body carries no deadline_ms (0 = default 5s)")
+		maxTimeout     = flag.Duration("max-timeout", 0, "clamp on client-supplied deadlines (0 = default 30s)")
 	)
 	flag.Parse()
 
@@ -82,7 +80,6 @@ func main() {
 		BatchWindow:   *batchWindow,
 		MaxBatch:      *maxBatch,
 
-		BreakerThreshold: *breakerThreshold,
 		RetryBudgetRatio: *retryBudget,
 		RetryBudgetMax:   *retryBudgetMax,
 		DefaultTimeout:   *timeout,

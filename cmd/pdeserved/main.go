@@ -4,11 +4,9 @@
 //
 //	pdeserved [-addr :8080] [-debug-addr 127.0.0.1:8081] [-workers N]
 //	          [-min-workers N] [-max-workers N] [-scale-interval D]
-//	          [-scale-up-queue N] [-scale-idle-ticks N]
 //	          [-queue N] [-max-grid N] [-timeout D] [-max-timeout D]
 //	          [-seed N] [-drain-timeout D] [-chaos] [-chaos-spec SPEC]
-//	          [-retries N] [-seed-gate F] [-cache-size N] [-cache-off]
-//	          [-max-steps N]
+//	          [-retries N] [-cache-size N] [-max-steps N]
 //
 // The API listener serves POST /v1/solve, POST /v1/stream (NDJSON transient
 // trajectories, one frame line per time step), GET /v1/problems,
@@ -27,9 +25,9 @@
 // -max-workers above -min-workers arms the autoscaler (internal/adapt): a
 // tick-driven controller samples queue depth, shed rate and solve latency
 // every -scale-interval and resizes the worker pool inside
-// [-min-workers, -max-workers]. Each solve runs serial unless -solve-procs
-// says otherwise, so keep -max-workers within GOMAXPROCS. Responses are
-// bit-identical at every pool size.
+// [-min-workers, -max-workers] with internal/adapt's default thresholds.
+// Each solve runs serial, so keep -max-workers within GOMAXPROCS.
+// Responses are bit-identical at every pool size.
 package main
 
 import (
@@ -50,28 +48,23 @@ import (
 
 func main() {
 	var (
-		addr           = flag.String("addr", ":8080", "API listen address")
-		debugAddr      = flag.String("debug-addr", "127.0.0.1:8081", "pprof/debug listen address (empty disables)")
-		workers        = flag.Int("workers", 0, "initial solve workers (0 = -min-workers if set, else GOMAXPROCS)")
-		minWorkers     = flag.Int("min-workers", 0, "autoscaler floor on the worker pool (0 = pin at -workers)")
-		maxWorkers     = flag.Int("max-workers", 0, "autoscaler ceiling on the worker pool (0 = pin at -workers)")
-		scaleInterval  = flag.Duration("scale-interval", 250*time.Millisecond, "autoscaler controller tick period (0 disables the autoscaler)")
-		scaleUpQueue   = flag.Int("scale-up-queue", 0, "queue depth that triggers a scale-up (0 = default 4)")
-		scaleIdleTicks = flag.Int("scale-idle-ticks", 0, "consecutive idle ticks before scaling down one worker (0 = default 20)")
-		queue          = flag.Int("queue", 64, "admission queue depth beyond the worker count")
-		maxGrid        = flag.Int("max-grid", 12, "largest 2-D grid size a request may ask for")
-		timeout        = flag.Duration("timeout", 5*time.Second, "default per-request deadline")
-		maxTimeout     = flag.Duration("max-timeout", 30*time.Second, "clamp on client-supplied deadlines")
-		seed           = flag.Int64("seed", 1, "base seed for worker fabrics and accelerators")
-		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight solves")
-		chaos          = flag.Bool("chaos", false, "inject the built-in fault spec into every worker accelerator")
-		chaosSpec      = flag.String("chaos-spec", "", "fault spec text, or @file to load one (implies -chaos)")
-		retries        = flag.Int("retries", 0, "per-request retries of transient-fault solves (0 = default 2, negative disables)")
-		seedGate       = flag.Float64("seed-gate", 0, "seed-quality gate factor (0 = default 1: reject seeds worse than the start)")
-		solveProcs     = flag.Int("solve-procs", 0, "per-solve parallel workers (0 or negative = 1)")
-		cacheSize      = flag.Int("cache-size", 0, "solve-cache entry bound (0 = default 4096)")
-		cacheOff       = flag.Bool("cache-off", false, "disable the content-addressed solve cache")
-		maxSteps       = flag.Int("max-steps", 0, "cap on a POST /v1/stream trajectory's step count (0 = default 256)")
+		addr          = flag.String("addr", ":8080", "API listen address")
+		debugAddr     = flag.String("debug-addr", "127.0.0.1:8081", "pprof/debug listen address (empty disables)")
+		workers       = flag.Int("workers", 0, "initial solve workers (0 = -min-workers if set, else GOMAXPROCS)")
+		minWorkers    = flag.Int("min-workers", 0, "autoscaler floor on the worker pool (0 = pin at -workers)")
+		maxWorkers    = flag.Int("max-workers", 0, "autoscaler ceiling on the worker pool (0 = pin at -workers)")
+		scaleInterval = flag.Duration("scale-interval", 250*time.Millisecond, "autoscaler controller tick period (0 disables the autoscaler)")
+		queue         = flag.Int("queue", 64, "admission queue depth beyond the worker count")
+		maxGrid       = flag.Int("max-grid", 12, "largest 2-D grid size a request may ask for")
+		timeout       = flag.Duration("timeout", 5*time.Second, "default per-request deadline")
+		maxTimeout    = flag.Duration("max-timeout", 30*time.Second, "clamp on client-supplied deadlines")
+		seed          = flag.Int64("seed", 1, "base seed for worker fabrics and accelerators")
+		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight solves")
+		chaos         = flag.Bool("chaos", false, "inject the built-in fault spec into every worker accelerator")
+		chaosSpec     = flag.String("chaos-spec", "", "fault spec text, or @file to load one (implies -chaos)")
+		retries       = flag.Int("retries", 0, "per-request retries of transient-fault solves (0 = default 2, negative disables)")
+		cacheSize     = flag.Int("cache-size", 0, "solve-cache entry bound (0 = default 4096, negative disables the cache)")
+		maxSteps      = flag.Int("max-steps", 0, "cap on a POST /v1/stream trajectory's step count (0 = default 256)")
 	)
 	flag.Parse()
 
@@ -84,10 +77,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pdeserved: chaos mode: %d fault classes injected\n", len(faults.Faults))
 	}
 
-	cacheEntries := *cacheSize
-	if *cacheOff {
-		cacheEntries = -1
-	}
 	initialWorkers := *workers
 	if initialWorkers == 0 && *minWorkers > 0 {
 		// With an autoscaler range configured, start at the floor and let
@@ -104,10 +93,8 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Seed:           *seed,
 		Faults:         faults,
-		SeedGate:       *seedGate,
 		MaxRetries:     *retries,
-		SolveProcs:     *solveProcs,
-		CacheEntries:   cacheEntries,
+		CacheEntries:   *cacheSize,
 		MaxSteps:       *maxSteps,
 	})
 
@@ -115,12 +102,7 @@ func main() {
 	defer stop()
 
 	if *maxWorkers > *minWorkers && *maxWorkers > 1 && *scaleInterval > 0 {
-		ctrl := adapt.New(adapt.Config{
-			Min:          *minWorkers,
-			Max:          *maxWorkers,
-			ScaleUpQueue: *scaleUpQueue,
-			IdleTicks:    *scaleIdleTicks,
-		})
+		ctrl := adapt.New(adapt.Config{Min: *minWorkers, Max: *maxWorkers})
 		ticker := time.NewTicker(*scaleInterval)
 		defer ticker.Stop()
 		go adapt.Run(ctx, ticker.C, ctrl, s)

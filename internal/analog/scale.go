@@ -7,16 +7,8 @@ import (
 
 	"hybridpde/internal/la"
 	"hybridpde/internal/nonlin"
+	"hybridpde/internal/problem"
 )
-
-// DegreeReporter lets a nonlinear system advertise its polynomial degree so
-// the dynamic-range scaler can normalise it. Systems with transcendental
-// nonlinearities report a negative degree.
-type DegreeReporter interface {
-	// PolynomialDegree returns the total degree of the polynomial system,
-	// or a negative value for non-polynomial (transcendental) systems.
-	PolynomialDegree() int
-}
 
 // ErrTranscendental is returned for systems that cannot be range-scaled.
 // §5.3: "Transcendental nonlinear functions cause problems for analog
@@ -54,7 +46,7 @@ type scaledSystem struct {
 // reaction systems are quadratic) — and derives the scale factors from it.
 func newScaledSparse(sys nonlin.SparseSystem, dynamicRange float64) (*scaledSystem, error) {
 	deg := 2
-	if d, ok := sys.(DegreeReporter); ok {
+	if d, ok := sys.(problem.DegreeReporter); ok {
 		deg = d.PolynomialDegree()
 		if deg < 0 {
 			return nil, ErrTranscendental

@@ -36,7 +36,7 @@ func TestHealthStateMachineAtDefaults(t *testing.T) {
 	h := g.health
 	fail := func(n int) {
 		for i := 0; i < n; i++ {
-			g.health.observe("a", backendFailed)
+			g.health.observe("a", backendFailed, false)
 		}
 	}
 	// sweeps ticks until a turns half-open and returns how many sweeps
@@ -77,7 +77,7 @@ func TestHealthStateMachineAtDefaults(t *testing.T) {
 	}{
 		{name: "first failure evicts", act: func() { fail(1) },
 			state: breakerClosed, evictions: 1},
-		{name: "success re-adds", act: func() { g.health.observe("a", backendAnswered) },
+		{name: "success re-adds", act: func() { g.health.observe("a", backendAnswered, false) },
 			state: breakerClosed, healthy: true, evictions: 1, readds: 1},
 		{name: "third consecutive failure opens", act: func() {
 			fail(2)
@@ -106,7 +106,7 @@ func TestHealthStateMachineAtDefaults(t *testing.T) {
 			if n := sweeps(); n != 2 {
 				t.Errorf("half-open after %d sweeps, want 2", n)
 			}
-			if !h.allow("a") || h.allow("a") {
+			if !admitted(h, "a") || admitted(h, "a") {
 				t.Error("half-open a did not admit exactly one trial")
 			}
 		}, state: breakerHalfOpen, evictions: 2, readds: 1},
@@ -119,16 +119,16 @@ func TestHealthStateMachineAtDefaults(t *testing.T) {
 			}
 		}, state: breakerHalfOpen, evictions: 2, readds: 1},
 		{name: "close resets the window to 2", act: func() {
-			g.health.observe("a", backendAnswered)
+			g.health.observe("a", backendAnswered, false)
 			fail(3)
 			if n := sweeps(); n != 2 {
 				t.Errorf("window after close: %d sweeps, want 2", n)
 			}
 		}, state: breakerHalfOpen, evictions: 3, readds: 2},
 		{name: "not-attributable books nothing and releases the trial", act: func() {
-			h.allow("a")
-			g.health.observe("a", notAttributable)
-			if !h.allow("a") {
+			_, trial := h.allow("a")
+			g.health.observe("a", notAttributable, trial)
+			if !admitted(h, "a") {
 				t.Error("trial slot not released")
 			}
 		}, state: breakerHalfOpen, evictions: 3, readds: 2},
@@ -153,15 +153,15 @@ func TestHealthStateMachineAtDefaults(t *testing.T) {
 
 func TestBreakerOpensAfterThreshold(t *testing.T) {
 	h := newHealth([]string{"b"}, 2, newGwMetrics())
-	h.observe("b", backendFailed)
+	h.observe("b", backendFailed, false)
 	if got := h.state("b"); got != breakerClosed {
 		t.Fatalf("after 1 failure: state %v, want closed", got)
 	}
-	h.observe("b", backendFailed)
+	h.observe("b", backendFailed, false)
 	if got := h.state("b"); got != breakerOpen {
 		t.Fatalf("after threshold failures: state %v, want open", got)
 	}
-	if h.allow("b") {
+	if admitted(h, "b") {
 		t.Fatal("open breaker admitted a dispatch")
 	}
 	var page strings.Builder
@@ -173,9 +173,9 @@ func TestBreakerOpensAfterThreshold(t *testing.T) {
 
 func TestBreakerSuccessResetsFailStreak(t *testing.T) {
 	h := newHealth([]string{"b"}, 2, newGwMetrics())
-	h.observe("b", backendFailed)
-	h.observe("b", backendAnswered)
-	h.observe("b", backendFailed)
+	h.observe("b", backendFailed, false)
+	h.observe("b", backendAnswered, false)
+	h.observe("b", backendFailed, false)
 	if got := h.state("b"); got != breakerClosed {
 		t.Fatalf("interleaved success did not reset the streak: state %v", got)
 	}
@@ -183,7 +183,7 @@ func TestBreakerSuccessResetsFailStreak(t *testing.T) {
 
 func TestBreakerHalfOpenSingleTrial(t *testing.T) {
 	h := newHealth([]string{"b"}, 1, newGwMetrics())
-	h.observe("b", backendFailed)
+	h.observe("b", backendFailed, false)
 	h.tick()
 	if got := h.state("b"); got != breakerOpen {
 		t.Fatalf("one sweep of two: state %v, want still open", got)
@@ -192,26 +192,51 @@ func TestBreakerHalfOpenSingleTrial(t *testing.T) {
 	if got := h.state("b"); got != breakerHalfOpen {
 		t.Fatalf("after openSweeps sweeps: state %v, want half-open", got)
 	}
-	if !h.allow("b") {
+	if !admitted(h, "b") {
 		t.Fatal("half-open breaker refused the first trial")
 	}
-	if h.allow("b") {
+	if admitted(h, "b") {
 		t.Fatal("half-open breaker admitted a second concurrent trial")
 	}
-	h.observe("b", backendAnswered)
+	h.observe("b", backendAnswered, false)
 	if got := h.state("b"); got != breakerClosed {
 		t.Fatalf("successful trial: state %v, want closed", got)
 	}
-	if !h.allow("b") {
+	if !admitted(h, "b") {
 		t.Fatal("closed breaker refused a dispatch")
 	}
+}
+
+// TestHalfOpenTrialHeldAgainstEarlierAttempt: an attempt admitted while
+// the breaker was closed that ends not-attributable after the breaker went
+// half-open must not free the trial another request holds.
+func TestHalfOpenTrialHeldAgainstEarlierAttempt(t *testing.T) {
+	h := newHealth([]string{"b"}, 1, newGwMetrics())
+	_, early := h.allow("b") // admitted while closed
+	h.observe("b", backendFailed, false)
+	h.tick()
+	h.tick()
+	ok, trial := h.allow("b")
+	if !ok || !trial {
+		t.Fatalf("half-open breaker: allow = %v, %v, want the trial", ok, trial)
+	}
+	h.observe("b", notAttributable, early)
+	if admitted(h, "b") {
+		t.Fatal("a closed-era attempt freed the running trial: a second trial got in")
+	}
+}
+
+// admitted is allow's first result: whether a dispatch may go.
+func admitted(h *health, url string) bool {
+	ok, _ := h.allow(url)
+	return ok
 }
 
 func TestBreakerReopenDoublesWindow(t *testing.T) {
 	h := newHealth([]string{"b"}, 1, newGwMetrics())
 	fail := func() {
 		t.Helper()
-		h.observe("b", backendFailed)
+		h.observe("b", backendFailed, false)
 		if got := h.state("b"); got != breakerOpen {
 			t.Fatalf("state %v, want open", got)
 		}
@@ -227,7 +252,7 @@ func TestBreakerReopenDoublesWindow(t *testing.T) {
 		if got := h.state("b"); got != breakerHalfOpen {
 			t.Fatalf("after %d sweeps: state %v, want half-open", wantSweeps, got)
 		}
-		if !h.allow("b") {
+		if !admitted(h, "b") {
 			t.Fatal("half-open trial refused")
 		}
 	}
@@ -237,7 +262,7 @@ func TestBreakerReopenDoublesWindow(t *testing.T) {
 		fail()
 		toHalfOpen(window)
 	}
-	h.observe("b", backendAnswered)
+	h.observe("b", backendAnswered, false)
 	// Closing resets the window to base.
 	fail()
 	toHalfOpen(2)
@@ -253,7 +278,7 @@ func TestMembershipProbeBackoff(t *testing.T) {
 		if !probed() {
 			t.Fatal("healthy backend skipped a probe sweep")
 		}
-		h.observe("a", backendFailed) // closed until the third failure
+		h.observe("a", backendFailed, false) // closed until the third failure
 	}
 	for _, want := range []int{2, 4, 8, 16, 16} {
 		got := 1
@@ -265,12 +290,12 @@ func TestMembershipProbeBackoff(t *testing.T) {
 		if got != want {
 			t.Fatalf("probed on sweep %d of the open window, want %d", got, want)
 		}
-		h.observe("a", backendFailed) // the half-open probe fails
+		h.observe("a", backendFailed, false) // the half-open probe fails
 	}
 	for h.state("a") == breakerOpen {
 		h.tick()
 	}
-	h.observe("a", backendAnswered)
+	h.observe("a", backendAnswered, false)
 	if !probed() || !probed() {
 		t.Fatal("recovered backend skipped a probe sweep")
 	}
@@ -313,7 +338,8 @@ func TestRetryBudgetZeroRatioNeverRefills(t *testing.T) {
 
 // TestGatewayBreakerOpensAndRecloses: a draining backend trips its breaker
 // from probe evidence alone, and a restarted one walks open → half-open →
-// closed without live traffic having to gamble on it.
+// closed without live traffic having to gamble on it, each step counted in
+// pdegw_breaker_transitions_total.
 func TestGatewayBreakerOpensAndRecloses(t *testing.T) {
 	f := newTestFleet(t, 2, Config{
 		ProbeInterval:    20 * time.Millisecond,
@@ -340,9 +366,10 @@ func TestGatewayBreakerOpensAndRecloses(t *testing.T) {
 	}
 
 	page := scrape(t, f.gwServer.URL)
-	for _, want := range []string{`to="open"`, `to="half_open"`, `to="closed"`} {
-		if !strings.Contains(page, want) {
-			t.Fatalf("metrics missing breaker transition %s:\n%s", want, page)
+	for _, to := range []string{"open", "half_open", "closed"} {
+		series := `pdegw_breaker_transitions_total{backend="` + url + `",to="` + to + `"}`
+		if sample(t, page, series) < 1 {
+			t.Fatalf("%s not counted:\n%s", series, page)
 		}
 	}
 }

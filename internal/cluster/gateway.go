@@ -186,9 +186,9 @@ func (g *Gateway) probeSweep(ctx context.Context) {
 	for _, url := range g.health.tick() {
 		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		if probeBackend(pctx, g.cfg.Client, url) {
-			g.health.observe(url, backendAnswered)
+			g.health.observe(url, backendAnswered, false)
 		} else {
-			g.health.observe(url, backendFailed)
+			g.health.observe(url, backendFailed, false)
 		}
 		cancel()
 	}

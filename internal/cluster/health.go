@@ -124,16 +124,21 @@ func (h *health) transition(url string, b *backend, to breakerState) {
 }
 
 // observe is the one place an outcome — a dispatch attempt's or a health
-// probe's — reaches a backend's state machine. A not-attributable outcome
-// books nothing and only hands back the half-open trial slot it may hold.
-func (h *health) observe(url string, o outcome) {
+// probe's — reaches a backend's state machine. trial says whether the
+// attempt holds the half-open trial slot (allow's second result; false for
+// a probe). A not-attributable outcome books nothing and only hands back
+// that slot, so an attempt admitted while the breaker was closed cannot
+// free another request's running trial.
+func (h *health) observe(url string, o outcome, trial bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	b := h.backends[url]
 	wasHealthy := b.healthy()
 	switch {
 	case o == notAttributable:
-		b.trial = false
+		if trial {
+			b.trial = false
+		}
 	case o == backendAnswered:
 		b.fails = 0
 		if b.state == breakerHalfOpen {
@@ -163,23 +168,25 @@ func (h *health) observe(url string, o outcome) {
 	}
 }
 
-// allow reports whether a dispatch attempt may be sent to the backend. A
-// half-open breaker admits exactly one trial at a time; an open one
-// admits nothing until its window elapses.
-func (h *health) allow(url string) bool {
+// allow reports whether a dispatch attempt may be sent to the backend,
+// and whether that attempt took the half-open trial slot. A half-open
+// breaker admits exactly one trial at a time; an open one admits nothing
+// until its window elapses.
+func (h *health) allow(url string) (ok, trial bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	b := h.backends[url]
 	switch b.state {
 	case breakerOpen:
-		return false
+		return false, false
 	case breakerHalfOpen:
 		if b.trial {
-			return false
+			return false, false
 		}
 		b.trial = true
+		return true, true
 	}
-	return true
+	return true, false
 }
 
 // tick advances the clock by one prober sweep: open breakers whose window

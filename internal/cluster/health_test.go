@@ -89,9 +89,9 @@ func TestGatewayHealthAttribution(t *testing.T) {
 			})
 			url := f.backends[0].URL
 			if row.suspect {
-				f.gw.health.observe(url, backendFailed) // evicted, breaker open
-				f.gw.health.tick()                      // the open window is 2 sweeps:
-				f.gw.health.tick()                      // half-open
+				f.gw.health.observe(url, backendFailed, false) // evicted, breaker open
+				f.gw.health.tick()                             // the open window is 2 sweeps:
+				f.gw.health.tick()                             // half-open
 			}
 
 			body := `{"problem":"burgers2d","n":4`

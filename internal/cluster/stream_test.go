@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -87,6 +88,94 @@ func TestGatewayStreamRelay(t *testing.T) {
 		if !strings.Contains(page, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, page)
 		}
+	}
+}
+
+// holdAfterFirstFlush passes a backend's response through and, after the
+// response's first flush (a stream's first frame), holds the handler until
+// release closes: the rest of the trajectory cannot reach the wire before
+// the test lets it.
+type holdAfterFirstFlush struct {
+	http.ResponseWriter
+	release <-chan struct{}
+	flushed bool
+}
+
+func (h *holdAfterFirstFlush) Flush() {
+	h.ResponseWriter.(http.Flusher).Flush()
+	if !h.flushed {
+		h.flushed = true
+		<-h.release
+	}
+}
+
+// TestGatewayStreamFirstFrameWhileRunning: the relay hands the client each
+// frame as the backend flushes it. The backend is held after its first
+// frame until the client has read that frame through the gateway, so the
+// trajectory is provably still running when it arrives; a relay that
+// buffered the body would deliver nothing until the guard fails the test.
+func TestGatewayStreamFirstFrameWhileRunning(t *testing.T) {
+	f := newTestFleet(t, 1, Config{})
+	release := make(chan struct{})
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(release) }) }) // before the listeners close
+	inner := f.servers[0].Handler()
+	held := http.NewServeMux() // swapHandler stores one concrete type
+	held.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		inner.ServeHTTP(&holdAfterFirstFlush{ResponseWriter: w, release: release}, r)
+	})
+	f.handlers[0].v.Store(held)
+
+	// The deadline outlasts the guard below, so a buffering relay fails on
+	// the guard rather than on a deadline that cuts the stream short.
+	const steps = 8
+	body, err := json.Marshal(serve.Request{Problem: serve.KindBurgers2D, N: 4, Seed: 5, Steps: steps, DeadlineMillis: 20000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type firstLine struct {
+		resp *http.Response
+		rd   *bufio.Reader
+		line string
+		err  error
+	}
+	got := make(chan firstLine, 1)
+	go func() {
+		resp, err := http.Post(f.gwServer.URL+"/v1/stream", "application/json", bytes.NewReader(body))
+		if err != nil {
+			got <- firstLine{err: err}
+			return
+		}
+		rd := bufio.NewReader(resp.Body)
+		line, err := rd.ReadString('\n')
+		got <- firstLine{resp, rd, line, err}
+	}()
+	var first firstLine
+	select {
+	case first = <-got:
+	case <-time.After(10 * time.Second): // a hang guard, not a latency bound
+		t.Fatal("no frame reached the client while the backend held the rest of its trajectory")
+	}
+	if first.err != nil {
+		t.Fatal(first.err)
+	}
+	defer first.resp.Body.Close()
+	var frame serve.StreamFrame
+	if err := json.Unmarshal([]byte(first.line), &frame); err != nil || frame.Step != 1 {
+		t.Fatalf("first line %q is not frame 1 (%v)", first.line, err)
+	}
+	if v := sample(t, scrape(t, f.backends[0].URL), "pdeserve_streams_in_flight"); v != 1 {
+		t.Fatalf("backend streams in flight = %d when frame 1 arrived, want 1", v)
+	}
+
+	once.Do(func() { close(release) })
+	rest, err := io.ReadAll(first.rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(rest), "\n"), "\n")
+	if len(lines) != steps || !strings.Contains(lines[steps-1], `"done":true`) {
+		t.Fatalf("after frame 1: %d lines, want %d more frames and the done line:\n%s", len(lines), steps-1, rest)
 	}
 }
 

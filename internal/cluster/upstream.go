@@ -47,7 +47,8 @@ func (g *Gateway) failover(ctx context.Context, shape cache.Key,
 	attempts := 0
 	last := dispatchResult{err: errors.New("no backend available")}
 	for _, url := range g.health.order(g.ring.Successors(shape)) {
-		if !g.health.allow(url) {
+		ok, trial := g.health.allow(url)
+		if !ok {
 			continue
 		}
 		if attempts > 0 {
@@ -67,7 +68,7 @@ func (g *Gateway) failover(ctx context.Context, shape cache.Key,
 		res, o, answered := try(url, attempts)
 		inflight.Dec()
 		attempts++
-		g.health.observe(url, o)
+		g.health.observe(url, o, trial)
 		if answered || o != backendFailed {
 			return res, answered
 		}

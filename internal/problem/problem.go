@@ -46,6 +46,8 @@ type SparseSystem interface {
 // DegreeReporter is the optional polynomial-degree hook of the analog
 // dynamic-range scaler (§5.3); stencil systems are quadratic.
 type DegreeReporter interface {
+	// PolynomialDegree returns the total degree of the polynomial system,
+	// or a negative value for non-polynomial (transcendental) systems.
 	PolynomialDegree() int
 }
 

@@ -14,20 +14,19 @@ import (
 
 // metrics is the fixed metric set of the solve service.
 type metrics struct {
-	requests        *promtext.CounterVec   // labels: problem, code
-	queueRejects    promtext.Counter       // 429s: admission queue full
-	queueDepth      promtext.Gauge         // requests admitted but not yet executing
-	inflight        promtext.Gauge         // solves executing on a worker
-	draining        promtext.Gauge         // 1 while the server refuses new work
-	workers         promtext.Gauge         // current worker-pool size (moves under Resize)
-	solveProcsGauge promtext.Gauge         // per-solve parallelism (Config.SolveProcs)
-	resizes         *promtext.CounterVec   // labels: direction, reason — pool resizes
-	budgetRejects   promtext.Counter       // 504s: gateway deadline budget already spent
-	budgetClamped   promtext.Counter       // deadlines tightened by the gateway's budget header
-	solveLatency    *promtext.Histogram    // seconds, measured wall time on the worker
-	newtonIters     *promtext.HistogramVec // labels: start — Newton iterations by start source (cold/analog/warm)
-	seedsTotal      promtext.Counter       // solves that ran the analog seeding stage
-	seedsAccepted   promtext.Counter       // seeds that improved on the initial residual
+	requests      *promtext.CounterVec   // labels: problem, code
+	queueRejects  promtext.Counter       // 429s: admission queue full
+	queueDepth    promtext.Gauge         // requests admitted but not yet executing
+	inflight      promtext.Gauge         // solves executing on a worker
+	draining      promtext.Gauge         // 1 while the server refuses new work
+	workers       promtext.Gauge         // current worker-pool size (moves under Resize)
+	resizes       *promtext.CounterVec   // labels: direction, reason — pool resizes
+	budgetRejects promtext.Counter       // 504s: gateway deadline budget already spent
+	budgetClamped promtext.Counter       // deadlines tightened by the gateway's budget header
+	solveLatency  *promtext.Histogram    // seconds, measured wall time on the worker
+	newtonIters   *promtext.HistogramVec // labels: start — Newton iterations by start source (cold/analog/warm)
+	seedsTotal    promtext.Counter       // solves that ran the analog seeding stage
+	seedsAccepted promtext.Counter       // seeds that improved on the initial residual
 
 	// Solve-cache plane (internal/cache behind the ladder's cache rungs).
 	cacheHits        promtext.Counter // exact content-address replays served
@@ -87,7 +86,6 @@ func (m *metrics) writeProm(w io.Writer) {
 	promtext.WriteGauge(w, "pdeserve_inflight_solves", "Solves currently executing on a worker.", &m.inflight)
 	promtext.WriteGauge(w, "pdeserve_draining", "1 while the server is draining and refusing new work.", &m.draining)
 	promtext.WriteGauge(w, "pdeserve_workers", "Current worker-pool size (moves under the autoscaler's Resize).", &m.workers)
-	promtext.WriteGauge(w, "pdeserve_solve_procs", "Per-solve parallelism (-solve-procs; 1 unless set).", &m.solveProcsGauge)
 	promtext.WriteCounterVec(w, "pdeserve_resizes_total", "Worker-pool resizes, by direction and scale-decision reason.", m.resizes)
 	promtext.WriteCounter(w, "pdeserve_deadline_budget_rejects_total", "Requests refused because the gateway's forwarded deadline budget was already spent.", &m.budgetRejects)
 	promtext.WriteCounter(w, "pdeserve_deadline_budget_clamped_total", "Request deadlines tightened by the gateway's X-Pde-Deadline-Budget header.", &m.budgetClamped)

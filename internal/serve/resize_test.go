@@ -151,6 +151,62 @@ func TestScaleUpWhileQueueFull(t *testing.T) {
 	s.workers <- busy
 }
 
+// TestAutoscalerScalesPoolUpAndBack: adapt's controller at its default
+// thresholds, fed this server's own signals, grows the pool off its floor
+// while requests queue and retires the extra worker once the pool idles.
+func TestAutoscalerScalesPoolUpAndBack(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, MinWorkers: 1, MaxWorkers: 2, QueueDepth: 8})
+	ctrl := adapt.New(adapt.Config{Min: 1, Max: 2})
+	tick := func() {
+		if d := ctrl.Tick(s.Observe()); d.Reason != "" {
+			s.Resize(d.Target, d.Reason)
+		}
+	}
+
+	busy := <-s.workers // starve the pool so every request queues
+	const queued = 4    // adapt's default scale-up queue depth
+	codes := make(chan int, queued)
+	for i := 0; i < queued; i++ {
+		go func(i int) {
+			code, _, _, _ := trySolve(ts.URL, Request{Problem: KindBurgersSteady, N: 4, Seed: int64(i)})
+			codes <- code
+		}(i)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Observe().QueueDepth < queued {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d, want %d", s.Observe().QueueDepth, queued)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	tick()
+	if got := s.Workers(); got != 2 {
+		t.Fatalf("workers after a tick at queue depth %d = %d, want 2", queued, got)
+	}
+	s.workers <- busy
+	for i := 0; i < queued; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("queued request: status %d", code)
+		}
+	}
+	for i := 0; s.Workers() > 1; i++ {
+		if i == 1000 {
+			t.Fatal("an idle pool never shrank back to its floor")
+		}
+		tick()
+	}
+	page := scrapeMetrics(t, ts)
+	for _, want := range []string{
+		"pdeserve_workers 1",
+		`pdeserve_resizes_total{direction="up",reason="queue"} 1`,
+		`pdeserve_resizes_total{direction="down",reason="idle"} 1`,
+	} {
+		if !strings.Contains(page, want) {
+			t.Fatalf("metrics missing %q:\n%s", want, page)
+		}
+	}
+}
+
 // TestChaosWithAutoscaler: the tick-driven controller resizing a pool
 // under injected faults and concurrent load never surfaces a server error
 // and lands back inside its bounds. Run with -race, this is also the

@@ -74,11 +74,11 @@ type Config struct {
 	// SolveProcs is each solve's intra-solve worker count (core.Options
 	// Procs). 0 and negative mean 1: the benchmark measured splitting a
 	// solve at serving sizes as a slowdown (par.speedup_p2 0.87 at dim
-	// 512), so the server scales by Workers ≤ GOMAXPROCS and an operator
-	// who wants intra-solve parallelism asks for it. Request-level and
-	// solve-level parallelism compose multiplicatively — Workers solves ×
-	// SolveProcs goroutines each. Responses are bit-identical at every
-	// setting.
+	// 512), so the server scales by Workers ≤ GOMAXPROCS; only an
+	// embedding caller that wants intra-solve parallelism sets it
+	// (pdeserved has no flag for it). Request-level and solve-level
+	// parallelism compose multiplicatively — Workers solves × SolveProcs
+	// goroutines each. Responses are bit-identical at every setting.
 	SolveProcs int
 	// CacheEntries bounds the content-addressed solve cache shared by all
 	// workers. 0 uses the default capacity (cache.DefaultCapacity);
@@ -202,7 +202,6 @@ func NewServer(cfg Config) *Server {
 		s.m.faultsActive.Set(int64(len(cfg.Faults.Faults)))
 	}
 	s.m.workers.Set(int64(cfg.Workers))
-	s.m.solveProcsGauge.Set(int64(cfg.SolveProcs))
 	return s
 }
 

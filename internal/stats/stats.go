@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -125,26 +124,4 @@ func (h *Histogram) String() string {
 		fmt.Fprintf(&b, "%8.3f │%s %d\n", h.BinCenter(k), strings.Repeat("█", bar), c)
 	}
 	return b.String()
-}
-
-// Percentile returns the p-th percentile (0..100) of x by nearest-rank on a
-// sorted copy.
-func Percentile(x []float64, p float64) float64 {
-	if len(x) == 0 {
-		return math.NaN()
-	}
-	s := make([]float64, len(x))
-	copy(s, x)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	if p >= 100 {
-		return s[len(s)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(s)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return s[rank]
 }

@@ -86,16 +86,3 @@ func TestHistogram(t *testing.T) {
 		t.Fatal("String should render bars")
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	x := []float64{5, 1, 3, 2, 4}
-	if Percentile(x, 0) != 1 || Percentile(x, 100) != 5 {
-		t.Fatal("extreme percentiles wrong")
-	}
-	if got := Percentile(x, 50); got != 3 {
-		t.Fatalf("median %g, want 3", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Fatal("empty percentile should be NaN")
-	}
-}
