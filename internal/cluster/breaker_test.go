@@ -111,15 +111,19 @@ func TestHealthStateMachineAtDefaults(t *testing.T) {
 			}
 		}, state: breakerHalfOpen, evictions: 2, readds: 1},
 		{name: "failed trial doubles the window up to 16", act: func() {
-			for _, want := range []int{4, 8, 16, 16} {
-				fail(1)
+			for i, want := range []int{4, 8, 16, 16} {
+				if i == 0 {
+					h.observe("a", backendFailed, true) // the trial admitted above
+				} else {
+					h.probed("a", false) // the sweep's probe is the trial
+				}
 				if n := sweeps(); n != want {
 					t.Errorf("reopened window %d sweeps, want %d", n, want)
 				}
 			}
 		}, state: breakerHalfOpen, evictions: 2, readds: 1},
 		{name: "close resets the window to 2", act: func() {
-			g.health.observe("a", backendAnswered, false)
+			h.probed("a", true)
 			fail(3)
 			if n := sweeps(); n != 2 {
 				t.Errorf("window after close: %d sweeps, want 2", n)
@@ -192,13 +196,14 @@ func TestBreakerHalfOpenSingleTrial(t *testing.T) {
 	if got := h.state("b"); got != breakerHalfOpen {
 		t.Fatalf("after openSweeps sweeps: state %v, want half-open", got)
 	}
-	if !admitted(h, "b") {
+	ok, trial := h.allow("b")
+	if !ok || !trial {
 		t.Fatal("half-open breaker refused the first trial")
 	}
 	if admitted(h, "b") {
 		t.Fatal("half-open breaker admitted a second concurrent trial")
 	}
-	h.observe("b", backendAnswered, false)
+	h.observe("b", backendAnswered, trial)
 	if got := h.state("b"); got != breakerClosed {
 		t.Fatalf("successful trial: state %v, want closed", got)
 	}
@@ -234,9 +239,10 @@ func admitted(h *health, url string) bool {
 
 func TestBreakerReopenDoublesWindow(t *testing.T) {
 	h := newHealth([]string{"b"}, 1, newGwMetrics())
+	trial := false // whether the next outcome is a half-open trial's
 	fail := func() {
 		t.Helper()
-		h.observe("b", backendFailed, false)
+		h.observe("b", backendFailed, trial)
 		if got := h.state("b"); got != breakerOpen {
 			t.Fatalf("state %v, want open", got)
 		}
@@ -252,7 +258,8 @@ func TestBreakerReopenDoublesWindow(t *testing.T) {
 		if got := h.state("b"); got != breakerHalfOpen {
 			t.Fatalf("after %d sweeps: state %v, want half-open", wantSweeps, got)
 		}
-		if !admitted(h, "b") {
+		var ok bool
+		if ok, trial = h.allow("b"); !ok || !trial {
 			t.Fatal("half-open trial refused")
 		}
 	}
@@ -262,7 +269,8 @@ func TestBreakerReopenDoublesWindow(t *testing.T) {
 		fail()
 		toHalfOpen(window)
 	}
-	h.observe("b", backendAnswered, false)
+	h.observe("b", backendAnswered, trial)
+	trial = false
 	// Closing resets the window to base.
 	fail()
 	toHalfOpen(2)
@@ -290,12 +298,12 @@ func TestMembershipProbeBackoff(t *testing.T) {
 		if got != want {
 			t.Fatalf("probed on sweep %d of the open window, want %d", got, want)
 		}
-		h.observe("a", backendFailed, false) // the half-open probe fails
+		h.probed("a", false) // the half-open probe fails
 	}
 	for h.state("a") == breakerOpen {
 		h.tick()
 	}
-	h.observe("a", backendAnswered, false)
+	h.probed("a", true)
 	if !probed() || !probed() {
 		t.Fatal("recovered backend skipped a probe sweep")
 	}

@@ -185,11 +185,7 @@ func (g *Gateway) probeLoop(ctx context.Context) {
 func (g *Gateway) probeSweep(ctx context.Context) {
 	for _, url := range g.health.tick() {
 		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
-		if probeBackend(pctx, g.cfg.Client, url) {
-			g.health.observe(url, backendAnswered, false)
-		} else {
-			g.health.observe(url, backendFailed, false)
-		}
+		g.health.probed(url, probeBackend(pctx, g.cfg.Client, url))
 		cancel()
 	}
 }

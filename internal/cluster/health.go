@@ -27,6 +27,10 @@ import (
 //	half-open --(trial success)--> closed, window reset to openSweeps
 //	half-open --(trial failure)--> open, window doubled up to maxOpenSweeps
 //
+// The trial is the one dispatch allow admits while half-open, or the
+// sweep's probe while no dispatch holds that slot; any other outcome
+// leaves a half-open breaker as it is.
+//
 // The ring never changes: an unhealthy backend keeps its ring positions,
 // so its shapes come straight back to its warm cache when it recovers.
 type breakerState int
@@ -123,22 +127,53 @@ func (h *health) transition(url string, b *backend, to breakerState) {
 	h.m.breakerTransitions.With(url, to.String()).Inc()
 }
 
-// observe is the one place an outcome — a dispatch attempt's or a health
-// probe's — reaches a backend's state machine. trial says whether the
-// attempt holds the half-open trial slot (allow's second result; false for
-// a probe). A not-attributable outcome books nothing and only hands back
-// that slot, so an attempt admitted while the breaker was closed cannot
-// free another request's running trial.
+// observe books a dispatch attempt's outcome. trial is allow's second
+// result: whether the attempt holds the half-open trial slot. A half-open
+// breaker moves only on its trial's outcome (or on a probe, see probed).
+// An attempt admitted while the breaker was still closed books nothing
+// there, failure or success: it reports on the backend from before the
+// failures that opened the breaker, and booking it would reopen the
+// breaker and double its window while the trial runs (a stale failure), or
+// close it before the trial answers (a stale success). A not-attributable
+// outcome books nothing and only hands back the trial slot.
 func (h *health) observe(url string, o outcome, trial bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	b := h.backends[url]
+	if b.state == breakerHalfOpen && !trial {
+		return
+	}
+	h.book(url, b, o)
+}
+
+// probed books a health probe's answer. The probe a sweep sends to a
+// backend it has just turned half-open is that sweep's own trial: it moves
+// the breaker like a trial's outcome, unless a dispatch holds the trial
+// slot, whose outcome then decides. Letting the probe move the breaker
+// under a running trial could reopen it and, two sweeps on, admit a
+// second trial while the first is still out.
+func (h *health) probed(url string, ready bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	b := h.backends[url]
+	if b.state == breakerHalfOpen && b.trial {
+		return
+	}
+	o := backendFailed
+	if ready {
+		o = backendAnswered
+	}
+	h.book(url, b, o)
+}
+
+// book moves one breaker on an outcome allowed to move it. Callers hold
+// h.mu. The trial slot is held only while the breaker is half-open, so an
+// outcome that leaves half-open, or a not-attributable one, frees it.
+func (h *health) book(url string, b *backend, o outcome) {
 	wasHealthy := b.healthy()
 	switch {
 	case o == notAttributable:
-		if trial {
-			b.trial = false
-		}
+		b.trial = false
 	case o == backendAnswered:
 		b.fails = 0
 		if b.state == breakerHalfOpen {
@@ -192,8 +227,7 @@ func (h *health) allow(url string) (ok, trial bool) {
 // tick advances the clock by one prober sweep: open breakers whose window
 // elapses go half-open. It returns the backends due for a probe this
 // sweep, every one that is not open: closed backends are probed every
-// sweep and an open one on the sweep it turns half-open (a probe bypasses
-// the trial slot).
+// sweep and an open one on the sweep it turns half-open (see probed).
 func (h *health) tick() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -204,7 +238,6 @@ func (h *health) tick() []string {
 			if b.wait--; b.wait > 0 {
 				continue
 			}
-			b.trial = false
 			h.transition(url, b, breakerHalfOpen)
 		}
 		due = append(due, url)
