@@ -121,8 +121,9 @@ while [ "$i" -le 20 ]; do
 done
 
 echo "== SIGTERM every process with a stream in flight"
-# An analog-seeded 256-step stream runs for about a second, so the first
-# frame lands long before the last.
+# An analog-seeded 256-step stream runs for about 0.7 s on a 2-vCPU VM (its
+# first frame after ≈10 ms), so the 50 ms poll below sends SIGTERM with
+# most of the stream still to come.
 curl -sS -N -X POST -H 'Content-Type: application/json' \
 	-d '{"problem":"burgers2d","n":8,"seed":3,"steps":256,"analog":true,"deadline_ms":25000}' \
 	"http://$GW/v1/stream" -o "$TMP/drain.ndjson" &
