@@ -87,7 +87,7 @@ func refCholeskyFactor(f *BandCholesky) error {
 }
 
 // refCholeskySolve is BandCholesky.SolveInto with the forward pass written
-// out as a scalar loop.
+// out as a scalar loop and the backward pass's four partial sums indexed.
 func refCholeskySolve(f *BandCholesky, x []float64) {
 	n, w := f.n, f.w
 	data := f.data
@@ -104,11 +104,16 @@ func refCholeskySolve(f *BandCholesky, x []float64) {
 	}
 	for i := n - 1; i >= 0; i-- {
 		row := data[i*w : i*w+min(f.b, n-1-i)+1]
-		s := x[i]
-		for j := 1; j < len(row); j++ {
-			s -= float64(row[j] * x[i+j])
+		var s [4]float64
+		m := len(row) - 1
+		for j := 1; j <= m; j++ {
+			if j <= m-m%4 {
+				s[(j-1)%4] += float64(row[j] * x[i+j])
+			} else {
+				s[0] += float64(row[j] * x[i+j])
+			}
 		}
-		x[i] = s / row[0]
+		x[i] = (x[i] - ((s[0] + s[1]) + (s[2] + s[3]))) / row[0]
 	}
 }
 
