@@ -33,7 +33,7 @@ type directSeeder struct{ acc *analog.Accelerator }
 
 func (d *directSeeder) Seed(ctx context.Context, sys problem.SparseSystem, seed []float64, opts *Options, rep *Report) error {
 	if dim := sys.Dim(); dim > d.acc.Capacity() {
-		return fmt.Errorf("core: problem dimension %d exceeds accelerator capacity %d", dim, d.acc.Capacity())
+		return fmt.Errorf("core: problem dimension %d exceeds accelerator capacity %d: %w", dim, d.acc.Capacity(), analog.ErrInsufficientHardware)
 	}
 	sol, err := d.acc.SolveSparse(ctx, sys, seed, opts.Analog)
 	if err != nil {

@@ -50,6 +50,21 @@ func TestHybridDirectPath(t *testing.T) {
 	}
 }
 
+// TestDirectSeederOverCapacityIsInsufficientHardware pins the sentinel a
+// caller classifies on: a direct seed of a system larger than the
+// accelerator must be recognisable by errors.Is, not by its message.
+func TestDirectSeederOverCapacityIsInsufficientHardware(t *testing.T) {
+	b := mustRandomBurgers(t, 3, 0.5, 61)
+	acc := analog.NewPrototype(10)
+	if b.Dim() <= acc.Capacity() {
+		t.Fatalf("dimension %d fits capacity %d; the test needs an oversize system", b.Dim(), acc.Capacity())
+	}
+	err := (&directSeeder{acc: acc}).Seed(context.Background(), b, b.InitialGuess(), &Options{}, &Report{})
+	if !errors.Is(err, analog.ErrInsufficientHardware) {
+		t.Fatalf("over-capacity direct seed: got %v, want analog.ErrInsufficientHardware", err)
+	}
+}
+
 func TestHybridDecomposedPath(t *testing.T) {
 	// 4×4 grid = 32 unknowns > prototype capacity 8 → red-black NLGS over
 	// 2×2 subdomains.
