@@ -34,7 +34,6 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBandCholesky -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzSubScaledRows -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 3s ./internal/la/
-	$(GO) test -run '^$$' -fuzz FuzzParseNetlist -fuzztime 3s ./internal/analog/
 	$(GO) test -run '^$$' -fuzz FuzzBurgersEval -fuzztime 3s ./internal/pde/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 3s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzCacheKey -fuzztime 3s ./internal/cache/

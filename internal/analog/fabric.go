@@ -152,10 +152,9 @@ func (c *Config) defaults() {
 // Fabric is the top-level programmable analog array, the Go counterpart of
 // the paper's `Fabric` C++ class (Figure 4).
 type Fabric struct {
-	Config     Config
-	Chips      []*Chip
-	calibrated bool
-	rng        *rand.Rand
+	Config Config
+	Chips  []*Chip
+	rng    *rand.Rand
 }
 
 // NewFabric powers up a board of accelerator chips with fresh process
@@ -188,11 +187,7 @@ func (f *Fabric) Calibrate() {
 			}
 		}
 	}
-	f.calibrated = true
 }
-
-// Calibrated reports whether Calibrate has run.
-func (f *Fabric) Calibrated() bool { return f.calibrated }
 
 // Tiles returns every tile on the board in deterministic order.
 func (f *Fabric) Tiles() []*Tile {
@@ -214,22 +209,6 @@ func (f *Fabric) FreeAll() {
 	for _, t := range f.Tiles() {
 		t.free()
 	}
-}
-
-// AllocatedComponents counts the components currently claimed across the
-// board — the utilisation figure a netlist-validation service reports.
-func (f *Fabric) AllocatedComponents() int {
-	n := 0
-	for _, t := range f.Tiles() {
-		for _, pool := range t.components {
-			for _, c := range pool {
-				if c.used {
-					n++
-				}
-			}
-		}
-	}
-	return n
 }
 
 // NewtonCell is the per-variable datapath of Figure 1: the allocated

@@ -216,10 +216,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, ep serve.Endpoin
 	var kb cache.KeyBuilder
 	rt.body = body
 	rt.shape = serve.ShapeKey(&req, &kb)
-	rt.identity = rt.shape
-	if serve.CacheableKind(req.Problem) {
-		rt.identity = serve.SolveKey(&req, &kb)
-	}
+	rt.identity = serve.SolveKey(&req, &kb)
 	if !g.Enter() {
 		g.rejectJSON(w, http.StatusServiceUnavailable, "gateway is draining")
 		return nil, rt, false

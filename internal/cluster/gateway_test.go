@@ -18,18 +18,6 @@ import (
 	"hybridpde/internal/serve"
 )
 
-const gwTestNetlist = `# 1-variable Newton slice
-inst d0 dac 0
-inst m0 multiplier 0
-inst i0 integrator 0
-set  d0 0.5
-wire d0.out m0.in0
-wire m0.out i0.in
-commit
-start
-stop
-`
-
 // swapHandler lets a test replace a backend's handler mid-flight without
 // racing the listener — the stand-in for killing and restarting a
 // pdeserved process on the same address.
@@ -174,7 +162,7 @@ func TestGatewayRoutesSolves(t *testing.T) {
 	for _, req := range []serve.Request{
 		{Problem: serve.KindBurgers2D, N: 5},
 		{Problem: serve.KindBurgers1D, N: 32},
-		{Problem: serve.KindNetlist, Netlist: gwTestNetlist},
+		{Problem: serve.KindBurgersSteady, N: 4},
 	} {
 		code, resp, err := postGwSolve(f.gwServer.URL, req)
 		if err != nil {
@@ -245,7 +233,7 @@ func TestGatewayFailoverZero5xx(t *testing.T) {
 		{Problem: serve.KindBurgers2D, N: 5},
 		{Problem: serve.KindBurgers2D, N: 6},
 		{Problem: serve.KindBurgers1D, N: 32},
-		{Problem: serve.KindNetlist, Netlist: gwTestNetlist},
+		{Problem: serve.KindBurgersSteady, N: 4},
 	}
 	for _, r := range reqs {
 		if code, _, err := postGwSolve(f.gwServer.URL, r); err != nil || code != http.StatusOK {
@@ -382,18 +370,21 @@ func TestGatewayRejectsBadRequests(t *testing.T) {
 	f := newTestFleet(t, 1, Config{})
 	for _, body := range []string{
 		`{"problem":"no-such-problem"}`,
+		`{"problem":"netlist"}`,
 		`{"problem":"burgers2d","n":-3}`,
 		`{"unknown_field":1}`,
 		`not json`,
 	} {
-		resp, err := http.Post(f.gwServer.URL+"/v1/solve", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
+		for _, ep := range []serve.Endpoint{serve.EndpointSolve, serve.EndpointStream} {
+			resp, err := http.Post(f.gwServer.URL+string(ep), "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s body %q: status %d, want 400", ep, body, resp.StatusCode)
+			}
 		}
 	}
 }

@@ -27,7 +27,8 @@ func TestEndpointAdmissionParity(t *testing.T) {
 		{name: "malformed JSON", body: `{"problem":`, code: http.StatusBadRequest},
 		{name: "unknown field", body: `{"problem":"burgers1d","frobnicate":1}`, code: http.StatusBadRequest},
 		{name: "oversize body", code: http.StatusBadRequest,
-			body: `{"problem":"netlist","netlist":"` + strings.Repeat("x", maxBodyBytes) + `"}`},
+			body: `{"problem":"burgers1d","pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`},
+		{name: "retired netlist kind", body: `{"problem":"netlist"}`, code: http.StatusBadRequest},
 		{name: "spent budget", body: valid, budget: "0", code: http.StatusGatewayTimeout,
 			counter: func(m *metrics) uint64 { return m.budgetRejects.Value() }},
 		{name: "tight budget", body: valid, budget: "4000", code: http.StatusOK,
@@ -76,7 +77,7 @@ func TestEndpointAdmissionParity(t *testing.T) {
 				t.Fatalf("%s %s: 429 without Retry-After", row.name, ep)
 			}
 			counted := uint64(0)
-			for _, problem := range []string{"unknown", KindBurgers1D, KindNetlist} {
+			for _, problem := range []string{"unknown", "netlist", KindBurgers1D} {
 				counted += s.m.requests.With(problem, strconv.Itoa(row.code)).Value()
 			}
 			if counted != 1 {

@@ -18,19 +18,6 @@ const (
 // within which a cached neighbour may warm-start a solve.
 const warmRadius = 0.25
 
-// CacheableKind reports whether a kind's solves are cacheable. Netlist
-// requests are excluded: their fabric state is rebuilt per request and the
-// response is already cheap. Exported for the cluster gateway, whose
-// request-identity dedup follows the same split (grid kinds dedupe on
-// SolveKey, netlist on the program-text shape key).
-func CacheableKind(kind string) bool {
-	switch kind {
-	case KindBurgers2D, KindBurgersSteady, KindBurgers1D:
-		return true
-	}
-	return false
-}
-
 // SolveKey digests the full content identity of a normalized request —
 // the solve cache's exact-hit key, exported so the cluster gateway can
 // deduplicate identical concurrent requests before they ever reach a
@@ -72,15 +59,13 @@ func solveCacheBucket(req *Request, kb *cache.KeyBuilder) cache.Key {
 }
 
 // ShapeKey digests the *shape* of a request — the identity a cluster
-// gateway routes on. For grid kinds that is (problem id, n, order): every
-// request sharing those fields exercises the same Jacobian pattern, the
-// same per-worker problem cache and the same symbolic setup on a backend,
-// so pinning a shape to one backend is what keeps that backend's caches
-// hot. Seed and the continuation parameters (re, bound) deliberately do
-// not participate: they select entries *within* a backend's caches, not
-// which backend should hold them. Netlist requests key on the program text
-// instead — identical programs pin together (and dedupe in flight),
-// distinct programs spread across the ring.
+// gateway routes on: (problem id, n, order). Every request sharing those
+// fields exercises the same Jacobian pattern, the same per-worker problem
+// cache and the same symbolic setup on a backend, so pinning a shape to
+// one backend is what keeps that backend's caches hot. Seed and the
+// continuation parameters (re, bound) deliberately do not participate:
+// they select entries *within* a backend's caches, not which backend
+// should hold them.
 //
 // The tag space is disjoint from SolveKey's by the leading tag byte, so a
 // shape key can never collide with a full content address.
@@ -89,12 +74,8 @@ func solveCacheBucket(req *Request, kb *cache.KeyBuilder) cache.Key {
 func ShapeKey(req *Request, kb *cache.KeyBuilder) cache.Key {
 	kb.Reset()
 	kb.Str(32, req.Problem)
-	if req.Problem == KindNetlist {
-		kb.Str(33, req.Netlist)
-	} else {
-		kb.I64(34, int64(req.N))
-		kb.I64(35, int64(req.Order))
-	}
+	kb.I64(34, int64(req.N))
+	kb.I64(35, int64(req.Order))
 	return kb.Sum()
 }
 
@@ -122,9 +103,8 @@ type cachedSolve struct {
 // cacheBinding adapts the server's shared cache.Store to core.SolveCache
 // for one request at a time. Each worker owns one binding; solveGrid
 // rebinds it per request, and the ladder's cache rungs consult it. A
-// binding that is off (cache disabled, or a non-cacheable kind) makes both
-// rungs skip, which keeps cache-off solves bit-identical to the
-// pre-cache ladder.
+// binding that is off (cache disabled) makes both rungs skip, which keeps
+// cache-off solves bit-identical to the pre-cache ladder.
 type cacheBinding struct {
 	store  *cache.Store
 	key    cache.Key

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -152,7 +151,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// solves and populates the cache; followers wait for its completion and
 	// then serve from the cache. A leader that fails caches nothing, and
 	// its followers fall through to solving independently.
-	if s.cache != nil && CacheableKind(req.Problem) {
+	if s.cache != nil {
 		var kb cache.KeyBuilder
 		key := SolveKey(req, &kb)
 		f, leader := s.cache.Join(key)
@@ -216,7 +215,7 @@ func (s *Server) account(req *Request, resp *Response, err error) int {
 	case errors.Is(err, context.Canceled):
 		// Client went away; the status is never seen but is still counted.
 		code = http.StatusBadRequest
-	case errors.Is(err, analog.ErrInsufficientHardware), isClientSolveError(err):
+	case errors.Is(err, analog.ErrInsufficientHardware):
 		code = http.StatusUnprocessableEntity
 	default:
 		code = http.StatusInternalServerError
@@ -288,7 +287,7 @@ func startSource(resp *Response) string {
 func (s *Server) shouldRetry(err error, resp *Response) bool {
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) ||
-			errors.Is(err, analog.ErrInsufficientHardware) || isClientSolveError(err) {
+			errors.Is(err, analog.ErrInsufficientHardware) {
 			return false
 		}
 		return true
@@ -316,15 +315,6 @@ func sleepBackoff(ctx context.Context, rng *rand.Rand, attempt int, base time.Du
 	case <-ctx.Done():
 		return false
 	}
-}
-
-// isClientSolveError recognises failures caused by the request content
-// rather than the service: netlist parse/validation errors and capacity
-// mismatches surface as positioned analog/core errors.
-func isClientSolveError(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "netlist line") ||
-		strings.Contains(msg, "exceeds accelerator capacity")
 }
 
 // queueFailureCode distinguishes a queue-wait deadline (504) from a client

@@ -15,12 +15,12 @@ func TestServeMetricsFamiliesAndOrder(t *testing.T) {
 	m := newServeMetrics()
 	m.requests.With("burgers2d", "200").Inc()
 	m.requests.With("burgers2d", "200").Inc()
-	m.requests.With("netlist", "422").Inc()
+	m.requests.With("unknown", "400").Inc()
 	var sb strings.Builder
 	m.writeProm(&sb)
 	out := sb.String()
 	i := strings.Index(out, `pdeserve_requests_total{problem="burgers2d",code="200"} 2`)
-	j := strings.Index(out, `pdeserve_requests_total{problem="netlist",code="422"} 1`)
+	j := strings.Index(out, `pdeserve_requests_total{problem="unknown",code="400"} 1`)
 	if i < 0 || j < 0 {
 		t.Fatalf("labelled children missing:\n%s", out)
 	}
@@ -52,7 +52,7 @@ func TestServeMetricsFamiliesAndOrder(t *testing.T) {
 // scrapes of unchanged state must be byte-identical.
 func TestMetricsScrapeByteIdentical(t *testing.T) {
 	m := newServeMetrics()
-	problems := []string{"burgers2d", "netlist", "bratu1d", "fisher", "heat3d", "allencahn"}
+	problems := []string{"burgers2d", "unknown", "bratu1d", "fisher", "heat3d", "allencahn"}
 	codes := []string{"200", "422", "503"}
 	for _, pr := range problems {
 		for _, c := range codes {

@@ -12,10 +12,9 @@ import (
 	"hybridpde/internal/core"
 )
 
-// Problem kinds the service accepts. Each grid kind maps a (n, re, order,
-// seed, bound) tuple to a deterministic problem instance, so identical
-// requests produce bit-identical solves; the netlist kind validates an
-// analog program text against a calibrated fabric.
+// Problem kinds the service accepts. Each kind maps a (n, re, order, seed,
+// bound) tuple to a deterministic grid problem instance, so identical
+// requests produce bit-identical solves.
 const (
 	// KindBurgers2D is one Crank–Nicolson step of the paper's flagship
 	// 2-D viscous Burgers problem on an n×n interior grid (2n² unknowns).
@@ -26,10 +25,6 @@ const (
 	// KindBurgers1D is one Crank–Nicolson step of 1-D viscous Burgers on n
 	// interior nodes (tridiagonal Jacobian).
 	KindBurgers1D = "burgers1d"
-	// KindNetlist parses and validates an analog program (inst/wire/set/
-	// commit/start/stop directives) against a calibrated fabric via
-	// analog.ParseNetlist.
-	KindNetlist = "netlist"
 )
 
 // Request is the POST /v1/solve body.
@@ -58,8 +53,6 @@ type Request struct {
 	// DeadlineMillis bounds the solve (queue wait included) in
 	// milliseconds. Clamped to the server's MaxTimeout.
 	DeadlineMillis int64 `json:"deadline_ms,omitempty"`
-	// Netlist is the program text of the netlist kind.
-	Netlist string `json:"netlist,omitempty"`
 
 	// Stream fields (POST /v1/stream only; /v1/solve rejects them).
 	// Steps is the number of Crank–Nicolson steps to march, one NDJSON
@@ -74,8 +67,7 @@ type Request struct {
 	IncludeSolution bool `json:"include_solution,omitempty"`
 }
 
-// Response is the POST /v1/solve reply. Solve fields are set for grid
-// kinds, program fields for the netlist kind.
+// Response is the POST /v1/solve reply.
 type Response struct {
 	Problem string `json:"problem"`
 	Dim     int    `json:"dim,omitempty"`
@@ -114,12 +106,6 @@ type Response struct {
 	cacheWarm  bool // served by the warm-start continuation rung
 	cacheStale bool // a warm-start candidate was rejected by the gate
 
-	// Netlist program outcome.
-	Components  int  `json:"components,omitempty"`
-	Connections int  `json:"connections,omitempty"`
-	Committed   bool `json:"committed,omitempty"`
-	Running     bool `json:"running,omitempty"`
-
 	// Measured wall time (the metrics plane's view of this request).
 	QueueSeconds float64 `json:"queue_seconds"`
 	SolveSeconds float64 `json:"solve_seconds"`
@@ -139,10 +125,6 @@ type KindInfo struct {
 	MaxSteps   int  `json:"max_steps,omitempty"`
 }
 
-// maxNetlistBytes bounds the netlist program text; the fabric has a few
-// hundred components, so real programs are far smaller.
-const maxNetlistBytes = 1 << 16
-
 // maxBurgers1DNodes bounds the 1-D grid; a tridiagonal solve at this size
 // is still well under a millisecond.
 const maxBurgers1DNodes = 4096
@@ -157,7 +139,6 @@ func Kinds(maxGridN, maxSteps int) []KindInfo {
 		{Name: KindBurgers2D, Description: "one Crank–Nicolson step of 2-D viscous Burgers (2n² unknowns); streamable as a trajectory via POST /v1/stream", MaxN: maxGridN, DefaultN: defaultGridN, Streamable: true, MaxSteps: maxSteps},
 		{Name: KindBurgersSteady, Description: "steady method-of-lines 2-D Burgers root system, rooted per request", MaxN: maxGridN, DefaultN: defaultGridN},
 		{Name: KindBurgers1D, Description: "one Crank–Nicolson step of 1-D viscous Burgers (tridiagonal); streamable as a trajectory via POST /v1/stream", MaxN: maxBurgers1DNodes, DefaultN: default1DN, Streamable: true, MaxSteps: maxSteps},
-		{Name: KindNetlist, Description: "parse + validate an analog program text against a calibrated fabric"},
 	}
 }
 
@@ -253,7 +234,7 @@ func Normalize(req *Request, maxGridN int) error {
 func NormalizeStream(req *Request, maxGridN, maxSteps int) error {
 	switch req.Problem {
 	case KindBurgers2D, KindBurgers1D:
-	case KindBurgersSteady, KindNetlist:
+	case KindBurgersSteady:
 		return fmt.Errorf("serve: problem %q has no time loop; streaming applies to the transient grid kinds (%s, %s)", req.Problem, KindBurgers2D, KindBurgers1D)
 	}
 	if req.Steps == 0 {
@@ -304,21 +285,13 @@ func normalizeBase(req *Request, maxGridN int) error {
 		if req.Order != 0 {
 			return fmt.Errorf("serve: order is not configurable for %s", req.Problem)
 		}
-	case KindNetlist:
-		if req.Netlist == "" {
-			return fmt.Errorf("serve: netlist kind requires a netlist program text")
-		}
-		if len(req.Netlist) > maxNetlistBytes {
-			return fmt.Errorf("serve: netlist text %d bytes exceeds %d", len(req.Netlist), maxNetlistBytes)
-		}
-		return nil
 	case "":
 		return fmt.Errorf("serve: request is missing the problem kind")
 	default:
 		return fmt.Errorf("serve: unknown problem kind %q", req.Problem)
 	}
 
-	// Grid kinds share the numeric knobs.
+	// Every kind shares the numeric knobs.
 	if req.Re == 0 { //pdevet:allow floateq zero is the JSON-absent sentinel (assigned by encoding/json, never computed)
 		req.Re = 1
 	}

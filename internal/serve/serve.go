@@ -1,9 +1,9 @@
 // Package serve is the network-facing entry point of the hybrid pipeline: a
 // stdlib-only HTTP/JSON service that treats the accelerator the way the
 // paper pitches it (§2, §7) — as a shared co-processor for PDE workloads
-// behind a queueing discipline. Requests against a problem registry
-// (Burgers steady/MOL, the 2-D grid problems, netlist programs) are
-// admitted into a bounded queue with explicit backpressure (429 +
+// behind a queueing discipline. Requests against a registry of Burgers
+// grid problems (one 2-D or 1-D Crank–Nicolson step, the steady 2-D root
+// system) are admitted into a bounded queue with explicit backpressure (429 +
 // Retry-After when full), executed by a worker pool sized to GOMAXPROCS
 // where each worker owns a core.Workspace for life and per-shape problem
 // caches so the steady-state request path stays allocation-free, honor

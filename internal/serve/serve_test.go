@@ -14,18 +14,6 @@ import (
 	"time"
 )
 
-const testNetlist = `# 1-variable Newton slice
-inst d0 dac 0
-inst m0 multiplier 0
-inst i0 integrator 0
-set  d0 0.5
-wire d0.out m0.in0
-wire m0.out i0.in
-commit
-start
-stop
-`
-
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s := NewServer(cfg)
@@ -84,14 +72,6 @@ func TestSolveRoundtripAllKinds(t *testing.T) {
 			t.Fatalf("%s: report incomplete: %+v", req.Problem, resp)
 		}
 	}
-
-	code, resp, _ := postSolve(t, ts.URL, Request{Problem: KindNetlist, Netlist: testNetlist})
-	if code != http.StatusOK {
-		t.Fatalf("netlist: status %d, error %q", code, resp.Error)
-	}
-	if resp.Components != 3 || resp.Connections != 2 || !resp.Committed || resp.Running {
-		t.Fatalf("netlist report wrong: %+v", resp)
-	}
 }
 
 // TestSolveDeterminism is the registry contract: identical requests produce
@@ -124,10 +104,8 @@ func TestSolveValidation(t *testing.T) {
 		{"oversize grid", `{"problem":"burgers2d","n":99}`, http.StatusBadRequest},
 		{"bad order", `{"problem":"burgers2d","order":3}`, http.StatusBadRequest},
 		{"negative re", `{"problem":"burgers1d","re":-2}`, http.StatusBadRequest},
-		{"empty netlist", `{"problem":"netlist"}`, http.StatusBadRequest},
 		{"analog_vars without analog", `{"problem":"burgers2d","analog_vars":8}`, http.StatusBadRequest},
 		{"bad backend", `{"problem":"burgers2d","backend":"tpu"}`, http.StatusBadRequest},
-		{"netlist parse error", `{"problem":"netlist","netlist":"frob a b"}`, http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		hr, err := http.Post(ts.URL+"/v1/solve", "application/json", strings.NewReader(tc.body))
@@ -337,8 +315,8 @@ func TestProblemsEndpoint(t *testing.T) {
 	if err := json.NewDecoder(hr.Body).Decode(&kinds); err != nil {
 		t.Fatal(err)
 	}
-	if len(kinds) != 4 {
-		t.Fatalf("got %d kinds, want 4", len(kinds))
+	if len(kinds) != 3 {
+		t.Fatalf("got %d kinds, want 3", len(kinds))
 	}
 	if kinds[0].MaxN != 10 {
 		t.Fatalf("MaxN not propagated from config: %+v", kinds[0])
@@ -385,7 +363,7 @@ func TestConcurrentMixedLoad(t *testing.T) {
 		{Problem: KindBurgers2D, N: 3},
 		{Problem: KindBurgersSteady, N: 4},
 		{Problem: KindBurgers1D, N: 24},
-		{Problem: KindNetlist, Netlist: testNetlist},
+		{Problem: KindBurgers2D, N: 4, Order: 4, Analog: true},
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

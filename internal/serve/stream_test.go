@@ -269,7 +269,6 @@ func TestStreamValidation(t *testing.T) {
 		req           Request
 	}{
 		{"steady kind", "no time loop", Request{Problem: KindBurgersSteady, N: 4, Steps: 2}},
-		{"netlist kind", "no time loop", Request{Problem: KindNetlist, Netlist: testNetlist}},
 		{"steps over cap", "-max-steps", Request{Problem: KindBurgers2D, N: 4, Steps: 17}},
 		{"negative steps", "-max-steps", Request{Problem: KindBurgers2D, N: 4, Steps: -1}},
 		{"negative dt", "dt", Request{Problem: KindBurgers2D, N: 4, Dt: -0.5}},

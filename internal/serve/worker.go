@@ -32,10 +32,7 @@ type worker struct {
 	// mismatch draw is deterministic in the server seed, so equal requests
 	// get equal accelerators regardless of which worker serves them.
 	seeders map[int]core.Seeder
-	// fab is the netlist-validation fabric, allocated on first netlist
-	// request and freed (FreeAll) after each one.
-	fab  *analog.Fabric
-	seed int64 // server base seed for fabrics and accelerators
+	seed    int64 // server base seed for accelerators
 	// ladder orchestrates the degradation ladder over the workspace;
 	// lopts/gate come from the server config.
 	ladder *core.Ladder
@@ -91,20 +88,17 @@ func newWorker(cfg *Config, seed int64, store *cache.Store) *worker {
 		store:   store,
 	}
 	wk.bind.store = store
-	// The ladder always carries all six rungs; with no cache bound (or a
-	// non-cacheable request) the cache and warm-start rungs skip without a
-	// trace, so the report is bit-identical to the four-rung ladder.
+	// The ladder always carries all six rungs; with no cache bound the
+	// cache and warm-start rungs skip without a trace, so the report is
+	// bit-identical to the four-rung ladder.
 	wk.ladder = core.NewLadderRungs(core.CachedRungs(&wk.bind)...)
 	return wk
 }
 
 // run executes one admitted request. Cold paths (first request of a shape,
-// first netlist, first analog capacity) build and cache their resources;
-// everything after that happens in the allocation-free solveGrid.
+// first analog capacity) build and cache their resources; everything after
+// that happens in the allocation-free solveGrid.
 func (wk *worker) run(ctx context.Context, req *Request, resp *Response) error {
-	if req.Problem == KindNetlist {
-		return wk.runNetlist(req, resp)
-	}
 	e, opts, err := wk.prepare(req)
 	if err != nil {
 		return err
@@ -219,8 +213,8 @@ func (wk *worker) refill(req *Request, e *gridEntry) error {
 		b := e.b1d
 		wk.drawInto(b.UPrev, bound)
 		wk.drawInto(b.RHS, bound)
-		b.Left = bound * (2*wk.rng.Float64() - 1)
-		b.Right = bound * (2*wk.rng.Float64() - 1)
+		b.Left = bound * wk.uniform()
+		b.Right = bound * wk.uniform()
 	case e.steady != nil:
 		b := e.burgers
 		wk.drawInto(b.UPrev, bound)
@@ -230,7 +224,7 @@ func (wk *worker) refill(req *Request, e *gridEntry) error {
 			return err
 		}
 		for i := range e.u0 {
-			e.u0[i] = e.root[i] + 0.05*bound*(2*wk.rng.Float64()-1)
+			e.u0[i] = e.root[i] + float64(0.05*bound*wk.uniform())
 		}
 	default:
 		b := e.burgers
@@ -247,9 +241,16 @@ func (wk *worker) refill(req *Request, e *gridEntry) error {
 //pdevet:noalloc
 func (wk *worker) drawInto(dst []float64, bound float64) {
 	for i := range dst {
-		dst[i] = bound * (2*wk.rng.Float64() - 1)
+		dst[i] = bound * wk.uniform()
 	}
 }
+
+// uniform draws one value uniformly from ±1. The conversion keeps the
+// scaling multiply inside rand's Float64 out of a fused multiply-add with
+// the doubling, so the draw has the same bits on every architecture.
+//
+//pdevet:noalloc
+func (wk *worker) uniform() float64 { return 2*float64(wk.rng.Float64()) - 1 }
 
 // solveGrid is the hot request path: run the hybrid pipeline over the
 // prepared problem with the worker's Workspace, and fill the
@@ -259,7 +260,7 @@ func (wk *worker) drawInto(dst []float64, bound float64) {
 //
 //pdevet:noalloc
 func (wk *worker) solveGrid(ctx context.Context, req *Request, e *gridEntry, opts core.Options, resp *Response) error {
-	if on := wk.store != nil && CacheableKind(req.Problem); on {
+	if wk.store != nil {
 		wk.bind.rebind(true, SolveKey(req, &wk.kb), solveCacheBucket(req, &wk.kb), req.Re, req.Bound)
 	} else {
 		wk.bind.rebind(false, cache.Key{}, cache.Key{}, 0, 0)
@@ -364,23 +365,4 @@ func backendFor(name string) core.PerfBackend {
 	default:
 		return core.PerfCPU
 	}
-}
-
-// runNetlist parses and validates an analog program text against the
-// worker's calibrated fabric, reporting what the program claimed. The
-// fabric is freed afterwards so requests are independent.
-func (wk *worker) runNetlist(req *Request, resp *Response) error {
-	if wk.fab == nil {
-		wk.fab = analog.NewFabric(analog.Config{Seed: wk.seed})
-		wk.fab.Calibrate()
-	}
-	defer wk.fab.FreeAll()
-	net, err := analog.ParseNetlist(wk.fab, req.Netlist)
-	resp.Components = wk.fab.AllocatedComponents()
-	if net != nil {
-		resp.Connections = len(net.Connections())
-		resp.Committed = net.Committed()
-		resp.Running = net.Running()
-	}
-	return err
 }
