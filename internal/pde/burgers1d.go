@@ -78,7 +78,7 @@ func (b *Burgers1D) opA(w []float64, i int) float64 {
 	uC := b.at(w, i)
 	uE := b.at(w, i+1)
 	uW := b.at(w, i-1)
-	return uC*(uE-uW)/2 - (uE-2*uC+uW)/b.Re
+	return float64(uC*(uE-uW)/2) - (uE-float64(2*uC)+uW)/b.Re
 }
 
 // Eval computes F(w) = w − w_prev + ½[A(w) + A(w_prev)] − RHS.
@@ -89,7 +89,7 @@ func (b *Burgers1D) Eval(w, f []float64) error {
 		return fmt.Errorf("pde: Burgers1D Eval dimension mismatch") //pdevet:allow noalloc error path
 	}
 	for i := 0; i < b.N; i++ {
-		f[i] = w[i] - b.UPrev[i] + 0.5*(b.opA(w, i)+b.opA(b.UPrev, i)) - b.RHS[i]
+		f[i] = w[i] - b.UPrev[i] + float64(0.5*(b.opA(w, i)+b.opA(b.UPrev, i))) - b.RHS[i]
 	}
 	return nil
 }
@@ -102,12 +102,12 @@ func (b *Burgers1D) assembleJacobian(w []float64, e jacEmitter) {
 		uC := b.at(w, i)
 		uE := b.at(w, i+1)
 		uW := b.at(w, i-1)
-		e.emit(i, i, 1+0.5*((uE-uW)/2+2/b.Re))
+		e.emit(i, i, 1+float64(0.5*(float64((uE-uW)/2)+2/b.Re)))
 		if i > 0 {
-			e.emit(i, i-1, 0.5*(-uC/2-1/b.Re))
+			e.emit(i, i-1, 0.5*(float64(-uC/2)-1/b.Re))
 		}
 		if i < b.N-1 {
-			e.emit(i, i+1, 0.5*(uC/2-1/b.Re))
+			e.emit(i, i+1, 0.5*(float64(uC/2)-1/b.Re))
 		}
 	}
 }

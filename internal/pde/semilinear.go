@@ -42,7 +42,7 @@ func (s *Semilinear1D) Eval(u, f []float64) error {
 		return fmt.Errorf("pde: Semilinear1D dimension mismatch")
 	}
 	for i := 0; i < d; i++ {
-		f[i] = u[i]*u[i] + u[i] - s.RHS[i]
+		f[i] = float64(u[i]*u[i]) + u[i] - s.RHS[i]
 		if i+1 < d {
 			f[i] += u[i+1]
 		}

@@ -4,7 +4,8 @@
 # stay race-clean), the fuzz smoke, the experiment transcripts, an arm64
 # cross-build that must hold no fused multiply-add in band.go, cholesky.go,
 # lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go,
-# burgers.go, steady.go, accelerator.go or globalise.go, no fused
+# burgers.go, burgers1d.go, semilinear.go, steady.go, accelerator.go,
+# globalise.go or worker.go, no fused
 # multiply-add instruction in any assembly file under internal/ (la's
 # batched row-update kernel), no shipped binary linking la's dense LU, and
 # the bench module. Run from the repository root; also available as
@@ -66,22 +67,23 @@ done
 # loop in analog/sparse.go), in the ode package (dopri.go and ode.go), in
 # nonlin's Newton loop and homotopy (newton.go and homotopy.go), in the
 # 2-D Burgers residual, Jacobian and problem draw (pde's burgers.go and
-# steady.go), in the fabric run and its homotopy blend (analog's
-# accelerator.go) and in the ablation's Armijo and dogleg solvers (exp's
-# globalise.go) is written float64(x*y)+z, which forbids fusion, so their
-# bits match across architectures. A cross-built arm64 binary must show no
-# fused instruction attributed to those thirteen basenames. The awk matches
-# the basename exactly, so a file such as decode.go or node.go does not
-# count as ode.go, nor burgers1d.go as burgers.go. Two binaries are
-# searched: hybridpde links the experiments, and pdeserved links the
-# degradation ladder, whose homotopy rung (NewtonHomotopy) hybridpde never
-# calls.
-echo "== no fused multiply-add in band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, steady.go, accelerator.go, globalise.go (GOARCH=arm64 go tool objdump)"
+# steady.go), in the 1-D Burgers residual and Jacobian (burgers1d.go), in
+# Fig 3's semilinear system (semilinear.go), in the fabric run and its
+# homotopy blend (analog's accelerator.go), in the ablation's Armijo and
+# dogleg solvers (exp's globalise.go) and in the service's problem draw
+# (serve's worker.go) is written float64(x*y)+z, which forbids fusion, so
+# their bits match across architectures. A cross-built arm64 binary must
+# show no fused instruction attributed to those sixteen basenames. The awk
+# matches the basename exactly, so a file such as decode.go or node.go does
+# not count as ode.go. Two binaries are searched: hybridpde links the
+# experiments, and pdeserved links the service and the degradation ladder,
+# whose homotopy rung (NewtonHomotopy) hybridpde never calls.
+echo "== no fused multiply-add in band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, burgers1d.go, semilinear.go, steady.go, accelerator.go, globalise.go, worker.go (GOARCH=arm64 go tool objdump)"
 GOARCH=arm64 go build -o "$transcripts/hybridpde-arm64" ./cmd/hybridpde
 GOARCH=arm64 go build -o "$transcripts/pdeserved-arm64" ./cmd/pdeserved
-fused=$({ go tool objdump "$transcripts/hybridpde-arm64"; go tool objdump "$transcripts/pdeserved-arm64"; } | awk '$1 ~ /^(band|cholesky|lu|dense|sparse|dopri|ode|newton|homotopy|burgers|steady|accelerator|globalise)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
+fused=$({ go tool objdump "$transcripts/hybridpde-arm64"; go tool objdump "$transcripts/pdeserved-arm64"; } | awk '$1 ~ /^(band|cholesky|lu|dense|sparse|dopri|ode|newton|homotopy|burgers|burgers1d|semilinear|steady|accelerator|globalise|worker)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
 if [ "$fused" -ne 0 ]; then
-	echo "band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, steady.go, accelerator.go and globalise.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
+	echo "band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, burgers1d.go, semilinear.go, steady.go, accelerator.go, globalise.go and worker.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
 	exit 1
 fi
 
