@@ -15,7 +15,6 @@ var ErrInsufficientHardware = errors.New("analog: problem exceeds fabric capacit
 // (§5.4) trims both, but the trim resolution is itself limited by DAC
 // precision, leaving a residual.
 type Component struct {
-	Kind string
 	// Raw mismatch from process variation.
 	rawGain, rawOffset float64
 	// Residual after calibration; what the datapath actually exhibits.
@@ -36,7 +35,6 @@ func newTile(idx int, spec TileSpec, rng *rand.Rand, cfg Config) *Tile {
 	add := func(kind string, n int) {
 		for i := 0; i < n; i++ {
 			c := &Component{
-				Kind:      kind,
 				rawGain:   rng.NormFloat64() * cfg.RawGainSigma,
 				rawOffset: rng.NormFloat64() * cfg.RawOffsetSigma,
 			}
