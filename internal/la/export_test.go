@@ -24,3 +24,7 @@ func SetVectorRowUpdate(on bool) (was bool) {
 func BandLUStorage(f *BandLU) ([]float64, []int) { return f.data, f.piv }
 
 func BandCholeskyStorage(f *BandCholesky) []float64 { return f.data }
+
+// BandLUEntry returns entry (i, j) of a band LU factor, −kl ≤ j−i ≤ ku+kl:
+// U's on and above the diagonal, the multiplier L(i, j) below it.
+func BandLUEntry(f *BandLU, i, j int) float64 { return f.data[i*f.w+j-i+f.kl] }
