@@ -6,15 +6,13 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"hybridpde/internal/par"
 )
 
 // fullSpanFactor is the textbook banded elimination the reach bound
 // replaced: every pivot step swaps and updates all columns
 // k…min(k+ku+kl, n−1), the never-filled fill region included. f must hold
 // a loaded, unfactored matrix.
-func fullSpanFactor(f *BandLU) error {
+func fullSpanFactor(f *rowMajorLU) error {
 	n, kl, ku, w := f.n, f.kl, f.ku, f.w
 	data := f.data
 	var ops int64
@@ -57,7 +55,7 @@ func fullSpanFactor(f *BandLU) error {
 
 // fullSpanSolve is Solve with every row's back substitution summed over
 // the full band, columns i…i+ku+kl.
-func fullSpanSolve(f *BandLU, dst, b []float64) error {
+func fullSpanSolve(f *rowMajorLU, dst, b []float64) error {
 	n, kl, ku, w := f.n, f.kl, f.ku, f.w
 	data := f.data
 	x := dst
@@ -88,12 +86,12 @@ func fullSpanSolve(f *BandLU, dst, b []float64) error {
 }
 
 // compareFullSpan factors ref with the full-span oracle and checks that got,
-// factored from the same load by the package, agrees: same error, pivots
+// factored from the same matrix by the package, agrees: same error, pivots
 // and FactorOps, factors equal in value (and in bits when noNegZero; a
 // loaded −0 past the reach is one the oracle turns into +0 when m < 0) and
 // Solve bit-identical on b. It returns the oracle's row interchanges, or
 // −1 if the matrix is singular.
-func compareFullSpan(t *testing.T, name string, got, ref *BandLU, gotErr error, b []float64, noNegZero bool) int {
+func compareFullSpan(t *testing.T, name string, got *BandLU, ref *rowMajorLU, gotErr error, b []float64, noNegZero bool) int {
 	t.Helper()
 	refErr := fullSpanFactor(ref)
 	if !errors.Is(gotErr, refErr) {
@@ -114,9 +112,13 @@ func compareFullSpan(t *testing.T, name string, got, ref *BandLU, gotErr error, 
 			swaps++
 		}
 	}
-	for q, v := range ref.data {
-		if g := got.data[q]; g != v || (noNegZero && math.Float64bits(g) != math.Float64bits(v)) {
-			t.Fatalf("%s: factor storage [%d] = %x, full span %x", name, q, math.Float64bits(g), math.Float64bits(v))
+	n, kl, ku := ref.n, ref.kl, ref.ku
+	for i := 0; i < n; i++ {
+		for j := max(0, i-kl); j <= min(n-1, i+ku+kl); j++ {
+			g, v := BandLUEntry(got, i, j), ref.at(i, j)
+			if g != v || (noNegZero && math.Float64bits(g) != math.Float64bits(v)) {
+				t.Fatalf("%s: factor entry (%d,%d) = %x, full span %x", name, i, j, math.Float64bits(g), math.Float64bits(v))
+			}
 		}
 	}
 	x, xr := make([]float64, len(b)), make([]float64, len(b))
@@ -156,22 +158,17 @@ func swapBanded(rng *rand.Rand, n, kl, ku int, zeros bool) *CSR {
 }
 
 // TestBandLUReachMatchesFullSpan pins the reach bound against the
-// full-span oracle: on matrices that interchange rows, with explicit ±0
-// entries, lopsided and degenerate bandwidths, each matrix A and its
-// assembled normal equations AᵀA + εI, and pools of 1–3 workers, the
-// pivots, FactorOps and Solve bits are the oracle's.
+// full-span oracle, and the column-major panel factor against the
+// row-major reference: on matrices that interchange rows, with explicit ±0
+// entries, lopsided and degenerate bandwidths (kl < 3 and kl = 0 take the
+// one-step path, n·kl near the panel width the ragged bottom), each matrix
+// A and its assembled normal equations AᵀA + εI, the pivots, FactorOps,
+// factor entries and Solve bits are the oracle's and the reference's.
 func TestBandLUReachMatchesFullSpan(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
-	pools := []*par.Pool{nil, par.NewPool(1), par.NewPool(2), par.NewPool(3)}
-	defer func() {
-		for _, p := range pools[1:] {
-			p.Close()
-		}
-	}()
 	shapes := [][3]int{
 		{1, 0, 0}, {7, 0, 0}, {9, 0, 3}, {9, 3, 0}, {12, 1, 2}, {20, 5, 2},
-		{20, 2, 7}, {33, 6, 6},
-		// rows·span ≥ bandParGrain, so pools of 2 and 3 fan out.
+		{20, 2, 7}, {33, 6, 6}, {5, 4, 4}, {6, 3, 1}, {11, 3, 3},
 		{200, 120, 60},
 	}
 	for _, sh := range shapes {
@@ -179,27 +176,95 @@ func TestBandLUReachMatchesFullSpan(t *testing.T) {
 		for _, zeros := range []bool{false, true} {
 			a := swapBanded(rng, n, kl, ku, zeros)
 			b := randomVec(rng, n)
-			for procs, p := range pools {
-				name := fmt.Sprintf("n=%d kl=%d ku=%d zeros=%v pool=%d", n, kl, ku, zeros, procs)
-				got, ref := NewBandLUWorkspace(n, kl, ku), NewBandLUWorkspace(n, kl, ku)
-				got.SetPool(p)
-				if err := ref.load(a); err != nil {
-					t.Fatal(err)
-				}
-				swaps := compareFullSpan(t, name+" FactorFrom", got, ref, got.FactorFrom(a), b, !zeros)
-				if kl > 0 && n > 8 && swaps <= 0 {
-					t.Fatalf("%s: %d row interchanges, so the fill region went untested", name, swaps)
-				}
-
-				// AᵀA + εI, assembled, has bandwidth kl+ku on both sides.
-				ata := normalEquations(a, 1e-3)
-				got, ref = NewBandLUWorkspace(n, kl+ku, kl+ku), NewBandLUWorkspace(n, kl+ku, kl+ku)
-				got.SetPool(p)
-				if err := ref.load(ata); err != nil {
-					t.Fatal(err)
-				}
-				compareFullSpan(t, name+" FactorFrom(AᵀA+εI)", got, ref, got.FactorFrom(ata), b, true)
+			name := fmt.Sprintf("n=%d kl=%d ku=%d zeros=%v", n, kl, ku, zeros)
+			got, ref := NewBandLUWorkspace(n, kl, ku), newRowMajorLU(n, kl, ku)
+			if err := ref.load(a); err != nil {
+				t.Fatal(err)
 			}
+			err := got.FactorFrom(a)
+			swaps := compareFullSpan(t, name+" FactorFrom", got, ref, err, b, !zeros)
+			if kl > 0 && n > 8 && swaps <= 0 {
+				t.Fatalf("%s: %d row interchanges, so the fill region went untested", name, swaps)
+			}
+			compareRowMajor(t, name+" FactorFrom", got, err, a, b)
+
+			// AᵀA + εI, assembled, has bandwidth kl+ku on both sides.
+			ata := normalEquations(a, 1e-3)
+			got, ref = NewBandLUWorkspace(n, kl+ku, kl+ku), newRowMajorLU(n, kl+ku, kl+ku)
+			if err := ref.load(ata); err != nil {
+				t.Fatal(err)
+			}
+			err = got.FactorFrom(ata)
+			compareFullSpan(t, name+" FactorFrom(AᵀA+εI)", got, ref, err, b, true)
+			compareRowMajor(t, name+" FactorFrom(AᵀA+εI)", got, err, ata, b)
+		}
+	}
+}
+
+// TestBandLUReuseMatchesRowMajor factors a sequence of same-shaped
+// matrices in one workspace, alternating ones that interchange rows (and
+// so write the fill rows) with diagonally dominant ones that do not, and
+// holds every factor to the row-major reference, fill rows included: a
+// factor after an interchange, or after one that stopped at a singular
+// pivot, must clear what those left there.
+func TestBandLUReuseMatchesRowMajor(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	const n, kl, ku = 40, 6, 5
+	var f BandLU
+	for trial := 0; trial < 8; trial++ {
+		a := swapBanded(rng, n, kl, ku, trial%4 == 1)
+		if trial%2 == 0 {
+			coo := NewCOO(n, n)
+			for i := 0; i < n; i++ {
+				for j := max(0, i-kl); j <= min(n-1, i+ku); j++ {
+					v := rng.NormFloat64()
+					if i == j {
+						v += 20
+					}
+					coo.Append(i, j, v)
+				}
+			}
+			a = coo.ToCSR()
+		}
+		if trial == 5 {
+			// Column 20 all zero: the factor stops at step 20 with
+			// ErrSingular, leaving the columns right of its reach uncleared.
+			a = swapBanded(rng, n, kl, ku, false)
+			for i := 0; i < n; i++ {
+				if s := a.Slot(i, 20); s >= 0 {
+					a.SetSlotValue(s, 0)
+				}
+			}
+		}
+		err := FactorBandLUInto(&f, a, kl, ku)
+		swaps := compareRowMajor(t, fmt.Sprintf("trial %d", trial), &f, err, a, randomVec(rng, n))
+		switch {
+		case trial == 5:
+			if !errors.Is(err, ErrSingular) {
+				t.Fatalf("trial 5: %v, want ErrSingular", err)
+			}
+		case (trial%2 == 0) != (swaps == 0):
+			t.Fatalf("trial %d: %d interchanges", trial, swaps)
+		}
+	}
+}
+
+// TestBandLUOutOfBand checks that a matrix wider than the workspace's
+// band is refused before any elimination, naming the first entry outside
+// it in row order, as the row-major reference's load does.
+func TestBandLUOutOfBand(t *testing.T) {
+	for _, e := range [][2]int{{5, 0}, {0, 3}, {2, 5}} {
+		coo := NewCOO(8, 8)
+		for i := 0; i < 8; i++ {
+			coo.Append(i, i, 2)
+		}
+		coo.Append(e[0], e[1], 1)
+		coo.Append(7, 0, 1)
+		a := coo.ToCSR()
+		err := NewBandLUWorkspace(8, 1, 1).FactorFrom(a)
+		want := newRowMajorLU(8, 1, 1).load(a)
+		if err == nil || want == nil || err.Error() != want.Error() {
+			t.Fatalf("entry (%d,%d): error %v, row-major %v", e[0], e[1], err, want)
 		}
 	}
 }

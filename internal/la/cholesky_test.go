@@ -263,7 +263,7 @@ func FuzzBandCholesky(f *testing.F) {
 	f.Add(uint8(19), []byte{0, 0, 3, 0, 9, 5, 4, 17, 251, 12, 2, 6, 19, 7, 1, 8, 8, 2, 3, 14, 9})
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
 		n := 1 + int(nRaw)%24
-		a, _ := fuzzCSRFrom(n, data)
+		a, _ := fuzzCSRFrom(n, data, false)
 		kl, ku := Bandwidths(a)
 		const eps = 1
 		ch := NewBandCholesky(n, kl+ku)

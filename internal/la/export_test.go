@@ -8,9 +8,6 @@ var (
 	CheckCholeskyRef = checkCholeskyRef
 )
 
-// BandParGrain is the per-step work above which a pooled band LU fans out.
-const BandParGrain = bandParGrain
-
 // SetVectorRowUpdate turns the AVX2 row update on or off and returns the
 // previous setting. Turning it on where it was off at init would execute
 // AVX2 instructions the CPU may lack, so callers restore what it returned.
@@ -27,4 +24,4 @@ func BandCholeskyStorage(f *BandCholesky) []float64 { return f.data }
 
 // BandLUEntry returns entry (i, j) of a band LU factor, −kl ≤ j−i ≤ ku+kl:
 // U's on and above the diagonal, the multiplier L(i, j) below it.
-func BandLUEntry(f *BandLU, i, j int) float64 { return f.data[i*f.w+j-i+f.kl] }
+func BandLUEntry(f *BandLU, i, j int) float64 { return f.data[j*f.ld+f.kl+f.ku+i-j] }

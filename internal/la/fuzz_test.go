@@ -34,11 +34,16 @@ func maxAbs(xs []float64) float64 {
 
 // fuzzCSRFrom builds an n×n CSR from a byte-stream of (row, col, value)
 // triplets with small-integer values, so duplicate accumulation is exact.
-func fuzzCSRFrom(n int, data []byte) (*CSR, int) {
+// With special set, a value byte that is a multiple of 16 picks a
+// specialBits pattern instead.
+func fuzzCSRFrom(n int, data []byte, special bool) (*CSR, int) {
 	coo := NewCOO(n, n)
 	appended := 0
 	for len(data) >= 3 {
 		i, j, v := int(data[0])%n, int(data[1])%n, float64(int8(data[2]))
+		if special && data[2]%16 == 0 {
+			v = math.Float64frombits(specialBits[int(data[2]/16)%len(specialBits)])
+		}
 		coo.Append(i, j, v)
 		appended++
 		data = data[3:]
@@ -46,8 +51,12 @@ func fuzzCSRFrom(n int, data []byte) (*CSR, int) {
 	return coo.ToCSR(), appended
 }
 
-// FuzzBandLU draws n up to 24, so row updates reach the vector kernel's
-// eight-wide loop as well as its masked last block.
+// FuzzBandLU draws n up to 24, so row updates reach the vector kernels'
+// full blocks as well as their masked last ones. With nRaw ≥ 128 a value
+// byte that is a multiple of 16 becomes a specialBits pattern (±0, ±Inf,
+// NaN payloads, subnormals). Every factor is held bit for bit to the
+// row-major reference (entries, pivots, FactorOps, Solve output, NaNs
+// included); the finite ones also to the full-span oracle.
 func FuzzBandLU(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 0, 4, 1, 1, 4, 2, 2, 4, 0, 1, 1, 1, 0, 1})
 	f.Add(uint8(1), []byte{0, 0, 0})
@@ -58,14 +67,42 @@ func FuzzBandLU(f *testing.F) {
 		wide = append(wide, i, i, 4)
 	}
 	f.Add(uint8(19), wide)
+	// A 16×16 band, kl = ku = 5, with a small diagonal (interchanges) and a
+	// dense one (four-pivot panels), then the same with special values.
+	band := func(diag byte) []byte {
+		var d []byte
+		for i := byte(0); i < 16; i++ {
+			for j := max(i, 5) - 5; j <= min(i+5, 15); j++ {
+				v := byte(3 + 7*i + 5*j)
+				if i == j {
+					v = diag
+				}
+				d = append(d, i, j, v)
+			}
+		}
+		return d
+	}
+	f.Add(uint8(15), band(1))
+	f.Add(uint8(15), band(90))
+	f.Add(uint8(128+15), band(1))
+	f.Add(uint8(128+15), band(90))
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
 		n := 1 + int(nRaw)%24
-		m, _ := fuzzCSRFrom(n, data)
+		special := nRaw >= 128
+		m, _ := fuzzCSRFrom(n, data, special)
 		lu, err := FactorBandLU(m)
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = float64(i + 1)
+		}
+		compareRowMajor(t, "FuzzBandLU", lu, err, m, b)
+		if special {
+			return // the full-span oracle multiplies the fill's +0 by Inf and NaN
+		}
 		// The full-span oracle must agree on singularity, and on every bit
 		// of a finite solution.
 		kl, ku := Bandwidths(m)
-		ref := NewBandLUWorkspace(n, kl, ku)
+		ref := newRowMajorLU(n, kl, ku)
 		if err := ref.load(m); err != nil {
 			t.Fatal(err)
 		}
@@ -82,10 +119,6 @@ func FuzzBandLU(f *testing.F) {
 			if lu.piv[k] != p {
 				t.Fatalf("piv[%d] = %d, full span %d", k, lu.piv[k], p)
 			}
-		}
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = float64(i + 1)
 		}
 		x, xr := make([]float64, n), make([]float64, n)
 		if err := lu.Solve(x, b); err != nil {
@@ -127,7 +160,7 @@ func FuzzCSR(f *testing.F) {
 	f.Add(uint8(1), []byte{})
 	f.Fuzz(func(t *testing.T, nRaw uint8, data []byte) {
 		n := 1 + int(nRaw)%8
-		m, appended := fuzzCSRFrom(n, data)
+		m, appended := fuzzCSRFrom(n, data, false)
 		if m.NNZ() > appended {
 			t.Fatalf("NNZ %d exceeds appended triplets %d", m.NNZ(), appended)
 		}
@@ -347,6 +380,102 @@ func FuzzSubScaledRows(f *testing.F) {
 			if g, w := math.Float64bits(xbuf[i]), math.Float64bits(wantX[i]); g != w {
 				t.Fatalf("rows=%d n0=%d nd=%d: x[%d] = %#x, subScaledRowsGo %#x", rows, n0, nd, i-xo, g, w)
 			}
+		}
+	})
+}
+
+// FuzzBandKernels holds the band-LU vector kernels to their Go references
+// bit for bit, NaN payloads included: bandUpdate with one step, or four
+// with and without the three ragged columns; bandPanel; and bandPivot
+// with bandScale. Values are any float64 pattern the data picks (±0, ±Inf,
+// NaNs with distinct payloads, subnormals), column lengths e run 0–67,
+// and the words past every column, and past the buffers, must keep their
+// values, so a mask that reaches one lane too far fails.
+func FuzzBandKernels(f *testing.F) {
+	// sel repeats one specialBits selector n times.
+	sel := func(b byte, n int) []byte {
+		d := make([]byte, n)
+		for i := range d {
+			d[i] = b
+		}
+		return d
+	}
+	for kind := uint8(0); kind < 5; kind++ {
+		f.Add(kind, uint8(33), uint8(5), uint8(0), uint64(3), []byte{})
+		f.Add(kind, uint8(7), uint8(2), uint8(1), uint64(5), []byte{0, 4, 8, 12, 40, 44, 48, 36, 32, 28})
+	}
+	// NaN columns against NaN multipliers of another payload: the product's
+	// and the difference's operand order show.
+	f.Add(uint8(2), uint8(13), uint8(3), uint8(0), uint64(7), append(sel(16, 60), sel(20, 60)...))
+	f.Add(uint8(0), uint8(10), uint8(2), uint8(2), uint64(9), append(sel(20, 30), sel(24, 30)...))
+	f.Add(uint8(3), uint8(21), uint8(0), uint8(3), uint64(11), sel(28, 200))
+	// Multipliers that are mostly ±0, so the blends run.
+	f.Add(uint8(1), uint8(40), uint8(4), uint8(0), uint64(13), append(sel(48, 150), sel(0, 150)...))
+	f.Fuzz(func(t *testing.T, kind, eRaw, colsRaw, opts uint8, seed uint64, data []byte) {
+		if !useAVX2 {
+			t.Skip("no AVX2 kernels on this CPU or architecture")
+		}
+		const guard = 5
+		e := int(eRaw) % 68
+		ld := e + 1 + int(opts)%5 // bandPanel's column length: its e rows and then some
+		// twin fills two identical buffers of n words from the data.
+		twin := func(n int, salt uint64) ([]float64, []float64) {
+			a := make([]float64, n)
+			data = fuzzFloats(a, data, seed^salt|1)
+			return a, append([]float64(nil), a...)
+		}
+		same := func(what string, vec, ref []float64) {
+			t.Helper()
+			for i := range vec {
+				if g, w := math.Float64bits(vec[i]), math.Float64bits(ref[i]); g != w {
+					t.Fatalf("kind %d e=%d: %s word %d = %#x, Go %#x", kind, e, what, i, g, w)
+				}
+			}
+		}
+		switch kind % 5 {
+		case 0, 1, 2: // bandUpdate: one step; four; four and ragged
+			steps, ragged := 1, 0
+			if kind%5 > 0 {
+				steps, e = panelWidth, max(e, panelWidth)
+			}
+			if kind%5 == 2 {
+				ragged = panelWidth - 1
+			}
+			e = max(e, 1)
+			// Columns one stride apart must not overlap: rows run to e+steps−2.
+			cols, stride := 1+int(colsRaw)%6, e+steps-1+int(opts)%5
+			c, cRef := twin((cols+ragged-1)*stride+e+steps-1+guard, 1)
+			l, lRef := twin((steps-1)*stride+e+steps-1+guard, 2)
+			bandUpdateAVX2(c, l, stride, cols, steps, e, ragged)
+			bandUpdateGo(cRef, lRef, stride, cols, steps, e, ragged)
+			same("column", c, cRef)
+			same("multiplier", l, lRef)
+		case 3: // bandPanel
+			// The window columns, from row m down, must not overlap.
+			e = max(e, 1)
+			ld += panelWidth
+			x, xRef := twin((panelWidth-1)*ld+e+guard, 3)
+			var nz, nzRef [panelWidth]int
+			nb, stop := bandPanelAVX2(x, ld, e, &nz)
+			nbRef, stopRef := bandPanelGo(xRef, ld, e, &nzRef)
+			if nb != nbRef || stop != stopRef || nz != nzRef {
+				t.Fatalf("e=%d: panel ran %d steps (stop %d, nz %v), Go %d (stop %d, nz %v)", e, nb, stop, nz, nbRef, stopRef, nzRef)
+			}
+			same("panel", x, xRef)
+		case 4: // bandPivot, then bandScale on the rest
+			x, xRef := twin(e+guard, 4)
+			if e > 0 && !math.IsNaN(x[0]) {
+				p, v := bandPivotAVX2(x[:e])
+				pRef, vRef := bandPivotGo(xRef[:e])
+				if p != pRef || math.Float64bits(v) != math.Float64bits(vRef) {
+					t.Fatalf("e=%d: pivot %d (%#x), Go %d (%#x)", e, p, math.Float64bits(v), pRef, math.Float64bits(vRef))
+				}
+			}
+			d := math.Float64frombits(seed)
+			if nz, nzRef := bandScaleAVX2(x[:e], d), bandScaleGo(xRef[:e], d); nz != nzRef {
+				t.Fatalf("e=%d: %d non-zero quotients, Go %d", e, nz, nzRef)
+			}
+			same("scaled", x, xRef)
 		}
 	})
 }

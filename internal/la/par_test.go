@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hybridpde/internal/la"
-	"hybridpde/internal/par"
 )
 
 // randBanded builds a random diagonally dominant banded matrix; dominance
@@ -89,50 +88,6 @@ func TestFactorBandLUIntoReusesStorageAcrossShapes(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm FactorBandLUInto allocates %v per call, want 0", allocs)
-	}
-}
-
-// TestBandLUParallelBitIdentical is the band-LU determinism contract: the
-// factorization (solutions and FactorOps alike) must produce identical bits
-// at every pool size, including against the no-pool serial path.
-func TestBandLUParallelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, sz := range [][3]int{{60, 4, 4}, {128, 17, 17}, {200, 33, 12}} {
-		n, kl, ku := sz[0], sz[1], sz[2]
-		a := randBanded(rng, n, kl, ku)
-		b := make([]float64, n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		serial, err := la.FactorBandLU(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		xWant := make([]float64, n)
-		if err := serial.Solve(xWant, b); err != nil {
-			t.Fatal(err)
-		}
-		for _, procs := range []int{1, 2, 3, 8} {
-			p := par.NewPool(procs)
-			var f la.BandLU
-			f.SetPool(p)
-			if err := la.FactorBandLUInto(&f, a, kl, ku); err != nil {
-				t.Fatalf("procs=%d: %v", procs, err)
-			}
-			if f.FactorOps != serial.FactorOps {
-				t.Fatalf("n=%d procs=%d: FactorOps %d vs serial %d", n, procs, f.FactorOps, serial.FactorOps)
-			}
-			x := make([]float64, n)
-			if err := f.Solve(x, b); err != nil {
-				t.Fatalf("procs=%d: %v", procs, err)
-			}
-			for i := range x {
-				if x[i] != xWant[i] {
-					t.Fatalf("n=%d procs=%d: x[%d] = %x, serial %x", n, procs, i, x[i], xWant[i])
-				}
-			}
-			p.Close()
-		}
 	}
 }
 

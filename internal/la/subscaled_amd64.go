@@ -8,3 +8,15 @@ func cpuHasAVX2() bool
 
 //go:noescape
 func subScaledRowsAVX2(y, x, m []float64, ystride, xstride, mstride, n0, dn, rows int, d float64, nd int)
+
+//go:noescape
+func bandUpdateAVX2(c, l []float64, stride, cols, steps, e, ragged int)
+
+//go:noescape
+func bandScaleAVX2(x []float64, d float64) int
+
+//go:noescape
+func bandPivotAVX2(x []float64) (p int, vmax float64)
+
+//go:noescape
+func bandPanelAVX2(x []float64, ld, e int, nz *[4]int) (nb, stop int)

@@ -134,7 +134,9 @@ done:
 //
 // AVX2 is usable when CPUID reports it (leaf 7, EBX bit 5) and the OS
 // saves the YMM state: CPUID leaf 1 reports OSXSAVE and AVX (ECX bits 27
-// and 28), and XCR0 enables the SSE and AVX state (bits 1 and 2).
+// and 28), and XCR0 enables the SSE and AVX state (bits 1 and 2). The
+// band-LU kernels also need POPCNT (leaf 1, ECX bit 23), which every AVX2
+// CPU has.
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVB  $0, ret+0(FP)
 	XORL  AX, AX
@@ -144,8 +146,8 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 	MOVL  $1, AX
 	XORL  CX, CX
 	CPUID
-	ANDL  $0x18000000, CX
-	CMPL  CX, $0x18000000
+	ANDL  $0x18800000, CX
+	CMPL  CX, $0x18800000
 	JNE   no
 	XORL  CX, CX
 	XGETBV

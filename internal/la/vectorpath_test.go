@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hybridpde/internal/la"
-	"hybridpde/internal/par"
 	"hybridpde/internal/pde"
 )
 
@@ -51,11 +50,10 @@ func bothPaths(t *testing.T, name string, f func() bandRun) {
 	sameBits(t, name, goPath, f())
 }
 
-func luRun(t *testing.T, a *la.CSR, pool *par.Pool, b []float64) bandRun {
+func luRun(t *testing.T, a *la.CSR, b []float64) bandRun {
 	t.Helper()
 	kl, ku := la.Bandwidths(a)
 	var f la.BandLU
-	f.SetPool(pool)
 	if err := la.FactorBandLUInto(&f, a, kl, ku); err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +80,13 @@ func choleskyRun(t *testing.T, a *la.CSR, b []float64) bandRun {
 }
 
 // TestVectorPathBitIdentical runs both band factors end to end with the
-// AVX2 row update off, the path of every other CPU and architecture, and
-// on, and requires the same factor storage, pivots, FactorOps and
-// solution bits: the band LU serial and on pools of 2 and 8 (at sizes
-// whose pivot steps do fan out), the band Cholesky's FactorNormalFrom and
-// SolveInto, and both factors on 2-D Burgers Jacobians of 4×4 to 16×16
-// grids.
+// AVX2 kernels off, the path of every other CPU and architecture, and on,
+// and requires the same factor storage, pivots, FactorOps and solution
+// bits: the band LU on diagonally dominant bands (four-pivot panels), on
+// bands that interchange rows, hold ±0, ±Inf and NaNs, or are too thin
+// (kl < 3) or short for a full panel (one step at a time), the band
+// Cholesky's FactorNormalFrom and SolveInto, and both factors on 2-D
+// Burgers Jacobians of 4×4 to 16×16 grids.
 func TestVectorPathBitIdentical(t *testing.T) {
 	if !la.SetVectorRowUpdate(false) {
 		t.Skip("no AVX2 row update on this CPU or architecture")
@@ -101,22 +100,22 @@ func TestVectorPathBitIdentical(t *testing.T) {
 		}
 		return v
 	}
-	pools := map[int]*par.Pool{1: nil, 2: par.NewPool(2), 8: par.NewPool(8)}
-	defer pools[2].Close()
-	defer pools[8].Close()
-	for _, sz := range [][3]int{{60, 4, 4}, {128, 17, 17}, {200, 120, 40}} {
+	for _, sz := range [][3]int{{60, 4, 4}, {128, 17, 17}, {200, 120, 40}, {9, 5, 2}, {40, 2, 6}, {33, 3, 0}} {
 		n, kl, ku := sz[0], sz[1], sz[2]
 		a, b := randBanded(rng, n, kl, ku), vec(n)
-		for _, procs := range []int{1, 2, 8} {
-			name := fmt.Sprintf("band LU n=%d kl=%d ku=%d procs=%d", n, kl, ku, procs)
-			bothPaths(t, name, func() bandRun { return luRun(t, a, pools[procs], b) })
-		}
+		bothPaths(t, fmt.Sprintf("band LU n=%d kl=%d ku=%d", n, kl, ku), func() bandRun { return luRun(t, a, b) })
 		bothPaths(t, fmt.Sprintf("band Cholesky n=%d kl=%d ku=%d", n, kl, ku), func() bandRun { return choleskyRun(t, a, b) })
 	}
-	// The first pivot step of the widest shape alone updates kl rows of at
-	// least ku+1 values, so the pooled runs above did fan out.
-	if 120*41 < la.BandParGrain {
-		t.Fatalf("band LU kl=120 stays under the fan-out grain %d", la.BandParGrain)
+	for _, mk := range []func(*rand.Rand) ([]*la.CSR, error){randomBands(40, false, false), randomBands(40, true, true)} {
+		mats, _ := mk(rng)
+		for i, a := range mats {
+			b := vec(a.Rows())
+			kl, ku := la.Bandwidths(a)
+			if la.FactorBandLUInto(&la.BandLU{}, a, kl, ku) != nil {
+				continue
+			}
+			bothPaths(t, fmt.Sprintf("random band LU %d", i), func() bandRun { return luRun(t, a, b) })
+		}
 	}
 	for _, grid := range []int{4, 8, 12, 16} {
 		p, err := pde.RandomBurgers(grid, 2, 3, rng)
@@ -128,7 +127,7 @@ func TestVectorPathBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := vec(p.Dim())
-		bothPaths(t, fmt.Sprintf("Burgers %d×%d band LU", grid, grid), func() bandRun { return luRun(t, jac, nil, b) })
+		bothPaths(t, fmt.Sprintf("Burgers %d×%d band LU", grid, grid), func() bandRun { return luRun(t, jac, b) })
 		bothPaths(t, fmt.Sprintf("Burgers %d×%d band Cholesky", grid, grid), func() bandRun { return choleskyRun(t, jac, b) })
 	}
 }

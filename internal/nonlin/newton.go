@@ -31,12 +31,12 @@ type NewtonOptions struct {
 	// DivergeFactor aborts an attempt when the residual exceeds this
 	// multiple of its starting value. Default 1e6.
 	DivergeFactor float64
-	// Procs bounds the worker count of the per-solve parallel kernels: the
-	// band-LU trailing-submatrix updates and — for PoolAware systems — the
-	// Jacobian assembly and residual walks fan out across a pool owned by
-	// the SparseSolver. 0 and 1 run serial. Solutions, residuals and
-	// iteration counts are bit-identical at every setting (the kernels
-	// partition into disjoint writes in serial order).
+	// Procs bounds the worker count of the per-solve parallel kernels: for
+	// PoolAware systems the Jacobian assembly and residual walks fan out
+	// across a pool owned by the SparseSolver (the band-LU factor runs
+	// serial). 0 and 1 run serial. Solutions, residuals and iteration
+	// counts are bit-identical at every setting (the kernels partition into
+	// disjoint writes in serial order).
 	Procs int
 	// Chord enables modified-Newton (chord) iteration:
 	// the band-LU factorization is reused — and the sharded Jacobian
@@ -225,9 +225,6 @@ func (w *SparseSolver) setProcs(procs int) {
 		w.pool = par.NewPool(procs)
 	}
 	w.procs = procs
-	if w.lu != nil {
-		w.lu.SetPool(w.pool)
-	}
 }
 
 // Close releases the worker pool's goroutines. The solver stays usable —
@@ -238,9 +235,6 @@ func (w *SparseSolver) Close() {
 	w.pool.Close()
 	w.pool = nil
 	w.procs = 0
-	if w.lu != nil {
-		w.lu.SetPool(nil)
-	}
 }
 
 // ResetReuse discards the chord-mode factorization state, so the next chord
@@ -284,7 +278,6 @@ func (w *SparseSolver) refactor(u []float64) (int64, error) {
 		w.kl, w.ku = la.Bandwidths(j)
 		if w.lu == nil {
 			w.lu = &la.BandLU{} //pdevet:allow noalloc grow-on-first-use
-			w.lu.SetPool(w.pool)
 		}
 	}
 	if err := la.FactorBandLUInto(w.lu, j, w.kl, w.ku); err != nil {
