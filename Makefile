@@ -33,6 +33,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBandLU -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzBandCholesky -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzSubScaledRows -fuzztime 3s ./internal/la/
+	$(GO) test -run '^$$' -fuzz FuzzBandKernels -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzCSR -fuzztime 3s ./internal/la/
 	$(GO) test -run '^$$' -fuzz FuzzBurgersEval -fuzztime 3s ./internal/pde/
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 3s ./internal/fault/

@@ -124,7 +124,7 @@ func (s *Store) Nearest(bucket Key, coords []float64, maxDist float64, dst []flo
 		d2 := 0.0
 		for i, c := range coords {
 			d := e.coords[i] - c
-			d2 += d * d
+			d2 += float64(d * d)
 		}
 		if d2 <= bestD2 {
 			best, bestD2 = e, d2

@@ -133,7 +133,7 @@ func (inj *Injector) ADC(i int, v float64) float64 { return applyDrift(inj.adcDr
 func applyDrift(ds []drift, i int, v float64) float64 {
 	for _, d := range ds {
 		if d.v == AllVars || d.v == i {
-			v = v*(1+d.gain) + d.shift
+			v = float64(v*(1+d.gain)) + d.shift
 		}
 	}
 	return v
@@ -159,7 +159,7 @@ func (inj *Injector) Drive(t float64, i int, w, d float64) float64 {
 		if !b.whole && (t < b.from || t >= b.to) {
 			continue
 		}
-		d += b.amp * math.Sin(2*math.Pi*((t-b.from)/burstPeriodTau+phase(i)))
+		d += float64(b.amp * math.Sin(2*math.Pi*((t-b.from)/burstPeriodTau+phase(i))))
 	}
 	return d
 }
@@ -168,7 +168,7 @@ func (inj *Injector) Drive(t float64, i int, w, d float64) float64 {
 // ratio, spreading disturbance phases without shared state.
 func phase(i int) float64 {
 	const golden = 0.6180339887498949
-	p := float64(i+1) * golden
+	p := float64(float64(i+1) * golden)
 	return p - math.Floor(p)
 }
 

@@ -56,7 +56,7 @@ const (
 // is the problem dimension.
 func CPUTime(res nonlin.Result, dim int) float64 {
 	return float64(res.FactorOps)/CPUEffectiveFLOPS +
-		float64(res.Iterations)*(CPUIterOverheadSeconds+CPUIterPerDimSeconds*float64(dim))
+		float64(float64(res.Iterations)*(CPUIterOverheadSeconds+float64(CPUIterPerDimSeconds*float64(dim))))
 }
 
 // CPUEnergy charges package power for the total work including failed
@@ -69,7 +69,7 @@ func CPUEnergy(res nonlin.Result, dim int) float64 {
 // GPUIterSeconds is the cost of one Newton iteration (one sparse
 // factorise+solve) at problem dimension dim on the GPU.
 func GPUIterSeconds(dim int) float64 {
-	return GPUIterBaseSeconds + GPUIterPerDimSeconds*float64(dim)
+	return GPUIterBaseSeconds + float64(GPUIterPerDimSeconds*float64(dim))
 }
 
 // GPUTime prices a Newton solve on the GPU baseline: counted iterations ×
@@ -104,7 +104,7 @@ const (
 // AnalogLAIterSeconds is the cost of one Newton iteration with the linear
 // solve done on the analog co-processor.
 func AnalogLAIterSeconds(dim int) float64 {
-	return AnalogIterSeconds + AnalogIterPerDimSeconds*float64(dim)
+	return AnalogIterSeconds + float64(AnalogIterPerDimSeconds*float64(dim))
 }
 
 // AnalogLATime prices a Newton solve with analog linear algebra: counted

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -29,6 +30,7 @@ func TestEndpointAdmissionParity(t *testing.T) {
 		{name: "oversize body", code: http.StatusBadRequest,
 			body: `{"problem":"burgers1d","pad":"` + strings.Repeat("x", maxBodyBytes) + `"}`},
 		{name: "retired netlist kind", body: `{"problem":"netlist"}`, code: http.StatusBadRequest},
+		{name: "unknown kind", body: `{"problem":"heat3d"}`, code: http.StatusBadRequest},
 		{name: "spent budget", body: valid, budget: "0", code: http.StatusGatewayTimeout,
 			counter: func(m *metrics) uint64 { return m.budgetRejects.Value() }},
 		{name: "tight budget", body: valid, budget: "4000", code: http.StatusOK,
@@ -76,12 +78,31 @@ func TestEndpointAdmissionParity(t *testing.T) {
 			if row.code == http.StatusTooManyRequests && resp.Header.Get("Retry-After") == "" {
 				t.Fatalf("%s %s: 429 without Retry-After", row.name, ep)
 			}
+			// A refusal counts under its kind when the registry serves it,
+			// else under "unknown": a client-chosen string never becomes a
+			// series, though the reply echoes it.
+			var prom strings.Builder
+			s.m.writeProm(&prom)
+			for _, raw := range []string{"netlist", "heat3d"} {
+				if strings.Contains(prom.String(), `problem="`+raw+`"`) {
+					t.Fatalf("%s %s: /metrics holds a %q series", row.name, ep, raw)
+				}
+			}
 			counted := uint64(0)
-			for _, problem := range []string{"unknown", "netlist", KindBurgers1D} {
+			for _, problem := range []string{"unknown", KindBurgers1D} {
 				counted += s.m.requests.With(problem, strconv.Itoa(row.code)).Value()
 			}
 			if counted != 1 {
 				t.Fatalf("%s %s: requests{code=%d} moved by %d, want 1", row.name, ep, row.code, counted)
+			}
+			if strings.Contains(row.body, "netlist") || strings.Contains(row.body, "heat3d") {
+				if s.m.requests.With("unknown", strconv.Itoa(row.code)).Value() != 1 {
+					t.Fatalf("%s %s: refusal not counted under problem=\"unknown\"", row.name, ep)
+				}
+				var reply Response
+				if err := json.Unmarshal(body, &reply); err != nil || !strings.Contains(row.body, `"`+reply.Problem+`"`) {
+					t.Fatalf("%s %s: reply names problem %q (%v), want the raw kind echoed", row.name, ep, reply.Problem, err)
+				}
 			}
 			if row.counter != nil && row.counter(s.m) != 1 {
 				t.Fatalf("%s %s: refusal counter reads %d, want 1", row.name, ep, row.counter(s.m))

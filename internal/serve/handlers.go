@@ -375,11 +375,22 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // reject counts and encodes an error-only response.
 func (s *Server) reject(w http.ResponseWriter, problem string, code int, msg string) {
+	s.m.requests.With(kindLabel(problem), strconv.Itoa(code)).Inc()
 	if problem == "" {
 		problem = "unknown"
 	}
-	s.m.requests.With(problem, strconv.Itoa(code)).Inc()
 	WriteJSON(w, code, &Response{Problem: problem, Error: msg})
+}
+
+// kindLabel is the problem label a request counts under: its kind when it
+// is one the registry serves, else "unknown", so that a client cannot mint
+// a metric series per string it sends.
+func kindLabel(problem string) string {
+	switch problem {
+	case KindBurgers2D, KindBurgersSteady, KindBurgers1D:
+		return problem
+	}
+	return "unknown"
 }
 
 // WriteJSON commits the status and encodes v as the JSON body — the reply

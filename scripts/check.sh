@@ -5,9 +5,9 @@
 # cross-build that must hold no fused multiply-add in band.go, cholesky.go,
 # lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go,
 # burgers.go, burgers1d.go, semilinear.go, steady.go, accelerator.go,
-# globalise.go or worker.go, no fused
+# globalise.go, worker.go, perfmodel.go, injector.go or store.go, no fused
 # multiply-add instruction in any assembly file under internal/ (la's
-# batched row-update kernel), no shipped binary linking la's dense LU, and
+# row-update and band-LU panel kernels), no shipped binary linking la's dense LU, and
 # the bench module. Run from the repository root; also available as
 # `make check`.
 set -eu
@@ -70,20 +70,25 @@ done
 # steady.go), in the 1-D Burgers residual and Jacobian (burgers1d.go), in
 # Fig 3's semilinear system (semilinear.go), in the fabric run and its
 # homotopy blend (analog's accelerator.go), in the ablation's Armijo and
-# dogleg solvers (exp's globalise.go) and in the service's problem draw
-# (serve's worker.go) is written float64(x*y)+z, which forbids fusion, so
-# their bits match across architectures. A cross-built arm64 binary must
-# show no fused instruction attributed to those sixteen basenames. The awk
+# dogleg solvers (exp's globalise.go), in the service's problem draw
+# (serve's worker.go), in the performance model every reply's
+# model_seconds and model_energy_j come from (perfmodel.go), in the chaos
+# fault injector's drift and bursts (fault's injector.go) and in the
+# cache's warm-start distance (cache's store.go) is written
+# float64(x*y)+z, which forbids fusion, so their bits match across
+# architectures. A cross-built arm64 binary must show no fused instruction
+# attributed to those nineteen basenames, none of which the standard
+# library uses. The awk
 # matches the basename exactly, so a file such as decode.go or node.go does
 # not count as ode.go. Two binaries are searched: hybridpde links the
 # experiments, and pdeserved links the service and the degradation ladder,
 # whose homotopy rung (NewtonHomotopy) hybridpde never calls.
-echo "== no fused multiply-add in band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, burgers1d.go, semilinear.go, steady.go, accelerator.go, globalise.go, worker.go (GOARCH=arm64 go tool objdump)"
+echo "== no fused multiply-add in band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, burgers1d.go, semilinear.go, steady.go, accelerator.go, globalise.go, worker.go, perfmodel.go, injector.go, store.go (GOARCH=arm64 go tool objdump)"
 GOARCH=arm64 go build -o "$transcripts/hybridpde-arm64" ./cmd/hybridpde
 GOARCH=arm64 go build -o "$transcripts/pdeserved-arm64" ./cmd/pdeserved
-fused=$({ go tool objdump "$transcripts/hybridpde-arm64"; go tool objdump "$transcripts/pdeserved-arm64"; } | awk '$1 ~ /^(band|cholesky|lu|dense|sparse|dopri|ode|newton|homotopy|burgers|burgers1d|semilinear|steady|accelerator|globalise|worker)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
+fused=$({ go tool objdump "$transcripts/hybridpde-arm64"; go tool objdump "$transcripts/pdeserved-arm64"; } | awk '$1 ~ /^(band|cholesky|lu|dense|sparse|dopri|ode|newton|homotopy|burgers|burgers1d|semilinear|steady|accelerator|globalise|worker|perfmodel|injector|store)\.go:/' | grep -cE 'FMADDD|FMSUBD|FNMADDD|FNMSUBD' || true)
 if [ "$fused" -ne 0 ]; then
-	echo "band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, burgers1d.go, semilinear.go, steady.go, accelerator.go, globalise.go and worker.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
+	echo "band.go, cholesky.go, lu.go, dense.go, sparse.go, dopri.go, ode.go, newton.go, homotopy.go, burgers.go, burgers1d.go, semilinear.go, steady.go, accelerator.go, globalise.go, worker.go, perfmodel.go, injector.go and store.go compile to $fused fused multiply-adds on arm64; round each product with float64(...)" >&2
 	exit 1
 fi
 
@@ -100,10 +105,10 @@ if [ -n "$dense" ]; then
 fi
 
 # The assembly counterpart of the step above: a hand-written kernel (la's
-# batched AVX2 row update, which runs a whole pivot step of either band
-# factor in one call) rounds each product with its own multiply
-# instruction, as the Go code it replaces does, so no .s file may use a
-# fused one.
+# AVX2 row update, a whole pivot step of the band Cholesky in one call,
+# and the band LU's panel and four-pivot update kernels) rounds each
+# product with its own multiply instruction, as its Go reference does, so
+# no .s file may use a fused one.
 echo "== no fused multiply-add instruction in internal/**/*.s"
 if git grep -nE 'VFMADD|VFMSUB|VFNMADD|VFNMSUB' -- 'internal/**/*.s'; then
 	echo "the assembly above fuses a multiply-add; use a separate multiply and add, as the Go reference does" >&2
