@@ -127,8 +127,8 @@ func subScaledGo(y, x []float64, m float64) {
 	}
 }
 
-// vecMin is the shortest column the band-LU kernels take to the vector
-// code: below one block of four the Go loop costs less than the call.
+// vecMin is the shortest column bandUpdate takes to the vector code: below
+// one block of four rows the Go loop costs less than the call.
 const vecMin = 4
 
 // bandUpdate applies steps (1 or panelWidth) consecutive pivot steps of
@@ -181,17 +181,8 @@ func bandUpdateGo(c, l []float64, stride, cols, steps, e, ragged int) {
 // bandPivot returns the partial pivot of a column, x holding its rows from
 // the diagonal down: the first index of the largest |x[i]|, and that
 // magnitude. A NaN never wins, except in x[0], which then stands. x must
-// not be empty. On an amd64 CPU with AVX2, for more than vecMin rows, it
-// searches four at a time.
+// not be empty.
 func bandPivot(x []float64) (int, float64) {
-	if useAVX2 && len(x) > vecMin && !math.IsNaN(x[0]) {
-		return bandPivotAVX2(x)
-	}
-	return bandPivotGo(x)
-}
-
-// bandPivotGo is bandPivot in Go: the fallback and the reference.
-func bandPivotGo(x []float64) (int, float64) {
 	p, vMax := 0, math.Abs(x[0])
 	for i := 1; i < len(x); i++ {
 		if v := math.Abs(x[i]); v > vMax {
@@ -199,6 +190,19 @@ func bandPivotGo(x []float64) (int, float64) {
 		}
 	}
 	return p, vMax
+}
+
+// bandScale divides x by d in place, the multipliers of one pivot step,
+// and returns how many quotients are not zero (a NaN counts).
+func bandScale(x []float64, d float64) int {
+	nz := 0
+	for i := range x {
+		x[i] /= d
+		if x[i] != 0 {
+			nz++
+		}
+	}
+	return nz
 }
 
 // bandPanel's stop codes: a panel ends before the step whose pivot is off
@@ -210,65 +214,43 @@ const (
 )
 
 // bandPanel runs the pivot steps of a panel that need no interchange,
-// each in full: for step m, column m's rows 0…e−1 from its diagonal sit
-// at x[m·ld:], and its pivot search, division and update of the panel's
-// later columns are those of the general step loop. It stops before a
-// step whose pivot is off the diagonal or zero, returning how many steps
-// it ran and why it stopped; nz[m] gets step m's non-zero multiplier
-// count. Every later column must lie within step m's reach. On an amd64
-// CPU with AVX2 it runs in one call of the vector kernels' code, with
-// bandPanelGo's bits.
-func bandPanel(x []float64, ld, e int, nz *[panelWidth]int) (nb, stop int) {
-	if e <= vecMin || ld < e || (panelWidth-1)*ld+e > len(x) {
-		panic("la: bandPanel: e too small, or a column runs past x")
+// each in full: step m's column holds its e_m = min(e, last−m+1) rows
+// from the diagonal at x[m·ld:], and its pivot search, division and update
+// of the panel's later columns are those of the general step loop. It
+// stops before a step whose pivot is off the diagonal or zero, returning
+// how many steps it ran and why it stopped; nz[m] gets step m's non-zero
+// multiplier count. Every later column must lie within step m's reach. On
+// an amd64 CPU with AVX2 the whole panel is one call to the vector
+// kernel, with bandPanelGo's bits.
+func bandPanel(x []float64, ld, e, last int, nz *[panelWidth]int) (nb, stop int) {
+	if e < 1 || last < panelWidth-1 || ld < e+panelWidth-1 || (panelWidth-1)*ld+e > len(x) {
+		panic("la: bandPanel: bad column length, or a column runs past x")
 	}
 	if useAVX2 {
-		return bandPanelAVX2(x, ld, e, nz)
+		return bandPanelAVX2(x, ld, e, last, nz)
 	}
-	return bandPanelGo(x, ld, e, nz)
+	return bandPanelGo(x, ld, e, last, nz)
 }
 
 // bandPanelGo is bandPanel in Go: the fallback and the reference.
-func bandPanelGo(x []float64, ld, e int, nz *[panelWidth]int) (nb, stop int) {
+func bandPanelGo(x []float64, ld, e, last int, nz *[panelWidth]int) (nb, stop int) {
 	for m := 0; m < panelWidth; m++ {
-		col := x[m*ld : m*ld+e]
-		p, vMax := bandPivotGo(col)
+		em := min(e, last-m+1)
+		col := x[m*ld : m*ld+em]
+		p, vMax := bandPivot(col)
 		switch {
 		case vMax == 0:
 			return m, panelSingular
 		case p != 0:
 			return m, panelSwap
 		}
-		nz[m] = bandScaleGo(col[1:], col[0])
+		nz[m] = bandScale(col[1:], col[0])
 		if m < panelWidth-1 {
 			// Column m+1 from row m starts one word before its diagonal.
-			bandUpdateGo(x[m*ld+ld-1:], x[m*ld:], ld-1, panelWidth-1-m, 1, e, 0)
+			bandUpdateGo(x[m*ld+ld-1:], x[m*ld:], ld-1, panelWidth-1-m, 1, em, 0)
 		}
 	}
 	return panelWidth, panelDone
-}
-
-// bandScale divides x by d in place, the multipliers of one pivot step,
-// and returns how many quotients are not zero (a NaN counts). On an amd64
-// CPU with AVX2, from vecMin values on, it divides four at a time, with
-// bandScaleGo's bits.
-func bandScale(x []float64, d float64) int {
-	if useAVX2 && len(x) >= vecMin {
-		return bandScaleAVX2(x, d)
-	}
-	return bandScaleGo(x, d)
-}
-
-// bandScaleGo is bandScale in Go: the fallback and the reference.
-func bandScaleGo(x []float64, d float64) int {
-	nz := 0
-	for i := range x {
-		x[i] /= d
-		if x[i] != 0 {
-			nz++
-		}
-	}
-	return nz
 }
 
 // Bandwidths returns the lower and upper bandwidths of a sparse matrix.
@@ -413,12 +395,12 @@ func (f *BandLU) factor(a *CSR) error {
 		load.to(min(k+panelWidth-1+kl, n-1))
 		win := min(k+panelWidth, n) // the panel's columns are k…win−1
 		nb := 0
-		if kl >= vecMin && ku >= panelWidth-1 && k+panelWidth-1+kl <= n-1 {
-			// A full panel, its later columns within every step's reach:
-			// run its steps in one call until one would interchange rows.
+		if ku >= panelWidth-1 && win-k == panelWidth {
+			// Four columns, each within every earlier step's reach: run the
+			// panel's steps in one call until one would interchange rows.
 			var nz [panelWidth]int
 			var stop int
-			nb, stop = bandPanel(data[k*ld+dg:], ld, kl+1, &nz)
+			nb, stop = bandPanel(data[k*ld+dg:], ld, kl+1, n-1-k, &nz)
 			for t := 0; t < nb; t++ {
 				s := k + t
 				f.piv[s] = s

@@ -421,152 +421,46 @@ done:
 	VZEROUPPER
 	RET
 
-// func bandScaleAVX2(x []float64, d float64) int
-//
-// bandScale's kernel: x[t] /= d four at a time (VDIVPD, correctly rounded
-// like DIVSD, x/d as the Go loop has it), the last one to three under a
-// mask, counting the quotients that compare not equal to zero (NEQ_UQ, so
-// a NaN counts) with VMOVMSKPD and POPCNT.
-TEXT ·bandScaleAVX2(SB), NOSPLIT, $0-40
-	MOVQ         x_base+0(FP), SI
-	MOVQ         x_len+8(FP), CX
-	VBROADCASTSD d+24(FP), Y0
-	VXORPD       Y15, Y15, Y15
-	LEAQ         lanemask<>(SB), R9
-	XORQ         AX, AX
-	XORQ         R8, R8
-	LEAQ         -4(CX), DX
-
-scale4:
-	CMPQ      AX, DX
-	JGT       scaletail
-	VMOVUPD   (SI)(AX*8), Y1
-	VDIVPD    Y0, Y1, Y1
-	VMOVUPD   Y1, (SI)(AX*8)
-	VCMPPD    $4, Y15, Y1, Y2
-	VMOVMSKPD Y2, BX
-	POPCNTL   BX, BX
-	ADDQ      BX, R8
-	ADDQ      $4, AX
-	JMP       scale4
-
-scaletail:
-	MOVQ       CX, BX
-	SUBQ       AX, BX
-	JLE        scaled
-	NEGQ       BX
-	VMOVDQU    56(R9)(BX*8), Y3
-	VMASKMOVPD (SI)(AX*8), Y3, Y1
-	VDIVPD     Y0, Y1, Y1
-	VMASKMOVPD Y1, Y3, (SI)(AX*8)
-	VCMPPD     $4, Y15, Y1, Y2
-	VANDPD     Y3, Y2, Y2
-	VMOVMSKPD  Y2, BX
-	POPCNTL    BX, BX
-	ADDQ       BX, R8
-
-scaled:
-	MOVQ R8, ret+32(FP)
-	VZEROUPPER
-	RET
-
 DATA absmask<>+0(SB)/8, $0x7fffffffffffffff
 GLOBL absmask<>(SB), RODATA|NOPTR, $8
 
-// func bandPivotAVX2(x []float64) (p int, vmax float64)
-//
-// bandPivot's kernel, for a non-empty x whose x[0] is not a NaN. The first
-// pass takes the largest |x[i]| with VMAXPD, whose second operand (the
-// running maximum) wins when the first is a NaN, so NaNs never win; the
-// second finds the first i with |x[i]| equal to it. That is the first
-// index the scalar search's strict > would keep.
-TEXT ·bandPivotAVX2(SB), NOSPLIT, $0-40
-	MOVQ         x_base+0(FP), SI
-	MOVQ         x_len+8(FP), CX
-	LEAQ         lanemask<>(SB), R9
-	VBROADCASTSD absmask<>(SB), Y14
-	VXORPD       Y0, Y0, Y0
-	XORQ         AX, AX
-	LEAQ         -4(CX), DX
-
-max4:
-	CMPQ   AX, DX
-	JGT    maxtail
-	VANDPD (SI)(AX*8), Y14, Y1
-	VMAXPD Y0, Y1, Y0
-	ADDQ   $4, AX
-	JMP    max4
-
-maxtail:
-	MOVQ       CX, BX
-	SUBQ       AX, BX
-	JLE        hmax
-	NEGQ       BX
-	VMOVDQU    56(R9)(BX*8), Y3
-	VMASKMOVPD (SI)(AX*8), Y3, Y1
-	VANDPD     Y14, Y1, Y1
-	VMAXPD     Y0, Y1, Y0
-
-hmax:
-	VEXTRACTF128 $1, Y0, X1
-	VMAXPD       X1, X0, X0
-	VPERMILPD    $1, X0, X1
-	VMAXPD       X1, X0, X0
-	VBROADCASTSD X0, Y0
-	XORQ         AX, AX
-
-find4:
-	CMPQ      AX, DX
-	JGT       findtail
-	VANDPD    (SI)(AX*8), Y14, Y1
-	VCMPPD    $0, Y0, Y1, Y2
-	VMOVMSKPD Y2, BX
-	TESTQ     BX, BX
-	JNZ       found
-	ADDQ      $4, AX
-	JMP       find4
-
-findtail:
-	MOVQ       CX, BX
-	SUBQ       AX, BX
-	NEGQ       BX
-	VMOVDQU    56(R9)(BX*8), Y3
-	VMASKMOVPD (SI)(AX*8), Y3, Y1
-	VANDPD     Y14, Y1, Y1
-	VCMPPD     $0, Y0, Y1, Y2
-	VANDPD     Y3, Y2, Y2
-	VMOVMSKPD  Y2, BX
-
-found:
-	BSFQ   BX, BX
-	ADDQ   BX, AX
-	MOVQ   AX, p+24(FP)
-	VMOVSD X0, vmax+32(FP)
-	VZEROUPPER
-	RET
-
-// func bandPanelAVX2(x []float64, ld, e int, nz *[4]int) (nb, stop int)
+// func bandPanelAVX2(x []float64, ld, e, last int, nz *[4]int) (nb, stop int)
 //
 // bandPanel's kernel: the pivot search, division and window update of
-// each of a panel's four steps in one call. For step m, column m's rows
-// 0…e−1 from the diagonal, at x[m·ld:], are searched as bandPivotAVX2
-// does (a NaN x[0] stands); a zero pivot stops with stop = 2 and a pivot
-// off the diagonal with stop = 1. Otherwise rows 1…e−1 are divided by the
-// pivot as bandScaleAVX2 does, their non-zero count goes to nz[m], and
-// the panel's later columns, from row m down, take the step as the
-// one-step path of bandUpdateAVX2 gives it.
-TEXT ·bandPanelAVX2(SB), NOSPLIT, $0-64
+// each of a panel's four steps in one call. Step m's column holds its
+// e_m = min(e, last−m+1) rows from the diagonal at x[m·ld:]. The search
+// takes the largest |x| with VMAXPD, whose second operand (the running
+// maximum) wins when the first is a NaN, so NaNs never win, and the pivot
+// is the diagonal when it equals that maximum: the first index the scalar
+// search's strict > keeps. A NaN diagonal stands. A zero maximum stops
+// with stop = 2, a pivot off the diagonal with stop = 1. Otherwise rows
+// 1…e_m−1 are divided by the pivot (VDIVPD, correctly rounded like DIVSD,
+// l / pivot), their quotients that compare not equal to zero (NEQ_UQ, so
+// a NaN counts) are counted with VMOVMSKPD and POPCNT into nz[m], and the
+// panel's later columns, from row m down, take the step: y −= u·l four
+// rows at a time, the last one to three under a VMASKMOVPD mask, with a
+// VBLENDVPD keeping the lanes whose l is ±0, as bandUpdateAVX2's one-step
+// path does.
+TEXT ·bandPanelAVX2(SB), NOSPLIT, $0-72
 	MOVQ         x_base+0(FP), SI
 	MOVQ         ld+24(FP), R8
 	SHLQ         $3, R8
 	LEAQ         -8(R8), R10
-	MOVQ         e+32(FP), DX
-	MOVQ         nz+40(FP), R14
+	MOVQ         nz+48(FP), R14
 	LEAQ         lanemask<>(SB), R9
 	VBROADCASTSD absmask<>(SB), Y14
 	VXORPD       Y15, Y15, Y15
+	XORQ         CX, CX
 
-	// Rows 1…e−1 go four at a time up to R11, then −R12 more under Y13.
+panelstep:
+	// e_m = min(e, last−m+1) rows; rows 1…e_m−1 go four at a time up to
+	// R11, then −R12 more under Y13.
+	MOVQ    e+32(FP), DX
+	MOVQ    last+40(FP), BX
+	SUBQ    CX, BX
+	INCQ    BX
+	CMPQ    BX, DX
+	CMOVQLT BX, DX
 	LEAQ    -1(DX), R11
 	MOVQ    R11, R12
 	ANDQ    $3, R12
@@ -574,10 +468,8 @@ TEXT ·bandPanelAVX2(SB), NOSPLIT, $0-64
 	INCQ    R11
 	NEGQ    R12
 	VMOVDQU 56(R9)(R12*8), Y13
-	XORQ    CX, CX
 
-panelstep:
-	// The pivot search over rows 0…e−1.
+	// The pivot search over rows 0…e_m−1.
 	VMOVSD   (SI), X0
 	VUCOMISD X0, X0
 	JPS      pscale
@@ -695,19 +587,19 @@ pnext:
 	INCQ CX
 	CMPQ CX, $4
 	JB   panelstep
-	MOVQ CX, nb+48(FP)
-	MOVQ $0, stop+56(FP)
+	MOVQ CX, nb+56(FP)
+	MOVQ $0, stop+64(FP)
 	VZEROUPPER
 	RET
 
 pswap:
-	MOVQ CX, nb+48(FP)
-	MOVQ $1, stop+56(FP)
+	MOVQ CX, nb+56(FP)
+	MOVQ $1, stop+64(FP)
 	VZEROUPPER
 	RET
 
 psingular:
-	MOVQ CX, nb+48(FP)
-	MOVQ $2, stop+56(FP)
+	MOVQ CX, nb+56(FP)
+	MOVQ $2, stop+64(FP)
 	VZEROUPPER
 	RET

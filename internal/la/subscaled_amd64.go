@@ -13,10 +13,4 @@ func subScaledRowsAVX2(y, x, m []float64, ystride, xstride, mstride, n0, dn, row
 func bandUpdateAVX2(c, l []float64, stride, cols, steps, e, ragged int)
 
 //go:noescape
-func bandScaleAVX2(x []float64, d float64) int
-
-//go:noescape
-func bandPivotAVX2(x []float64) (p int, vmax float64)
-
-//go:noescape
-func bandPanelAVX2(x []float64, ld, e int, nz *[4]int) (nb, stop int)
+func bandPanelAVX2(x []float64, ld, e, last int, nz *[4]int) (nb, stop int)

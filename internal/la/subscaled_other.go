@@ -15,17 +15,7 @@ func bandUpdateAVX2(c, l []float64, stride, cols, steps, e, ragged int) {
 	panic("la: no vector band update off amd64")
 }
 
-// bandScaleAVX2 is never called: useAVX2 is false off amd64.
-func bandScaleAVX2(x []float64, d float64) int {
-	panic("la: no vector band scale off amd64")
-}
-
-// bandPivotAVX2 is never called: useAVX2 is false off amd64.
-func bandPivotAVX2(x []float64) (p int, vmax float64) {
-	panic("la: no vector pivot search off amd64")
-}
-
 // bandPanelAVX2 is never called: useAVX2 is false off amd64.
-func bandPanelAVX2(x []float64, ld, e int, nz *[4]int) (nb, stop int) {
+func bandPanelAVX2(x []float64, ld, e, last int, nz *[4]int) (nb, stop int) {
 	panic("la: no vector band panel off amd64")
 }
