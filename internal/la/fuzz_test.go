@@ -275,11 +275,11 @@ func FuzzSubScaled(f *testing.F) {
 }
 
 // FuzzSubScaledRows checks that subScaledRows, which takes the vector
-// kernel where the CPU has one, writes the bits of subScaledRowsGo on the
-// shapes both band factors give it, NaN payloads included: the band LU's
-// (each row's multiplier in the word before it, one x row, fixed length)
-// and the band Cholesky's (multipliers and x one slice, each row one
-// shorter, x first divided by d), for 0–40 rows, lengths 0–67 and
+// kernel where the CPU has one, writes the bits of subScaledRowsGo on two
+// shapes, NaN payloads included: strided rows (each row's multiplier in
+// the word before it, one x row, fixed length) and the band Cholesky's
+// (multipliers and x one slice, each row one shorter, x first divided by
+// d), for 0–40 rows, lengths 0–67 and
 // unaligned offsets. Words between and after the rows and past x start
 // with their own values and must keep them, so a mask that reaches one
 // lane too far fails.
@@ -302,7 +302,7 @@ func FuzzSubScaledRows(f *testing.F) {
 		}
 		return []byte{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 44, 48, 40}[i%13]
 	}
-	// Band LU, four rows of five (stride 9): finite y, NaN multipliers and
+	// Strided, four rows of five (stride 9): finite y, NaN multipliers and
 	// NaN x with other payloads, so the product's operand order shows.
 	f.Add(false, uint8(4), uint8(5), uint8(0), uint64(0), uint64(3), sels(4*9+3, 5+3, func(i int, inX bool) byte {
 		switch {
@@ -313,7 +313,7 @@ func FuzzSubScaledRows(f *testing.F) {
 		}
 		return 44
 	}))
-	// Band LU, NaN y and NaN x with finite multipliers: the difference's
+	// Strided, NaN y and NaN x with finite multipliers: the difference's
 	// operand order shows.
 	f.Add(false, uint8(3), uint8(6), uint8(0), uint64(0), uint64(5), sels(3*10+3, 6+3, func(i int, inX bool) byte {
 		switch {
