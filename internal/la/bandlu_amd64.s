@@ -88,19 +88,21 @@ GLOBL lanemask<>(SB), RODATA|NOPTR, $112
 
 // func bandUpdateAVX2(c, l []float64, stride, cols, steps, e, ragged int)
 //
-// bandUpdate's kernel. It walks blocks of four rows, and within a block
-// every column, so each block's multipliers and their ±0 masks are loaded
-// once and held in registers. steps == 1 updates rows 1…e−1 with u = row
-// 0. steps == 4 first runs every column's triangle, rows 1…3, in scalar
-// (each row's u is that row once the earlier steps are applied), then
-// takes each block of rows from 4 on through all four steps, in step
-// order, and the ragged columns after the rest through the steps that
-// reach them. The last one or two blocks load and store only the lanes a
-// step reaches (row r < e+t) under VMASKMOVPD masks. VMULPD and VSUBPD round
-// each product and each difference separately, as the scalar loop does; a
-// fused multiply-add would not. The operand order is u·l and y − u·l, the
-// order of bandUpdateGo and of the row update this replaces, so that when
-// both operands are NaN the surviving payload is the same one.
+// bandUpdate's kernel. steps == 1 goes column by column (its callers pass
+// one to three columns) and updates rows 1…e−1 with u = row 0. steps == 4
+// first runs every column's triangle, rows 1…3, in scalar (each row's u
+// is that row once the earlier steps are applied), then walks blocks of
+// rows from 4 on, and within a block every column, so the block's
+// multipliers and their ±0 masks are loaded once and held in registers:
+// eight rows at a time while none of their multipliers is ±0, else four
+// with a blend, each through all four steps in step order, and the ragged
+// columns after the rest through the steps that reach them. The last one
+// or two blocks load and store only the lanes a step reaches (row
+// r < e+t) under VMASKMOVPD masks. VMULPD and VSUBPD round each product
+// and each difference separately, as the scalar loop does; a fused
+// multiply-add would not. The operand order is u·l and y − u·l, that of
+// bandUpdateGo and of the row-major factor the tests hold this one to, so
+// that when both operands are NaN the surviving payload is the same one.
 TEXT ·bandUpdateAVX2(SB), NOSPLIT, $0-88
 	MOVQ   c_base+0(FP), SI
 	MOVQ   l_base+24(FP), R10

@@ -1,6 +1,6 @@
 package la
 
-// useAVX2 selects the vector row update; it is fixed at package init.
+// useAVX2 selects la's AVX2 kernels; it is fixed at package init.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports whether the CPU and OS support AVX2.

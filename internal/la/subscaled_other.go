@@ -2,7 +2,7 @@
 
 package la
 
-// useAVX2 is false: only amd64 has the vector row update.
+// useAVX2 is false: only amd64 has the AVX2 kernels.
 var useAVX2 = false
 
 // subScaledRowsAVX2 is never called: useAVX2 is false off amd64.
